@@ -4,17 +4,17 @@ process and a (possibly infinite-activity) Poisson jump measure."""
 from .common import ConfigError, DivergentIntegralError, Region
 from .levy import (AmplitudeSpec, AtomSpec, IntegrationRegion, LevyModel,
                    PowerLawSpec, TruncatedModel, activate, disc_mass,
-                   model_from_config, moment, sample_mark, truncate)
+                   model_from_config, moment, truncate)
 from .multiindex import (Counts, IndexSet, Multiindex, counts,
                          hierarchical_set, in_hierarchical_set, remainder_set,
                          subscript_set)
 from .oracle import (OracleConfig, OracleKind, exact_solution, fine_reference,
                      reference_solution)
-from .path import (DrivingPath, IntervalSlice, JumpEvent, SliceJump,
-                   build_path, dyadic_grid, sample_dw_dz, simulate_events)
+from .path import (DrivingPath, JumpEvent, build_path, dyadic_grid,
+                   sample_dw_dz, simulate_events)
 from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
-                      Trajectory, euler_factor, euler_step, milstein_factor,
-                      milstein_step, milstein_terms, run_scheme, step_factor)
+                      Trajectory, euler_factor, milstein_factor,
+                      milstein_terms, run_scheme, step_factor)
 from .harness import (ConvergenceReport, StudyConfig, TruncationReport,
                       config_from_dict, config_from_json, exclude_coarsest,
                       fit_slope, path_rng, simulate_trajectory,
@@ -22,4 +22,28 @@ from .harness import (ConvergenceReport, StudyConfig, TruncationReport,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # common
+    "ConfigError", "DivergentIntegralError", "Region",
+    # levy
+    "AmplitudeSpec", "AtomSpec", "IntegrationRegion", "LevyModel",
+    "PowerLawSpec", "TruncatedModel", "activate", "disc_mass",
+    "model_from_config", "moment", "truncate",
+    # multiindex
+    "Counts", "IndexSet", "Multiindex", "counts", "hierarchical_set",
+    "in_hierarchical_set", "remainder_set", "subscript_set",
+    # oracle
+    "OracleConfig", "OracleKind", "exact_solution", "fine_reference",
+    "reference_solution",
+    # path
+    "DrivingPath", "JumpEvent", "build_path", "dyadic_grid", "sample_dw_dz",
+    "simulate_events",
+    # schemes
+    "DEFAULT_I32", "I32Compensator", "LinearCoefficients", "Scheme",
+    "Trajectory", "euler_factor", "milstein_factor", "milstein_terms",
+    "run_scheme", "step_factor",
+    # harness
+    "ConvergenceReport", "StudyConfig", "TruncationReport", "config_from_dict",
+    "config_from_json", "exclude_coarsest", "fit_slope", "path_rng",
+    "simulate_trajectory", "strong_error_study", "truncation_study",
+]

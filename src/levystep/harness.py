@@ -337,6 +337,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     moments, so the measured difference is pure truncation error.
     """
     _require(cfg.epsilons is not None, "a truncation study needs an 'epsilons' list")
+    _require(len(cfg.epsilons) >= 2, "a truncation study needs at least two distinct epsilons")
     _require(cfg.truncation_level is not None,
              "a truncation study needs 'truncation_level' (or ladder_levels)")
     eps_list = np.array(cfg.epsilons)  # descending

@@ -21,7 +21,7 @@ from typing import Callable, Union
 import numpy as np
 from scipy import integrate
 
-from .common import ConfigError, DivergentIntegralError, Region
+from .common import ConfigError, DivergentIntegralError
 
 _QUAD_RTOL = 1e-10
 
@@ -273,20 +273,6 @@ def _sample_power_law_disc(spec: PowerLawSpec, eps: float, rng: np.random.Genera
     mag = (lo - u * (lo - 1.0)) ** (-1.0 / a)
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return sign * mag
-
-
-def sample_mark(model: ActiveModel, region: Region, rng: np.random.Generator) -> float:
-    """Draw one mark from the normalized restriction of nu to the region."""
-    if region is Region.SMALL:
-        x = model.sample_small_mark(rng)
-    else:
-        x = model.sample_tail_mark(rng)
-    # sampler and region tag must agree; a mismatch is a programming error
-    if region is Region.SMALL:
-        assert 0 < abs(x) < 1
-    else:
-        assert abs(x) >= 1
-    return x
 
 
 # -- moments ---------------------------------------------------------------

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import logging
 import math
-import struct
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -38,22 +37,17 @@ logger = logging.getLogger(__name__)
 _SQRT3 = math.sqrt(3.0)
 
 
-def sample_dw_dz(delta: float, rng: np.random.Generator) -> tuple[float, float]:
-    """One joint draw of (dW, dZ) over an interval of length delta.
+def sample_dw_dz(deltas: np.ndarray, rng: np.random.Generator
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Independent joint draws of (dW, dZ), one per interval length in deltas.
 
     dW = U1 sqrt(delta), dZ = delta^{3/2} (U1 + U2/sqrt(3)) / 2 with U1, U2
     independent standard normals, which realizes Var dW = delta,
     Var dZ = delta^3/3, Cov = delta^2/2.
     """
-    if delta <= 0:
-        raise ValueError(f"interval length must be positive, got {delta}")
-    u1, u2 = rng.standard_normal(2)
-    dw = u1 * math.sqrt(delta)
-    dz = 0.5 * delta**1.5 * (u1 + u2 / _SQRT3)
-    return dw, dz
-
-
-def _sample_dw_dz_vec(deltas: np.ndarray, rng: np.random.Generator):
+    deltas = np.asarray(deltas, dtype=np.float64)
+    if not (deltas > 0).all():
+        raise ValueError(f"interval lengths must be positive, got min {deltas.min()}")
     u = rng.standard_normal((2, deltas.size))
     dw = u[0] * np.sqrt(deltas)
     dz = 0.5 * deltas**1.5 * (u[0] + u[1] / _SQRT3)
@@ -203,35 +197,6 @@ class DrivingPath:
             ))
         return tuple(out)
 
-    def slice_grid(self, coarse_grid: np.ndarray) -> tuple[IntervalSlice, ...]:
-        """Slices for an arbitrary increasing grid of dyadic points.
-
-        Every grid point must be a finest-level dyadic point of this path;
-        (dW, dZ) of each slice are assembled from maximal aligned blocks of
-        the per-level aggregation arrays.
-        """
-        grid = np.asarray(coarse_grid, dtype=np.float64)
-        if grid.ndim != 1 or grid.size < 2:
-            raise ValueError("coarse grid needs at least two points")
-        if grid[0] != 0.0 or grid[-1] != self.horizon:
-            raise ValueError("coarse grid must span [0, horizon]")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("coarse grid must be strictly increasing")
-        cells = [self._dyadic_cell(t) for t in grid]
-        out = []
-        for i in range(grid.size - 1):
-            a, b = cells[i], cells[i + 1]
-            dw, dz = self._range_dw_dz(a, b)
-            ia, ib = self.cell_edges[a], self.cell_edges[b]
-            interval_jumps = [j for j in self.jumps if grid[i] < j.time <= grid[i + 1]]
-            out.append(self._make_slice(
-                left=float(grid[i]), right=float(grid[i + 1]),
-                delta_w=dw, delta_z=dz,
-                w_left=float(self.w_values[ia]), w_right=float(self.w_values[ib]),
-                interval_jumps=interval_jumps,
-            ))
-        return tuple(out)
-
     def slice_between(self, t_left: float, t_right: float) -> IntervalSlice:
         """A single slice between two arbitrary event times (typically a grid
         point and an interior jump time); aggregates gap data directly."""
@@ -270,71 +235,6 @@ class DrivingPath:
         return IntervalSlice(left=left, right=right, delta=right - left,
                              delta_w=delta_w, delta_z=delta_z, w_left=w_left,
                              jumps=tuple(slice_jumps))
-
-    def _dyadic_cell(self, t: float) -> int:
-        n = self.finest_level
-        k = int(round(t * 2**n / self.horizon))
-        if not 0 <= k <= 2**n or (k * self.horizon) / float(2**n) != t:
-            raise ValueError(f"{t!r} is not a finest-level dyadic point")
-        return k
-
-    def _range_dw_dz(self, a: int, b: int) -> tuple[float, float]:
-        """(dW, dZ) over fine cells [a, b) via maximal aligned dyadic blocks."""
-        n = self.finest_level
-        cell_w = self.horizon / float(2**n)
-        dw_acc = 0.0
-        dz_acc = 0.0
-        pos = a
-        while pos < b:
-            block = pos & -pos if pos else 2**n
-            while pos + block > b:
-                block //= 2
-            lvl = n - block.bit_length() + 1
-            idx = pos // block
-            dz_acc = dz_acc + float(self.level_dz[lvl][idx]) + dw_acc * (block * cell_w)
-            dw_acc = dw_acc + float(self.level_dw[lvl][idx])
-            pos += block
-        return dw_acc, dz_acc
-
-    # -- binary dump (debugging aid; not a stability guarantee) -------------
-
-    _MAGIC = b"LVSP"
-    _VERSION = 1
-
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<4sIdII", self._MAGIC, self._VERSION, self.horizon,
-                           self.finest_level, self.event_times.size)
-        parts = [head,
-                 self.event_times.astype("<f8").tobytes(),
-                 self.dw.astype("<f8").tobytes(),
-                 self.z_locals.astype("<f8").tobytes(),
-                 struct.pack("<I", len(self.jumps))]
-        for j in self.jumps:
-            parts.append(struct.pack("<ddBI", j.time, j.mark,
-                                     0 if j.region is Region.SMALL else 1,
-                                     j.event_index))
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "DrivingPath":
-        off = struct.calcsize("<4sIdII")
-        magic, version, horizon, level, n_ev = struct.unpack_from("<4sIdII", blob)
-        if magic != cls._MAGIC or version != cls._VERSION:
-            raise ValueError("not a driving-path dump of a known version")
-        times = np.frombuffer(blob, "<f8", n_ev, off).copy()
-        off += 8 * n_ev
-        dw = np.frombuffer(blob, "<f8", n_ev - 1, off).copy()
-        off += 8 * (n_ev - 1)
-        zl = np.frombuffer(blob, "<f8", n_ev - 1, off).copy()
-        off += 8 * (n_ev - 1)
-        (n_j,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        raw = []
-        for _ in range(n_j):
-            t, mark, flag, _ = struct.unpack_from("<ddBI", blob, off)
-            off += struct.calcsize("<ddBI")
-            raw.append((t, mark, Region.SMALL if flag == 0 else Region.TAIL))
-        return _assemble(horizon, level, times, dw, zl, tuple(raw))
 
 
 def _assemble(horizon: float, finest_level: int, event_times: np.ndarray,
@@ -406,5 +306,5 @@ def build_path(horizon: float, finest_level: int, model: ActiveModel,
     jump_times = np.array([t for t, _, _ in fixed], dtype=np.float64)
     event_times = np.sort(np.concatenate((dyad, jump_times)))
     gaps = np.diff(event_times)
-    dw, z_locals = _sample_dw_dz_vec(gaps, rng)
+    dw, z_locals = sample_dw_dz(gaps, rng)
     return _assemble(horizon, finest_level, event_times, dw, z_locals, tuple(fixed))

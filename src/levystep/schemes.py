@@ -6,8 +6,8 @@
 
 A stepper consumes one IntervalSlice (it never samples noise itself) and
 advances Y across it.  Both steppers are linear in Y, so each step is a
-multiplicative factor; `euler_factor` / `milstein_factor` expose that factor
-and the `*_step` functions apply it.
+multiplicative factor; `euler_factor` / `milstein_factor` compute that factor,
+`step_factor` picks one by scheme and `run_scheme` applies it slice by slice.
 
 Conventions for the Milstein double sums (jumps of the slice are indexed in
 time order; `small n` / `tail n` means the outer sum runs over that region's
@@ -33,17 +33,15 @@ for comparison.
 
 from __future__ import annotations
 
-import csv
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from .common import Region
 from .levy import ActiveModel, IntegrationRegion, moment
-from .multiindex import Multiindex
 from .path import DrivingPath, IntervalSlice, dyadic_grid
 
 
@@ -106,10 +104,6 @@ def euler_factor(slc: IntervalSlice, coef: LinearCoefficients) -> float:
             + coef.diffusion * slc.delta_w
             + coef.small_jump * (sum_p - slc.delta * coef.p_integral)
             + coef.tail_jump * sum_q)
-
-
-def euler_step(y: float, slc: IntervalSlice, coef: LinearCoefficients) -> float:
-    return y * euler_factor(slc, coef)
 
 
 def milstein_terms(y: float, slc: IntervalSlice, coef: LinearCoefficients,
@@ -197,11 +191,6 @@ def milstein_factor(slc: IntervalSlice, coef: LinearCoefficients,
     return 1.0 + sum(milstein_terms(1.0, slc, coef, i32_compensator).values())
 
 
-def milstein_step(y: float, slc: IntervalSlice, coef: LinearCoefficients,
-                  i32_compensator: I32Compensator = DEFAULT_I32) -> float:
-    return y * milstein_factor(slc, coef, i32_compensator)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
@@ -212,60 +201,31 @@ class Trajectory:
     def strong_order(self) -> float:
         return self.scheme.strong_order
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["time", "value"])
-            for t, v in zip(self.times, self.values):
-                writer.writerow([f"{t:.17g}", f"{v:.17g}"])
 
-
-ExtraTerm = Callable[[float, IntervalSlice, LinearCoefficients], float]
+def step_factor(scheme: Scheme, slc: IntervalSlice, coef: LinearCoefficients,
+                i32_compensator: I32Compensator = DEFAULT_I32) -> float:
+    """The multiplicative one-slice update of either scheme (used for grid
+    slices and for partial slices ending at an interior jump time)."""
+    if scheme is Scheme.EULER:
+        return euler_factor(slc, coef)
+    return milstein_factor(slc, coef, i32_compensator)
 
 
 def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
                coef: LinearCoefficients, y0: float,
-               i32_compensator: I32Compensator = DEFAULT_I32,
-               extra_terms: Mapping[Multiindex, ExtraTerm] | None = None) -> Trajectory:
-    """Advance the scheme across every slice of `grid` (a dyadic-point grid
-    of the path).  `extra_terms` is an extension point: additional integral
-    terms keyed by multiindex, each mapping (y, slice, coef) to an additive
-    update contribution (for experimenting with higher-order pieces)."""
+               i32_compensator: I32Compensator = DEFAULT_I32) -> Trajectory:
+    """Advance the scheme across every slice of `grid`, which must be the
+    path's uniform dyadic grid at some level 0..path.finest_level."""
     grid = np.asarray(grid, dtype=np.float64)
-    uniform_level = _match_uniform_level(grid, path)
-    slices = path.slices(uniform_level) if uniform_level is not None \
-        else path.slice_grid(grid)
+    level = (grid.size - 1).bit_length() - 1  # a level-L grid has 2**L + 1 points
+    if not (0 <= level <= path.finest_level
+            and np.array_equal(grid, dyadic_grid(path.horizon, level))):
+        raise ValueError("grid must be the path's uniform dyadic grid at a level "
+                         f"in 0..{path.finest_level}")
     values = np.empty(grid.size)
     values[0] = y0
     y = y0
-    for i, slc in enumerate(slices):
-        if scheme is Scheme.EULER:
-            y = y * euler_factor(slc, coef)
-        else:
-            y = y * milstein_factor(slc, coef, i32_compensator)
-        if extra_terms:
-            for term in extra_terms.values():
-                y += term(values[i], slc, coef)
+    for i, slc in enumerate(path.slices(level)):
+        y = y * step_factor(scheme, slc, coef, i32_compensator)
         values[i + 1] = y
     return Trajectory(times=grid, values=values, scheme=scheme)
-
-
-def _match_uniform_level(grid: np.ndarray, path: DrivingPath) -> int | None:
-    n_int = grid.size - 1
-    if n_int < 1 or n_int & (n_int - 1):
-        return None
-    level = n_int.bit_length() - 1
-    if level > path.finest_level:
-        return None
-    if np.array_equal(grid, dyadic_grid(path.horizon, level)):
-        return level
-    return None
-
-
-def step_factor(scheme: Scheme, slc: IntervalSlice, coef: LinearCoefficients,
-                i32_compensator: I32Compensator = DEFAULT_I32) -> float:
-    """The multiplicative one-slice update of either scheme (used for partial
-    slices when a trajectory is evaluated at an interior jump time)."""
-    if scheme is Scheme.EULER:
-        return euler_factor(slc, coef)
-    return milstein_factor(slc, coef, i32_compensator)

@@ -21,6 +21,7 @@ from levystep import (
     build_path,
     hierarchical_set,
     remainder_set,
+    sample_dw_dz,
 )
 from levystep.harness import (
     config_from_dict,
@@ -28,7 +29,6 @@ from levystep.harness import (
     strong_error_study,
     truncation_study,
 )
-from levystep.path import _sample_dw_dz_vec
 from levystep.schemes import milstein_terms
 from test_multiindex import A_HALF, A_ONE, B_HALF, B_ONE
 
@@ -107,7 +107,7 @@ def test_criterion_2_joint_increment_law():
     # Cov = delta^2/2, each within 3 standard errors; runtime under 5 s
     t0 = time.perf_counter()
     n, d = 1_000_000, 0.1
-    dw, dz = _sample_dw_dz_vec(np.full(n, d), np.random.default_rng(123456))
+    dw, dz = sample_dw_dz(np.full(n, d), np.random.default_rng(123456))
     dev_vw = abs(dw.var(ddof=1) - d) / (d * math.sqrt(2.0 / (n - 1)))
     dev_vz = abs(dz.var(ddof=1) - d**3 / 3) / ((d**3 / 3) * math.sqrt(2.0 / (n - 1)))
     cov = float(np.cov(dw, dz)[0, 1])

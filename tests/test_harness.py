@@ -246,6 +246,10 @@ def test_truncation_study_deterministic(trunc_report):
 def test_truncation_study_needs_epsilons():
     with pytest.raises(ConfigError, match="epsilons"):
         truncation_study(config_from_dict(base_config()))
+    # one radius, given once or twice (deduped), leaves no slope to fit
+    for eps in ([0.5], [0.5, 0.5]):
+        with pytest.raises(ConfigError, match="at least two distinct epsilons"):
+            truncation_study(config_from_dict(trunc_config(epsilons=eps)))
 
 
 # -- single trajectory -----------------------------------------------------------

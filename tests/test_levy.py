@@ -7,8 +7,8 @@ from scipy import stats
 
 from levystep import (AmplitudeSpec, AtomSpec, ConfigError,
                       DivergentIntegralError, IntegrationRegion, LevyModel,
-                      PowerLawSpec, Region, disc_mass, model_from_config,
-                      moment, sample_mark, truncate)
+                      PowerLawSpec, disc_mass, model_from_config,
+                      moment, truncate)
 
 from helpers import quad_power_law_moment
 
@@ -211,7 +211,7 @@ def test_truncated_moments_clip_to_disc():
 
 def test_sample_mark_atoms_frequencies(finite_model, rng):
     n = 20000
-    draws = np.array([sample_mark(finite_model, Region.SMALL, rng) for _ in range(n)])
+    draws = np.array([finite_model.sample_small_mark(rng) for _ in range(n)])
     assert set(np.unique(draws)) == {0.5, -0.4}
     frac = np.mean(draws == 0.5)
     assert abs(frac - 0.6) < 3 * math.sqrt(0.6 * 0.4 / n)
@@ -219,20 +219,20 @@ def test_sample_mark_atoms_frequencies(finite_model, rng):
 
 def test_sample_mark_untruncated_power_law_rejected(rng):
     with pytest.raises(ValueError):
-        sample_mark(power_model(), Region.SMALL, rng)
+        power_model().sample_small_mark(rng)
 
 
 def test_sample_mark_zero_mass_tail(rng):
     m = LevyModel(small=AtomSpec(((0.5, 1.0),)), tail=AtomSpec(()))
     with pytest.raises(ValueError):
-        sample_mark(m, Region.TAIL, rng)
+        m.sample_tail_mark(rng)
 
 
 def test_truncated_atom_sampling_zero_survivors(rng):
     m = LevyModel(small=AtomSpec(((0.1, 1.0),)), tail=AtomSpec(()))
     t = truncate(m, 0.5)
     with pytest.raises(ValueError):
-        sample_mark(t, Region.SMALL, rng)
+        t.sample_small_mark(rng)
 
 
 @pytest.mark.parametrize("a", [0.5, 1.2])
@@ -240,7 +240,7 @@ def test_power_law_disc_sampling_ks(a, rng):
     eps = 0.2
     t = truncate(power_model(a=a), eps)
     n = 100000
-    draws = np.array([sample_mark(t, Region.SMALL, rng) for _ in range(n)])
+    draws = np.array([t.sample_small_mark(rng) for _ in range(n)])
     assert np.all(np.abs(draws) > eps) and np.all(np.abs(draws) < 1)
     # |x| has cdf (eps^-a - x^-a)/(eps^-a - 1) on (eps, 1)
     lo = eps ** (-a)
@@ -256,8 +256,8 @@ def test_power_law_disc_sampling_ks(a, rng):
 
 
 def test_sampling_determinism(finite_model):
-    a = [sample_mark(finite_model, Region.SMALL, np.random.default_rng(9)) for _ in range(5)]
-    b = [sample_mark(finite_model, Region.SMALL, np.random.default_rng(9)) for _ in range(5)]
+    a = [finite_model.sample_small_mark(np.random.default_rng(9)) for _ in range(5)]
+    b = [finite_model.sample_small_mark(np.random.default_rng(9)) for _ in range(5)]
     assert a == b
 
 

@@ -10,7 +10,6 @@ import pytest
 from levystep import (
     AmplitudeSpec,
     AtomSpec,
-    DrivingPath,
     JumpEvent,
     LevyModel,
     PowerLawSpec,
@@ -20,7 +19,6 @@ from levystep import (
     sample_dw_dz,
     simulate_events,
 )
-from levystep.path import _sample_dw_dz_vec
 
 IDENT = AmplitudeSpec(1.0, 1.0)
 
@@ -39,17 +37,16 @@ def dense_model(small_rate=4.0, tail_rate=2.0):
 # -- joint (dW, dZ) sampling -------------------------------------------------
 
 def test_sample_dw_dz_rejects_nonpositive_delta(rng):
-    for bad in (0.0, -0.25):
+    for bad in (0.0, -0.25, math.nan):
         with pytest.raises(ValueError):
-            sample_dw_dz(bad, rng)
+            sample_dw_dz(np.array([0.1, bad]), rng)
 
 
 def test_sample_dw_dz_moments():
     # mean 0, Var dW = d, Var dZ = d^3/3, Cov = d^2/2; all within 4 s.e.
     d, n = 0.1, 30_000
     rng = np.random.default_rng(2024)
-    draws = np.array([sample_dw_dz(d, rng) for _ in range(n)])
-    dw, dz = draws[:, 0], draws[:, 1]
+    dw, dz = sample_dw_dz(np.full(n, d), rng)
     assert abs(dw.mean()) < 4 * math.sqrt(d / n)
     assert abs(dz.mean()) < 4 * math.sqrt(d**3 / 3 / n)
     cov = np.cov(dw, dz)
@@ -61,19 +58,9 @@ def test_sample_dw_dz_moments():
     assert abs(cov[0, 1] - d**2 / 2) < 4 * se_c
 
 
-def test_vectorized_sampler_matches_scalar():
-    # one delta, fresh generators with the same seed: identical normals in,
-    # same formula out (up to pow implementation differences)
-    d = 0.37
-    dw_s, dz_s = sample_dw_dz(d, np.random.default_rng(5))
-    dw_v, dz_v = _sample_dw_dz_vec(np.array([d]), np.random.default_rng(5))
-    assert dw_s == pytest.approx(float(dw_v[0]), rel=1e-15)
-    assert dz_s == pytest.approx(float(dz_v[0]), rel=1e-15)
-
-
 def test_vectorized_sampler_shapes(rng):
     deltas = np.array([0.1, 0.2, 0.05])
-    dw, dz = _sample_dw_dz_vec(deltas, rng)
+    dw, dz = sample_dw_dz(deltas, rng)
     assert dw.shape == dz.shape == (3,)
 
 
@@ -292,42 +279,6 @@ def test_whole_horizon_slice(finite_model):
     assert top.count == len(path.jumps)
 
 
-# -- arbitrary dyadic grids --------------------------------------------------
-
-def test_slice_grid_uniform_matches_slices():
-    path = build_path(1.0, 6, dense_model(), np.random.default_rng(30))
-    for level in (0, 2, 4, 6):
-        via_grid = path.slice_grid(path.grid(level))
-        for a, b in zip(via_grid, path.slices(level)):
-            assert a == b
-
-
-def test_slice_grid_non_uniform_matches_slice_between():
-    path = build_path(1.0, 6, dense_model(), np.random.default_rng(31))
-    picker = np.random.default_rng(8)
-    for _ in range(20):
-        k = np.unique(np.concatenate(([0, 64], picker.integers(1, 64, size=6))))
-        grid = dyadic_grid(1.0, 6)[k]
-        for slc in path.slice_grid(grid):
-            ref = path.slice_between(slc.left, slc.right)
-            scale = max(1.0, abs(ref.delta_z))
-            assert slc.delta_w == pytest.approx(ref.delta_w, abs=1e-12)
-            assert abs(slc.delta_z - ref.delta_z) < 1e-12 * scale
-            assert slc.jumps == ref.jumps
-
-
-def test_slice_grid_validation(finite_model):
-    path = build_path(1.0, 4, finite_model, np.random.default_rng(1))
-    with pytest.raises(ValueError, match="two points"):
-        path.slice_grid(np.array([0.0]))
-    with pytest.raises(ValueError, match="span"):
-        path.slice_grid(np.array([0.0, 0.5]))
-    with pytest.raises(ValueError, match="increasing"):
-        path.slice_grid(np.array([0.0, 0.5, 0.5, 1.0]))
-    with pytest.raises(ValueError, match="dyadic"):
-        path.slice_grid(np.array([0.0, 0.3, 1.0]))
-
-
 # -- partial slices and jump bookkeeping -------------------------------------
 
 def test_slice_between_partial_to_jump_time():
@@ -421,26 +372,3 @@ def test_event_index_and_grid_lookups(finite_model):
     with pytest.raises(ValueError):
         path.grid(-1)
 
-
-# -- binary dump ---------------------------------------------------------------
-
-def test_bytes_roundtrip(finite_model):
-    path = build_path(1.0, 5, dense_model(), np.random.default_rng(70))
-    clone = DrivingPath.from_bytes(path.to_bytes())
-    assert np.array_equal(clone.event_times, path.event_times)
-    assert np.array_equal(clone.dw, path.dw)
-    assert np.array_equal(clone.z_locals, path.z_locals)
-    assert np.array_equal(clone.w_values, path.w_values)
-    assert np.array_equal(clone.cell_edges, path.cell_edges)
-    assert clone.jumps == path.jumps
-    for lvl in range(6):
-        assert np.array_equal(clone.level_dw[lvl], path.level_dw[lvl])
-        assert np.array_equal(clone.level_dz[lvl], path.level_dz[lvl])
-
-
-def test_bytes_rejects_garbage(finite_model):
-    path = build_path(1.0, 3, finite_model, np.random.default_rng(71))
-    blob = bytearray(path.to_bytes())
-    blob[0] ^= 0xFF
-    with pytest.raises(ValueError, match="dump"):
-        DrivingPath.from_bytes(bytes(blob))

@@ -12,15 +12,13 @@ from levystep import (
     AtomSpec,
     LevyModel,
     LinearCoefficients,
-    Multiindex,
     Region,
     Scheme,
     I32Compensator,
     build_path,
+    dyadic_grid,
     euler_factor,
-    euler_step,
     milstein_factor,
-    milstein_step,
     milstein_terms,
     run_scheme,
     step_factor,
@@ -81,13 +79,6 @@ def test_euler_no_jump_formula(finite_coef):
     want = (1.0 + finite_coef.drift * 0.25 + finite_coef.diffusion * (-0.3)
             - finite_coef.small_jump * 0.25 * finite_coef.p_integral)
     assert euler_factor(slc, finite_coef) == pytest.approx(want, rel=1e-15)
-
-
-def test_euler_step_is_linear(finite_coef, rng):
-    raw = random_raw_slice(rng)
-    slc = raw.to_slice()
-    assert euler_step(3.7, slc, finite_coef) == pytest.approx(
-        3.7 * euler_step(1.0, slc, finite_coef), rel=1e-15)
 
 
 # -- Milstein term structure ---------------------------------------------------
@@ -201,8 +192,6 @@ def test_step_factor_dispatch(finite_coef, rng):
     for variant in I32Compensator:
         assert step_factor(Scheme.MILSTEIN, slc, finite_coef, variant) == \
             milstein_factor(slc, finite_coef, variant)
-    assert milstein_step(1.5, slc, finite_coef) == \
-        1.5 * milstein_factor(slc, finite_coef)
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -229,50 +218,15 @@ def test_run_scheme_matches_manual_stepping(scheme, finite_coef):
     assert traj.strong_order == scheme.strong_order
 
 
-def test_run_scheme_uniform_fast_path_consistent(finite_coef):
-    # the aligned-uniform fast path and the generic block aggregation must
-    # step over identical slices
-    path = dense_path(124)
-    grid = path.grid(2)
-    traj = run_scheme(Scheme.MILSTEIN, grid, path, finite_coef, y0=2.0)
-    y = 2.0
-    values = [2.0]
-    for slc in path.slice_grid(grid):
-        y = y * milstein_factor(slc, finite_coef)
-        values.append(y)
-    assert np.array_equal(traj.values, np.array(values))
-
-
 def test_run_scheme_non_uniform_grid(finite_coef):
+    # only a ladder level's uniform dyadic grid of the path is accepted
     path = dense_path(125)
-    grid = path.grid(6)[[0, 1, 8, 9, 40, 64]]
-    traj = run_scheme(Scheme.EULER, grid, path, finite_coef, y0=1.0)
-    assert traj.values.size == 6
-    y = 1.0
-    for slc in path.slice_grid(grid):
-        y = y * euler_factor(slc, finite_coef)
-    assert traj.values[-1] == y
-
-
-def test_run_scheme_extra_terms(finite_coef):
-    # extension hook: one extra additive term keyed by its multiindex
-    path = dense_path(126, level=3)
-    grid = path.grid(0)
-    extra = {Multiindex.parse("00"): lambda y, slc, coef: 0.01 * y * slc.delta**2}
-    base = run_scheme(Scheme.EULER, grid, path, finite_coef, y0=1.0)
-    got = run_scheme(Scheme.EULER, grid, path, finite_coef, y0=1.0, extra_terms=extra)
-    assert got.values[1] == base.values[1] + 0.01
-    assert got.values[0] == 1.0
-
-
-def test_trajectory_csv_roundtrip(tmp_path, finite_coef):
-    path = dense_path(127, level=4)
-    traj = run_scheme(Scheme.MILSTEIN, path.grid(2), path, finite_coef, y0=1.0)
-    out = tmp_path / "traj.csv"
-    traj.to_csv(out)
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "time,value"
-    assert len(lines) == traj.times.size + 1
-    for line, t, v in zip(lines[1:], traj.times, traj.values):
-        st, sv = line.split(",")
-        assert float(st) == t and float(sv) == v
+    fine = path.grid(6)
+    for grid in (fine[[0, 1, 8, 9, 40, 64]],         # non-uniform, 5 cells
+                 fine[[0, 1, 8, 40, 64]],            # non-uniform, 4 cells
+                 np.array([0.0, 0.3, 1.0]),          # not dyadic
+                 np.array([0.0, 0.25, 0.5]),         # does not span [0, T]
+                 dyadic_grid(1.0, 7),                # finer than finest_level
+                 np.array([0.0]), np.array([])):
+        with pytest.raises(ValueError, match="uniform dyadic grid"):
+            run_scheme(Scheme.EULER, grid, path, finite_coef, y0=1.0)
