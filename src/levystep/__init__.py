@@ -2,8 +2,7 @@
 process and a (possibly infinite-activity) Poisson jump measure."""
 
 from .common import ConfigError, DivergentIntegralError, Region
-from .levy import (AmplitudeSpec, AtomSpec, IntegrationRegion, LevyModel,
-                   PowerLawSpec, TruncatedModel, activate, disc_mass,
+from .levy import (AmplitudeSpec, AtomSpec, LevyModel, PowerLawSpec, activate,
                    model_from_config, moment, truncate)
 from .multiindex import (Counts, IndexSet, Multiindex, counts,
                          hierarchical_set, in_hierarchical_set, remainder_set,
@@ -26,8 +25,7 @@ __all__ = [
     # common
     "ConfigError", "DivergentIntegralError", "Region",
     # levy
-    "AmplitudeSpec", "AtomSpec", "IntegrationRegion", "LevyModel",
-    "PowerLawSpec", "TruncatedModel", "activate", "disc_mass",
+    "AmplitudeSpec", "AtomSpec", "LevyModel", "PowerLawSpec", "activate",
     "model_from_config", "moment", "truncate",
     # multiindex
     "Counts", "IndexSet", "Multiindex", "counts", "hierarchical_set",

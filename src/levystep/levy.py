@@ -3,41 +3,42 @@
 A model is the Levy measure nu split at the unit circle: a *small* part on
 0 < |x| < 1 (finitely many weighted atoms, or a symmetric power-law density
 c|x|^(-1-a), 0 < a < 2, which has infinite total mass) plus a finite *tail*
-part on |x| >= 1 given by atoms.  Two scalar mark-amplitude functions p (small
-region) and q (tail) ride along with the model because every moment the
-schemes need is an integral of p or q against nu.
+part on |x| >= 1 given by atoms.  Two scalar mark amplitudes p (small region)
+and q (tail) from the power family ride along with the model because every
+moment the schemes need is an integral of p against nu, which the power
+family gives in closed form.
 
-Truncation removes the inner ball 0 < |x| <= eps from the small region; what
-remains (the disc eps < |x| < 1 plus the tail) has finite mass and can be
-simulated as a compound Poisson stream.
+Truncation removes the inner ball 0 < |x| <= eps from the small region.  A
+truncated model is the same model with its radius eps set: what remains (the
+disc eps < |x| < 1 plus the tail) has finite mass and can be simulated as a
+compound Poisson stream.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
-from scipy import integrate
 
 from .common import ConfigError, DivergentIntegralError
-
-_QUAD_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class AmplitudeSpec:
     """Sign-preserving power amplitude f(x) = coef * sign(x) * |x|**exponent.
 
-    The closed-form moment engine understands this family; any other callable
-    can be used as an amplitude but its moments fall back to quadrature.
+    The only amplitude family: the moment engine integrates it in closed form.
     """
 
     coef: float = 1.0
     exponent: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.coef) and math.isfinite(self.exponent)):
+            raise ValueError(f"amplitude coef and exponent must be finite, "
+                             f"got {self.coef} and {self.exponent}")
         if self.exponent < 0:
             raise ValueError("amplitude exponent must be nonnegative")
 
@@ -46,8 +47,6 @@ class AmplitudeSpec:
 
 
 IDENTITY = AmplitudeSpec(1.0, 1.0)
-
-Amplitude = Union[AmplitudeSpec, Callable[[float], float]]
 
 
 @dataclass(frozen=True)
@@ -58,6 +57,8 @@ class AtomSpec:
 
     def __post_init__(self) -> None:
         for x, m in self.atoms:
+            if not (math.isfinite(x) and math.isfinite(m)):
+                raise ValueError(f"atom position and mass must be finite, got {m} at {x}")
             if m <= 0:
                 raise ValueError(f"atom mass must be positive, got {m} at {x}")
 
@@ -74,8 +75,8 @@ class PowerLawSpec:
     a: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
-            raise ValueError("power-law constant c must be positive")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError("power-law constant c must be positive and finite")
         if not 0 < self.a < 2:
             raise ValueError("power-law exponent a must lie in (0, 2)")
 
@@ -84,73 +85,25 @@ SmallSpec = Union[AtomSpec, PowerLawSpec]
 
 
 @dataclass(frozen=True)
-class IntegrationRegion:
-    """A region of the mark space for moment queries.
+class LevyModel:
+    """The measure, its amplitudes and its truncation radius eps.
 
-    kind 'small'    : 0 < |x| < 1
-    kind 'tail'     : |x| >= 1
-    kind 'disc'     : eps < |x| < 1
-    kind 'eps_ball' : 0 < |x| <= eps
+    eps = 0 is the model as given; eps in (0, 1) removes the inner ball
+    0 < |x| <= eps from the small region (see `truncate`).
     """
 
-    kind: str
-    eps: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("small", "tail", "disc", "eps_ball"):
-            raise ValueError(f"unknown region kind {self.kind!r}")
-        needs_eps = self.kind in ("disc", "eps_ball")
-        if needs_eps:
-            if self.eps is None or not 0 < self.eps < 1:
-                raise ValueError("disc / eps_ball regions need eps in (0, 1)")
-        elif self.eps is not None:
-            raise ValueError(f"region {self.kind!r} takes no eps")
-
-    @classmethod
-    def small(cls) -> "IntegrationRegion":
-        return cls("small")
-
-    @classmethod
-    def tail(cls) -> "IntegrationRegion":
-        return cls("tail")
-
-    @classmethod
-    def disc(cls, eps: float) -> "IntegrationRegion":
-        return cls("disc", eps)
-
-    @classmethod
-    def eps_ball(cls, eps: float) -> "IntegrationRegion":
-        return cls("eps_ball", eps)
-
-    def contains(self, x: float) -> bool:
-        ax = abs(x)
-        if self.kind == "small":
-            return 0 < ax < 1
-        if self.kind == "tail":
-            return ax >= 1
-        if self.kind == "disc":
-            return self.eps < ax < 1
-        return 0 < ax <= self.eps
-
-    def radial_bounds(self) -> tuple[float, float]:
-        """(lo, hi) of |x| for the small-side regions."""
-        if self.kind == "small":
-            return 0.0, 1.0
-        if self.kind == "disc":
-            return self.eps, 1.0
-        if self.kind == "eps_ball":
-            return 0.0, self.eps
-        raise ValueError("tail region has no radial bounds inside the ball")
-
-
-@dataclass(frozen=True)
-class LevyModel:
     small: SmallSpec
     tail: AtomSpec
-    p: Amplitude = IDENTITY
-    q: Amplitude = IDENTITY
+    p: AmplitudeSpec = IDENTITY
+    q: AmplitudeSpec = IDENTITY
+    eps: float = 0.0
 
     def __post_init__(self) -> None:
+        for amp in (self.p, self.q):
+            if not isinstance(amp, AmplitudeSpec):
+                raise TypeError(f"amplitudes must be AmplitudeSpec, got {type(amp).__name__}")
+        if not 0 <= self.eps < 1:
+            raise ValueError(f"truncation radius must lie in [0, 1), got {self.eps}")
         if isinstance(self.small, AtomSpec):
             for x, _ in self.small.atoms:
                 if not 0 < abs(x) < 1:
@@ -158,22 +111,22 @@ class LevyModel:
         for x, _ in self.tail.atoms:
             if abs(x) < 1:
                 raise ValueError(f"tail atom {x} inside the unit ball")
-        # The schemes need p square-integrable near 0 and q square-integrable
-        # on the tail; atoms are always fine, the density needs 2e > a.
-        sq = moment(self, "p", 2, IntegrationRegion.small())
-        if not math.isfinite(sq):
+        # The schemes need p square-integrable near 0; atoms are always fine,
+        # the density needs 2e > a.
+        if not math.isfinite(_band_moment(self, 2, 0.0, 1.0)):
             raise ValueError("p is not square-integrable over the small region")
-        moment(self, "q", 2, IntegrationRegion.tail())
 
     @property
     def is_finite_activity(self) -> bool:
-        return isinstance(self.small, AtomSpec)
+        return isinstance(self.small, AtomSpec) or self.eps > 0
 
     @property
     def small_mass(self) -> float:
+        """nu(eps < |x| < 1): the small-jump rate, infinite for an untruncated
+        power law."""
         if isinstance(self.small, AtomSpec):
-            return self.small.mass
-        return math.inf
+            return sum(m for x, m in self.small.atoms if abs(x) > self.eps)
+        return 2.0 * self.small.c * _power_integral(self.eps, 1.0, -1.0 - self.small.a)
 
     @property
     def tail_mass(self) -> float:
@@ -184,82 +137,35 @@ class LevyModel:
         """Total arrival rate when simulated as-is (small + tail)."""
         return self.small_mass + self.tail_mass
 
+    @property
+    def residual_l_eps(self) -> float:
+        """Integral of p^2 over the removed inner ball 0 < |x| <= eps: the size
+        of what truncation throws away, which drives the truncation error."""
+        return _band_moment(self, 2, 0.0, self.eps)
+
     # -- sampling helpers used by the event simulator ---------------------
 
     def sample_small_mark(self, rng: np.random.Generator) -> float:
-        if not isinstance(self.small, AtomSpec):
+        if isinstance(self.small, AtomSpec):
+            kept = tuple((x, m) for x, m in self.small.atoms if abs(x) > self.eps)
+            if not kept:
+                raise ValueError("no small-region mass survives the truncation")
+            return _sample_atoms(kept, rng)
+        if self.eps == 0:
             raise ValueError(
                 "small region has infinite mass; truncate() the model before sampling"
             )
-        return _sample_atoms(self.small, rng)
+        return _sample_power_law_disc(self.small, self.eps, rng)
 
     def sample_tail_mark(self, rng: np.random.Generator) -> float:
         if self.tail.mass == 0:
             raise ValueError("tail region carries no mass")
-        return _sample_atoms(self.tail, rng)
+        return _sample_atoms(self.tail.atoms, rng)
 
 
-@dataclass(frozen=True)
-class TruncatedModel:
-    """A model with the inner ball 0 < |x| <= eps removed from the small part.
-
-    disc_mass      : nu(eps < |x| < 1), the surviving small-jump rate
-    residual_l_eps : integral of p^2 over the removed inner ball (the size of
-                     what was thrown away; drives the truncation error)
-    """
-
-    base: LevyModel
-    eps: float
-    disc_mass: float
-    residual_l_eps: float
-
-    @property
-    def p(self) -> Amplitude:
-        return self.base.p
-
-    @property
-    def q(self) -> Amplitude:
-        return self.base.q
-
-    @property
-    def tail(self) -> AtomSpec:
-        return self.base.tail
-
-    @property
-    def is_finite_activity(self) -> bool:
-        return True
-
-    @property
-    def small_mass(self) -> float:
-        return self.disc_mass
-
-    @property
-    def tail_mass(self) -> float:
-        return self.base.tail.mass
-
-    @property
-    def active_rate(self) -> float:
-        return self.disc_mass + self.tail_mass
-
-    def sample_small_mark(self, rng: np.random.Generator) -> float:
-        small = self.base.small
-        if isinstance(small, AtomSpec):
-            kept = AtomSpec(tuple((x, m) for x, m in small.atoms if abs(x) > self.eps))
-            if not kept.atoms:
-                raise ValueError("no small-region mass survives the truncation")
-            return _sample_atoms(kept, rng)
-        return _sample_power_law_disc(small, self.eps, rng)
-
-    def sample_tail_mark(self, rng: np.random.Generator) -> float:
-        return self.base.sample_tail_mark(rng)
-
-
-ActiveModel = Union[LevyModel, TruncatedModel]
-
-
-def _sample_atoms(spec: AtomSpec, rng: np.random.Generator) -> float:
-    positions = np.array([x for x, _ in spec.atoms])
-    masses = np.array([m for _, m in spec.atoms])
+def _sample_atoms(atoms: tuple[tuple[float, float], ...], rng: np.random.Generator) -> float:
+    positions = np.array([x for x, _ in atoms])
+    masses = np.array([m for _, m in atoms])
     i = rng.choice(len(positions), p=masses / masses.sum())
     return float(positions[i])
 
@@ -287,167 +193,134 @@ def _power_integral(lo: float, hi: float, m: float) -> float:
     return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
 
 
-def moment(model: LevyModel | TruncatedModel, func: str, power: int,
-           region: IntegrationRegion) -> float:
-    """integral of amplitude**power over the region, against nu.
+def moment(model: LevyModel, power: int, lo: float = 0.0, hi: float = 1.0) -> float:
+    """integral of p**power over the band lo < |x| <= hi, against nu.
 
-    func is 'p' (small-side amplitude) or 'q' (tail amplitude); power is 1 or
-    2.  Closed form for AmplitudeSpec amplitudes; adaptive quadrature (rel.
-    tol 1e-10, singularity split at 0) otherwise.  A power-1 integral that is
-    not absolutely convergent raises DivergentIntegralError.
+    power is 1 or 2 and 0 <= lo < hi <= 1; a band reaching below the model's
+    truncation radius is clipped to it.  A power-1 integral that is not
+    absolutely convergent raises DivergentIntegralError.
     """
-    if isinstance(model, TruncatedModel):
-        # a truncated model's small region is the disc; eps_ball queries are
-        # still answered against the base (they describe the removed part)
-        if region.kind == "small":
-            region = IntegrationRegion.disc(model.eps)
-        elif region.kind == "disc" and region.eps < model.eps:
-            raise ValueError("query disc extends below the truncation level")
-        return moment(model.base, func, power, region)
-
-    if func not in ("p", "q"):
-        raise ValueError(f"func must be 'p' or 'q', got {func!r}")
     if power not in (1, 2):
         raise ValueError(f"power must be 1 or 2, got {power!r}")
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError(f"band must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})")
+    return _band_moment(model, power, max(lo, model.eps), hi)
 
-    if func == "q":
-        if region.kind != "tail":
-            raise ValueError("q moments are only defined on the tail region")
-        amp = model.q
-        return float(sum(m * amp(x) ** power for x, m in model.tail.atoms))
 
-    if region.kind == "tail":
-        raise ValueError("p moments are only defined inside the unit ball")
+def _band_moment(model: LevyModel, power: int, lo: float, hi: float) -> float:
+    """`moment` over lo < |x| <= hi without the checks or the clip; an empty
+    band gives 0."""
+    if lo >= hi:
+        return 0.0
     amp = model.p
-
     if isinstance(model.small, AtomSpec):
         return float(sum(m * amp(x) ** power
-                         for x, m in model.small.atoms if region.contains(x)))
+                         for x, m in model.small.atoms if lo < abs(x) <= hi))
 
-    lo, hi = region.radial_bounds()
     spec = model.small
-    if isinstance(amp, AmplitudeSpec):
-        e, coef = amp.exponent, amp.coef
-        if power == 1:
-            # odd integrand over a symmetric region: zero when absolutely
-            # convergent, i.e. when |p| integrates (e - a > -1 + 1 <=> e > a
-            # only matters at the origin)
-            abs_val = 2.0 * abs(coef) * spec.c * _power_integral(lo, hi, e - 1.0 - spec.a)
-            if not math.isfinite(abs_val):
-                raise DivergentIntegralError(
-                    f"power-1 moment of |x|^{e} against c|x|^(-1-{spec.a}) diverges at 0"
-                )
-            return 0.0
-        return 2.0 * coef**2 * spec.c * _power_integral(lo, hi, 2.0 * e - 1.0 - spec.a)
-
-    return _quad_moment(spec, amp, power, lo, hi)
-
-
-def _quad_moment(spec: PowerLawSpec, amp, power: int, lo: float, hi: float) -> float:
-    """Quadrature fallback for non-power amplitudes against the density."""
-    def dens(x):
-        return spec.c * abs(x) ** (-1.0 - spec.a)
-
-    def f_pos(x):
-        return amp(x) ** power * dens(x)
-
-    def f_neg(x):
-        return amp(-x) ** power * dens(x)
-
+    e, coef = amp.exponent, amp.coef
     if power == 1:
-        # absolute convergence check first
-        total_abs = 0.0
-        for f in (f_pos, f_neg):
-            val, _ = integrate.quad(lambda x: abs(f(x)), lo, hi,
-                                    epsrel=_QUAD_RTOL, limit=200)
-            total_abs += val
-        if not math.isfinite(total_abs) or total_abs > 1e12:
-            raise DivergentIntegralError("power-1 moment diverges near 0")
-    pos, _ = integrate.quad(f_pos, lo, hi, epsrel=_QUAD_RTOL, limit=200)
-    neg, _ = integrate.quad(f_neg, lo, hi, epsrel=_QUAD_RTOL, limit=200)
-    return pos + neg if power == 2 else pos - neg
+        # odd integrand over a symmetric band: zero when absolutely
+        # convergent, which only fails at the origin (when e <= a)
+        abs_val = 2.0 * abs(coef) * spec.c * _power_integral(lo, hi, e - 1.0 - spec.a)
+        if not math.isfinite(abs_val):
+            raise DivergentIntegralError(
+                f"power-1 moment of |x|^{e} against c|x|^(-1-{spec.a}) diverges at 0"
+            )
+        return 0.0
+    return 2.0 * coef**2 * spec.c * _power_integral(lo, hi, 2.0 * e - 1.0 - spec.a)
 
 
-def disc_mass(model: LevyModel, eps: float) -> float:
-    """nu(eps < |x| < 1)."""
-    if isinstance(model.small, AtomSpec):
-        return sum(m for x, m in model.small.atoms if eps < abs(x) < 1)
-    spec = model.small
-    return 2.0 * spec.c * _power_integral(eps, 1.0, -1.0 - spec.a)
-
-
-def truncate(model: LevyModel, eps: float) -> TruncatedModel:
+def truncate(model: LevyModel, eps: float) -> LevyModel:
     """Drop the inner ball 0 < |x| <= eps from the small region."""
+    if model.eps > 0:
+        raise ValueError(f"model is already truncated at {model.eps}")
     if not 0 < eps < 1:
         raise ValueError(f"truncation level must lie in (0, 1), got {eps}")
-    residual = moment(model, "p", 2, IntegrationRegion.eps_ball(eps))
-    return TruncatedModel(base=model, eps=eps,
-                          disc_mass=disc_mass(model, eps),
-                          residual_l_eps=residual)
+    return replace(model, eps=eps)
 
 
 # -- config loading ---------------------------------------------------------
 
 
-def _amplitude_from_config(obj) -> AmplitudeSpec:
+def _object(key: str, obj, allowed: set[str]) -> dict:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{key} must be an object, got {obj!r}")
+    extra = set(obj) - allowed
+    if extra:
+        raise ConfigError(f"unknown {key} keys: {sorted(extra)}")
+    return obj
+
+
+def _number(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
+def _amplitude_from_config(key: str, obj) -> AmplitudeSpec:
     if obj is None or obj == {} or obj == "identity":
         return IDENTITY
     if isinstance(obj, dict):
-        extra = set(obj) - {"coef", "exponent", "kind"}
-        if extra:
-            raise ConfigError(f"unknown amplitude keys: {sorted(extra)}")
+        _object(key, obj, {"coef", "exponent", "kind"})
         if obj.get("kind") not in (None, "identity", "power"):
-            raise ConfigError(f"unknown amplitude kind {obj.get('kind')!r}")
+            raise ConfigError(f"unknown {key} kind {obj.get('kind')!r}")
         if obj.get("kind") == "identity":
             return IDENTITY
-        return AmplitudeSpec(float(obj.get("coef", 1.0)), float(obj.get("exponent", 1.0)))
-    raise ConfigError(f"cannot interpret amplitude spec {obj!r}")
+        try:
+            return AmplitudeSpec(_number(f"{key}.coef", obj.get("coef", 1.0)),
+                                 _number(f"{key}.exponent", obj.get("exponent", 1.0)))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
+    raise ConfigError(f"cannot interpret {key} amplitude spec {obj!r}")
 
 
-def _atoms_from_config(pairs) -> AtomSpec:
+def _atoms_from_config(key: str, pairs) -> AtomSpec:
     try:
         return AtomSpec(tuple((float(x), float(m)) for x, m in pairs))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad atom list {pairs!r}: {exc}") from None
+        raise ConfigError(f"bad {key}.atoms list {pairs!r}: {exc}") from None
 
 
 def model_from_config(obj: dict) -> tuple[LevyModel, float | None]:
     """Build (model, optional truncation eps) from a parsed JSON object."""
-    if not isinstance(obj, dict):
-        raise ConfigError("model config must be an object")
-    extra = set(obj) - {"small", "tail", "p", "q", "epsilon"}
-    if extra:
-        raise ConfigError(f"unknown model keys: {sorted(extra)}")
+    _object("model", obj, {"small", "tail", "p", "q", "epsilon"})
     small_obj = obj.get("small")
     if not isinstance(small_obj, dict) or "kind" not in small_obj:
         raise ConfigError("model.small must be an object with a 'kind'")
     kind = small_obj["kind"]
     if kind == "atoms":
-        small: SmallSpec = _atoms_from_config(small_obj.get("atoms", ()))
+        _object("model.small", small_obj, {"kind", "atoms"})
+        small: SmallSpec = _atoms_from_config("model.small", small_obj.get("atoms", ()))
     elif kind == "power_law":
+        _object("model.small", small_obj, {"kind", "c", "a"})
         try:
-            small = PowerLawSpec(float(small_obj["c"]), float(small_obj["a"]))
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad power_law spec: {exc}") from None
+            small = PowerLawSpec(_number("model.small.c", small_obj.get("c")),
+                                 _number("model.small.a", small_obj.get("a")))
+        except ValueError as exc:
+            raise ConfigError(f"model.small: {exc}") from None
     else:
         raise ConfigError(f"unknown small-region kind {kind!r}")
-    tail_obj = obj.get("tail", {"atoms": []})
-    tail = _atoms_from_config(tail_obj.get("atoms", ()))
+    tail_obj = _object("model.tail", obj.get("tail", {"atoms": []}), {"kind", "atoms"})
+    if tail_obj.get("kind", "atoms") != "atoms":
+        raise ConfigError(f"model.tail kind must be 'atoms', got {tail_obj['kind']!r}")
+    tail = _atoms_from_config("model.tail", tail_obj.get("atoms", ()))
+    p = _amplitude_from_config("model.p", obj.get("p"))
+    q = _amplitude_from_config("model.q", obj.get("q"))
     try:
-        model = LevyModel(small=small, tail=tail,
-                          p=_amplitude_from_config(obj.get("p")),
-                          q=_amplitude_from_config(obj.get("q")))
+        model = LevyModel(small=small, tail=tail, p=p, q=q)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     eps = obj.get("epsilon")
     if eps is not None:
-        eps = float(eps)
+        eps = _number("model.epsilon", eps)
         if not 0 < eps < 1:
-            raise ConfigError(f"epsilon must lie in (0, 1), got {eps}")
+            raise ConfigError(f"model.epsilon must lie in (0, 1), got {eps}")
     return model, eps
 
 
-def activate(model: LevyModel, eps: float | None) -> ActiveModel:
+def activate(model: LevyModel, eps: float | None) -> LevyModel:
     """The simulatable form: the model itself if finite-activity, else its
     truncation at eps (required in that case)."""
     if model.is_finite_activity:

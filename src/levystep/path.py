@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .common import Region
-from .levy import ActiveModel
+from .levy import LevyModel
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +93,7 @@ class IntervalSlice:
         return len(self.jumps)
 
 
-def simulate_events(horizon: float, model: ActiveModel,
+def simulate_events(horizon: float, model: LevyModel,
                     rng: np.random.Generator) -> tuple[tuple[float, float, Region], ...]:
     """Arrival times and marks of the active jump stream on (0, horizon).
 
@@ -277,7 +277,7 @@ def _assemble(horizon: float, finest_level: int, event_times: np.ndarray,
                        level_dw=tuple(level_dw), level_dz=tuple(level_dz))
 
 
-def build_path(horizon: float, finest_level: int, model: ActiveModel,
+def build_path(horizon: float, finest_level: int, model: LevyModel,
                rng: np.random.Generator) -> DrivingPath:
     """Simulate one driving path: jump stream first, then the Wiener data on
     the union of the finest dyadic grid and the jump times.

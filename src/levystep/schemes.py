@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .common import Region
-from .levy import ActiveModel, IntegrationRegion, moment
+from .levy import LevyModel, moment
 from .path import DrivingPath, IntervalSlice, dyadic_grid
 
 
@@ -83,12 +83,11 @@ class LinearCoefficients:
 
     @classmethod
     def for_model(cls, drift: float, diffusion: float, small_jump: float,
-                  tail_jump: float, model: ActiveModel) -> "LinearCoefficients":
-        region = IntegrationRegion.small()
+                  tail_jump: float, model: LevyModel) -> "LinearCoefficients":
         return cls(drift=drift, diffusion=diffusion, small_jump=small_jump,
                    tail_jump=tail_jump, p=model.p, q=model.q,
-                   p_integral=moment(model, "p", 1, region),
-                   p_sq_integral=moment(model, "p", 2, region))
+                   p_integral=moment(model, 1),
+                   p_sq_integral=moment(model, 2))
 
 
 def euler_factor(slc: IntervalSlice, coef: LinearCoefficients) -> float:

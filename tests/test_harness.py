@@ -403,6 +403,16 @@ def test_cli_config_errors(tmp_path, capsys):
     capsys.readouterr()  # drain stderr
 
 
+def test_cli_nonfinite_model_value(tmp_path, capsys):
+    cfg = base_config(paths=5)
+    cfg["model"]["q"] = {"coef": float("inf")}   # written as the JSON token Infinity
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert "model.q" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     p = write_cfg(tmp_path, base_config(b=0.0, sigma=0.0, F=0.0, G=0.0, paths=5))
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(tmp_path)]) == 1

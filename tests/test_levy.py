@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from levystep import (AmplitudeSpec, AtomSpec, ConfigError,
-                      DivergentIntegralError, IntegrationRegion, LevyModel,
-                      PowerLawSpec, disc_mass, model_from_config,
-                      moment, truncate)
+                      DivergentIntegralError, LevyModel, PowerLawSpec,
+                      model_from_config, moment, truncate)
 
 from helpers import quad_power_law_moment
 
@@ -52,27 +52,22 @@ def test_activity_flags(finite_model):
 # -- moments: frozen closed-form values ----------------------------------------
 
 def test_atom_moments(finite_model):
-    region = IntegrationRegion.small()
-    assert moment(finite_model, "p", 1, region) == pytest.approx(0.6 * 0.5 - 0.4 * 0.4)
-    assert moment(finite_model, "p", 2, region) == pytest.approx(0.6 * 0.25 + 0.4 * 0.16)
-    assert moment(finite_model, "q", 1, IntegrationRegion.tail()) == \
-        pytest.approx(0.3 * 1.5 - 0.2 * 2.0)
-    assert moment(finite_model, "q", 2, IntegrationRegion.tail()) == \
-        pytest.approx(0.3 * 2.25 + 0.2 * 4.0)
+    assert moment(finite_model, 1) == pytest.approx(0.6 * 0.5 - 0.4 * 0.4)
+    assert moment(finite_model, 2) == pytest.approx(0.6 * 0.25 + 0.4 * 0.16)
 
 
 def test_atom_moment_single_atom_frozen():
     m = LevyModel(small=AtomSpec(((0.5, 2.0),)), tail=AtomSpec(()))
-    assert moment(m, "p", 2, IntegrationRegion.small()) == pytest.approx(0.5)
+    assert moment(m, 2) == pytest.approx(0.5)
 
 
 def test_power_law_second_moment_frozen():
     # integral of x^2 c|x|^{-1-a} over |x| <= eps is 2c eps^{2-a}/(2-a);
     # c=1, a=1/2, eps=1/4 gives (4/3)(1/4)^{3/2} = 1/6
     m = power_model()
-    got = moment(m, "p", 2, IntegrationRegion.eps_ball(0.25))
+    got = moment(m, 2, hi=0.25)
     assert got == pytest.approx(1.0 / 6.0, rel=1e-12)
-    assert moment(m, "p", 2, IntegrationRegion.small()) == pytest.approx(4.0 / 3.0, rel=1e-12)
+    assert moment(m, 2) == pytest.approx(4.0 / 3.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("a,exponent", [(0.5, 1.0), (1.2, 1.0), (0.8, 1.5), (1.9, 1.0)])
@@ -80,74 +75,58 @@ def test_power_law_second_moment_frozen():
 def test_power_law_second_moment_vs_quadrature(a, exponent, region):
     amp = AmplitudeSpec(1.3, exponent)
     m = power_model(c=0.7, a=a, p=amp)
-    reg = {"small": IntegrationRegion.small(),
-           "disc": IntegrationRegion.disc(0.2),
-           "eps_ball": IntegrationRegion.eps_ball(0.2)}[region]
-    lo, hi = reg.radial_bounds()
+    lo, hi = {"small": (0.0, 1.0), "disc": (0.2, 1.0), "eps_ball": (0.0, 0.2)}[region]
     want = quad_power_law_moment(0.7, a, amp, 2, lo, hi)
-    got = moment(m, "p", 2, reg)
+    got = moment(m, 2, lo, hi)
     assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_power_law_first_moment_odd_symmetry():
     # odd amplitude, symmetric density: zero whenever absolutely convergent
     m = power_model(a=0.5)
-    assert moment(m, "p", 1, IntegrationRegion.small()) == 0.0
-    assert moment(m, "p", 1, IntegrationRegion.disc(0.1)) == 0.0
+    assert moment(m, 1) == 0.0
+    assert moment(m, 1, lo=0.1) == 0.0
 
 
 @pytest.mark.parametrize("a", [1.0, 1.5])
 def test_power_law_first_moment_divergent(a):
     m = power_model(a=a)
     with pytest.raises(DivergentIntegralError):
-        moment(m, "p", 1, IntegrationRegion.small())
+        moment(m, 1)
     with pytest.raises(DivergentIntegralError):
-        moment(m, "p", 1, IntegrationRegion.eps_ball(0.3))
+        moment(m, 1, hi=0.3)
     # the disc stays away from the singularity, so this one converges
-    assert moment(m, "p", 1, IntegrationRegion.disc(0.3)) == 0.0
+    assert moment(m, 1, lo=0.3) == 0.0
 
 
 def test_moment_region_function_compatibility(finite_model):
-    with pytest.raises(ValueError):
-        moment(finite_model, "p", 1, IntegrationRegion.tail())
-    with pytest.raises(ValueError):
-        moment(finite_model, "q", 1, IntegrationRegion.small())
-    with pytest.raises(ValueError):
-        moment(finite_model, "p", 3, IntegrationRegion.small())
-    with pytest.raises(ValueError):
-        moment(finite_model, "r", 1, IntegrationRegion.small())
+    for power, lo, hi in [
+        (1, 0.0, 1.5),    # reaches into the tail
+        (2, 1.0, 1.0),    # empty band at the unit circle
+        (2, 0.6, 0.4),    # inverted band
+        (2, -0.1, 0.5),   # negative radius
+        (3, 0.0, 1.0),    # power other than 1 or 2
+        (0, 0.0, 1.0),
+    ]:
+        with pytest.raises(ValueError):
+            moment(finite_model, power, lo, hi)
 
 
-def test_quadrature_fallback_for_generic_amplitude():
-    # non-AmplitudeSpec callable: moments must agree with direct quadrature
-    def amp(x):
-        return math.sin(x) * abs(x) ** 0.5
-
-    m = LevyModel(small=PowerLawSpec(1.0, 0.5), tail=AtomSpec(()), p=amp)
-    got = moment(m, "p", 2, IntegrationRegion.disc(0.2))
-    want = quad_power_law_moment(1.0, 0.5, amp, 2, 0.2, 1.0)
-    assert got == pytest.approx(want, rel=1e-9)
+def test_generic_amplitude_rejected():
+    with pytest.raises(TypeError):
+        LevyModel(small=PowerLawSpec(1.0, 0.5), tail=AtomSpec(()),
+                  p=lambda x: math.sin(x) * abs(x) ** 0.5)
+    with pytest.raises(TypeError):
+        LevyModel(small=AtomSpec(((0.5, 1.0),)), tail=AtomSpec(()), q=abs)
 
 
 def test_region_additivity_property():
     # disc + eps_ball = small for the second moment, closed forms exact
     m = power_model(a=0.7, p=AmplitudeSpec(0.9, 1.0))
     for eps in (0.1, 0.25, 0.5, 0.9):
-        total = moment(m, "p", 2, IntegrationRegion.small())
-        parts = (moment(m, "p", 2, IntegrationRegion.disc(eps))
-                 + moment(m, "p", 2, IntegrationRegion.eps_ball(eps)))
+        total = moment(m, 2)
+        parts = moment(m, 2, lo=eps) + moment(m, 2, hi=eps)
         assert parts == pytest.approx(total, rel=1e-12)
-
-
-def test_region_validation():
-    with pytest.raises(ValueError):
-        IntegrationRegion.disc(0.0)
-    with pytest.raises(ValueError):
-        IntegrationRegion.disc(1.0)
-    with pytest.raises(ValueError):
-        IntegrationRegion("small", 0.5)
-    with pytest.raises(ValueError):
-        IntegrationRegion("nowhere")
 
 
 # -- truncation ----------------------------------------------------------------
@@ -156,7 +135,7 @@ def test_truncate_frozen_example():
     t = truncate(power_model(), 0.25)
     assert t.residual_l_eps == pytest.approx(1.0 / 6.0, rel=1e-12)
     # disc mass: 2c(eps^-a - 1)/a with c=1, a=1/2, eps=1/4 -> 4(2 - 1) = 4
-    assert t.disc_mass == pytest.approx(4.0, rel=1e-12)
+    assert t.small_mass == pytest.approx(4.0, rel=1e-12)
     assert t.active_rate == pytest.approx(4.0)
 
 
@@ -164,18 +143,21 @@ def test_truncate_validates_eps(finite_model):
     for bad in (0.0, 1.0, -0.1, 2.0):
         with pytest.raises(ValueError):
             truncate(finite_model, bad)
+    # a truncated model cannot be truncated again
+    with pytest.raises(ValueError, match="already truncated"):
+        truncate(truncate(finite_model, 0.1), 0.2)
 
 
 def test_truncate_finite_model_no_inner_atoms(finite_model):
     t = truncate(finite_model, 0.1)
     assert t.residual_l_eps == 0.0
-    assert t.disc_mass == pytest.approx(1.0)
+    assert t.small_mass == pytest.approx(1.0)
 
 
 def test_truncate_finite_model_splits_atoms(finite_model):
     t = truncate(finite_model, 0.45)
     # atom at -0.4 falls into the removed ball
-    assert t.disc_mass == pytest.approx(0.6)
+    assert t.small_mass == pytest.approx(0.6)
     assert t.residual_l_eps == pytest.approx(0.4 * 0.16)
 
 
@@ -201,10 +183,11 @@ def test_residual_scaling_slope(a):
 def test_truncated_moments_clip_to_disc():
     m = power_model(a=0.5)
     t = truncate(m, 0.25)
-    assert moment(t, "p", 2, IntegrationRegion.small()) == \
-        pytest.approx(moment(m, "p", 2, IntegrationRegion.disc(0.25)), rel=1e-12)
-    with pytest.raises(ValueError):
-        moment(t, "p", 2, IntegrationRegion.disc(0.1))
+    assert moment(t, 2) == pytest.approx(moment(m, 2, lo=0.25), rel=1e-12)
+    # a band reaching below the radius is clipped to it
+    assert moment(t, 2, lo=0.1) == moment(t, 2)
+    assert moment(t, 2, hi=0.5) == moment(m, 2, 0.25, 0.5)
+    assert moment(t, 2, hi=0.2) == 0.0
 
 
 # -- sampling -------------------------------------------------------------------
@@ -285,14 +268,37 @@ def test_model_from_config_power_law_with_eps():
     assert model.p(0.5) == pytest.approx(1.0)
 
 
-@pytest.mark.parametrize("bad", [
-    {"small": {"kind": "mystery"}, "tail": {"atoms": []}},
-    {"small": {"kind": "atoms", "atoms": [[1.5, 1.0]]}, "tail": {"atoms": []}},
-    {"small": {"kind": "power_law", "c": 1.0, "a": 3.0}, "tail": {"atoms": []}},
-    {"small": {"kind": "atoms", "atoms": []}, "tail": {"atoms": []}, "epsilon": 1.5},
-    {"small": {"kind": "atoms", "atoms": []}, "surprise": 1},
-    {"tail": {"atoms": []}},
-])
-def test_model_from_config_rejects(bad):
-    with pytest.raises(ConfigError):
+ATOMS = {"kind": "atoms", "atoms": [[0.5, 1.0]]}
+POWER_LAW = {"kind": "power_law", "c": 1.0, "a": 0.5}
+NAN, INF = float("nan"), float("inf")
+BAD_MODELS = [
+    ({"small": {"kind": "mystery"}, "tail": {"atoms": []}}, "small-region kind"),
+    ({"small": {"kind": "atoms", "atoms": [[1.5, 1.0]]}, "tail": {"atoms": []}}, "small atom"),
+    ({"small": {"kind": "power_law", "c": 1.0, "a": 3.0}, "tail": {"atoms": []}}, "model.small"),
+    ({"small": {"kind": "atoms", "atoms": []}, "tail": {"atoms": []}, "epsilon": 1.5},
+     "model.epsilon"),
+    ({"small": {"kind": "atoms", "atoms": []}, "surprise": 1}, "surprise"),
+    ({"tail": {"atoms": []}}, "model.small"),
+    # nonfinite values
+    ({"small": ATOMS, "q": {"coef": INF}}, "model.q"),
+    ({"small": ATOMS, "tail": {"atoms": [[1.5, NAN]]}}, "model.tail"),
+    ({"small": POWER_LAW, "p": {"coef": NAN}}, "model.p"),
+    ({"small": POWER_LAW, "p": {"exponent": NAN}}, "model.p"),
+    ({"small": dict(POWER_LAW, c=NAN)}, "model.small"),
+    ({"small": {"kind": "atoms", "atoms": [[0.5, INF]]}}, "model.small"),
+    # malformed sections and unknown nested keys
+    ({"small": ATOMS, "tail": [1]}, "model.tail"),
+    ({"small": dict(POWER_LAW, c=[1])}, "model.small.c"),
+    ({"small": ATOMS, "epsilon": "x"}, "model.epsilon"),
+    ({"small": dict(ATOMS, c=1.0)}, "model.small"),
+    ({"small": dict(POWER_LAW, atoms=[])}, "model.small"),
+    ({"small": ATOMS, "tail": {"atoms": [], "mass": 1.0}}, "model.tail"),
+    ({"small": ATOMS, "tail": {"kind": "power_law", "atoms": []}}, "model.tail"),
+]
+
+
+@pytest.mark.parametrize("bad,key", BAD_MODELS,
+                         ids=[f"bad{i}" for i in range(len(BAD_MODELS))])
+def test_model_from_config_rejects(bad, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
         model_from_config(bad)
