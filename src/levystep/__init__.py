@@ -9,7 +9,7 @@ from .multiindex import (Counts, IndexSet, Multiindex, counts,
                          subscript_set)
 from .oracle import (OracleConfig, OracleKind, exact_solution, fine_reference,
                      reference_solution)
-from .path import (DrivingPath, JumpEvent, build_path, dyadic_grid,
+from .path import (DrivingPath, JumpEvent, Slices, build_path, dyadic_grid,
                    sample_dw_dz, simulate_events)
 from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
                       Trajectory, euler_factor, milstein_factor,
@@ -34,8 +34,8 @@ __all__ = [
     "OracleConfig", "OracleKind", "exact_solution", "fine_reference",
     "reference_solution",
     # path
-    "DrivingPath", "JumpEvent", "build_path", "dyadic_grid", "sample_dw_dz",
-    "simulate_events",
+    "DrivingPath", "JumpEvent", "Slices", "build_path", "dyadic_grid",
+    "sample_dw_dz", "simulate_events",
     # schemes
     "DEFAULT_I32", "I32Compensator", "LinearCoefficients", "Scheme",
     "Trajectory", "euler_factor", "milstein_factor", "milstein_terms",

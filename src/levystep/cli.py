@@ -11,7 +11,6 @@ config), 1 runtime failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .common import ConfigError
@@ -36,17 +35,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> harness.StudyConfig:
     cfg = harness.config_from_json(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.paths is not None:
-        if args.paths < 2:
-            raise ConfigError("--paths must be at least 2")
-        overrides["paths"] = args.paths
+    overrides = {key: value for key, value in (("seed", args.seed), ("paths", args.paths))
+                 if value is not None}
     if overrides:
-        source = dict(cfg.source)
-        source.update(overrides)
-        cfg = dataclasses.replace(cfg, source=source, **overrides)
+        # parsed again as a whole, so an override is checked like the key it replaces
+        cfg = harness.config_from_dict({**cfg.source, **overrides})
     return cfg
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import ConfigError, Region
+from .common import ConfigError
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import OracleConfig, OracleKind, exact_solution, reference_solution
 from .path import DrivingPath, build_path
@@ -77,6 +77,29 @@ def _require(cond: bool, msg: str) -> None:
         raise ConfigError(msg)
 
 
+def _integer(key: str, value) -> int:
+    """A config integer: a JSON number with an integral value (3 or 3.0);
+    bools, strings and fractional or nonfinite numbers are refused."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _finite(key: str, value) -> float:
+    """A config float: a JSON number with a finite value; bools and strings
+    are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"config key '{key}' must be finite, got {value!r}")
+    return number
+
+
 def config_from_dict(obj: dict) -> StudyConfig:
     _require(isinstance(obj, dict), "config must be a JSON object")
     extra = set(obj) - _TOP_KEYS
@@ -87,10 +110,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
     def num(key, default=None):
         val = obj.get(key, default)
         _require(val is not None, f"config key '{key}' is required")
-        try:
-            return float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key '{key}' must be a number, got {val!r}") from None
+        return _finite(key, val)
 
     horizon = num("T", 1.0)
     _require(horizon > 0, "T must be positive")
@@ -102,39 +122,40 @@ def config_from_dict(obj: dict) -> StudyConfig:
 
     ladder = obj.get("ladder_levels", [])
     _require(isinstance(ladder, (list, tuple)), "ladder_levels must be a list")
-    levels = tuple(int(x) for x in ladder)
+    levels = tuple(_integer("ladder_levels", x) for x in ladder)
     _require(all(lv >= 0 for lv in levels), "ladder levels must be nonnegative")
     _require(list(levels) == sorted(set(levels)), "ladder levels must be strictly increasing")
 
-    finest = int(obj.get("finest_level", (max(levels) + 2) if levels else 8))
+    finest = _integer("finest_level", obj.get("finest_level", (max(levels) + 2) if levels else 8))
     if levels:
         _require(finest >= max(levels) + 2,
                  "finest_level must be at least two levels finer than the ladder")
 
-    paths = int(obj.get("paths", 0))
+    paths = _integer("paths", obj.get("paths", 0))
     _require(paths >= 2, "paths must be at least 2")
     _require("seed" in obj, "config key 'seed' is required")
-    seed = int(obj["seed"])
+    seed = _integer("seed", obj["seed"])
+    _require(seed >= 0, f"config key 'seed' must be nonnegative, got {seed}")
 
     epsilons = obj.get("epsilons")
     if epsilons is not None:
         _require(isinstance(epsilons, (list, tuple)) and epsilons,
                  "epsilons must be a nonempty list")
-        epsilons = tuple(sorted({float(e) for e in epsilons}, reverse=True))
+        epsilons = tuple(sorted({_finite("epsilons", e) for e in epsilons}, reverse=True))
         _require(all(0 < e < 1 for e in epsilons), "epsilons must lie in (0, 1)")
 
     trunc_level = obj.get("truncation_level")
     if trunc_level is None and levels:
         trunc_level = max(levels)
     if trunc_level is not None:
-        trunc_level = int(trunc_level)
+        trunc_level = _integer("truncation_level", trunc_level)
         _require(0 <= trunc_level <= finest, "truncation_level must not exceed finest_level")
 
     traj_level = obj.get("trajectory_level")
     if traj_level is None and levels:
         traj_level = max(levels)
     if traj_level is not None:
-        traj_level = int(traj_level)
+        traj_level = _integer("trajectory_level", traj_level)
         _require(0 <= traj_level <= finest, "trajectory_level must not exceed finest_level")
 
     i32_name = obj.get("i32_compensator", DEFAULT_I32.value)
@@ -150,8 +171,10 @@ def config_from_dict(obj: dict) -> StudyConfig:
         kind = OracleKind(kind_name)
     except ValueError:
         raise ConfigError(f"unknown oracle kind {kind_name!r}") from None
+    level = oracle_obj.get("level")
     try:
-        oracle = OracleConfig(kind=kind, level=oracle_obj.get("level"))
+        oracle = OracleConfig(kind=kind,
+                              level=None if level is None else _integer("oracle.level", level))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -246,15 +269,14 @@ def _sup_error_one_path(cfg: StudyConfig, path: DrivingPath,
     stride = 2 ** (path.finest_level - level)
     grid_idx = path.cell_edges[::stride]
     sup = float(np.max(np.abs(traj.values - oracle_at_events[grid_idx])))
-    if cfg.oracle.kind is OracleKind.EXACT_LINEAR:
+    if cfg.oracle.kind is OracleKind.EXACT_LINEAR and path.jump_times.size:
         # evaluate the scheme at interior jump times via partial slices;
         # the base value is the last grid value at or before the jump
-        for j in path.jumps:
-            i0 = int(np.searchsorted(grid, j.time, side="left")) - 1
-            part = path.slice_between(float(grid[i0]), j.time)
-            y_at = traj.values[i0] * step_factor(cfg.scheme, part, coef,
-                                                 cfg.i32_compensator)
-            sup = max(sup, abs(y_at - oracle_at_events[j.event_index]))
+        cell = path.jump_cells >> (path.finest_level - level)
+        parts = path.slice_between(grid[cell], path.jump_times)
+        y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef,
+                                               cfg.i32_compensator)
+        sup = max(sup, float(np.max(np.abs(y_at - oracle_at_events[path.jump_events]))))
     return sup * sup, float(np.max(np.abs(traj.values))) ** 2
 
 
@@ -340,6 +362,9 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     _require(len(cfg.epsilons) >= 2, "a truncation study needs at least two distinct epsilons")
     _require(cfg.truncation_level is not None,
              "a truncation study needs 'truncation_level' (or ladder_levels)")
+    _require(cfg.epsilon is None,
+             "a truncation study truncates at its own 'epsilons'; "
+             "remove model.epsilon, which it would ignore")
     eps_list = np.array(cfg.epsilons)  # descending
     eps0 = float(eps_list.min()) / 4.0
     level = cfg.truncation_level
@@ -356,8 +381,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
         ref = run_scheme(cfg.scheme, grid, path, coef0, cfg.y0,
                          cfg.i32_compensator)
         for k, e in enumerate(eps_list):
-            kept = [j for j in path.jumps
-                    if j.region is Region.TAIL or abs(j.mark) > e]
+            kept = ~path.jump_small | (np.abs(path.jump_marks) > e)
             filtered = path.with_jumps(kept)
             traj = run_scheme(cfg.scheme, grid, filtered, coefs[k], cfg.y0,
                               cfg.i32_compensator)
@@ -459,9 +483,11 @@ def report_dict(report: ConvergenceReport | TruncationReport) -> dict:
 
 
 def write_report_json(report, out_path) -> None:
+    # formed before the file is opened: a nonfinite value raises and leaves
+    # no partial report behind
+    text = json.dumps(report_dict(report), indent=2, sort_keys=True, allow_nan=False)
     with open(out_path, "w") as fh:
-        json.dump(report_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def ensure_out_dir(out_dir) -> Path:

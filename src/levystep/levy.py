@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -43,6 +44,8 @@ class AmplitudeSpec:
             raise ValueError("amplitude exponent must be nonnegative")
 
     def __call__(self, x):
+        if self.exponent == 1.0:  # linear: the same values, fewer array passes
+            return self.coef * x
         return self.coef * np.sign(x) * np.abs(x) ** self.exponent
 
 
@@ -62,9 +65,28 @@ class AtomSpec:
             if m <= 0:
                 raise ValueError(f"atom mass must be positive, got {m} at {x}")
 
-    @property
+    @cached_property
     def mass(self) -> float:
         return sum(m for _, m in self.atoms)
+
+    @cached_property
+    def _positions_cdf(self) -> tuple[np.ndarray, np.ndarray]:
+        # the normalized cumulative masses exactly as Generator.choice forms them
+        positions = np.array([x for x, _ in self.atoms])
+        masses = np.array([m for _, m in self.atoms])
+        cdf = np.cumsum(masses / masses.sum())
+        cdf /= cdf[-1]
+        return positions, cdf
+
+    def sample(self, rng: np.random.Generator) -> float:
+        """One position drawn with probability proportional to its mass.
+
+        Consumes one `rng.random()` and returns what `rng.choice(positions,
+        p=masses / masses.sum())` would, leaving the generator in the same
+        state.
+        """
+        positions, cdf = self._positions_cdf
+        return float(positions[cdf.searchsorted(rng.random(), side="right")])
 
 
 @dataclass(frozen=True)
@@ -120,7 +142,7 @@ class LevyModel:
     def is_finite_activity(self) -> bool:
         return isinstance(self.small, AtomSpec) or self.eps > 0
 
-    @property
+    @cached_property
     def small_mass(self) -> float:
         """nu(eps < |x| < 1): the small-jump rate, infinite for an untruncated
         power law."""
@@ -145,12 +167,19 @@ class LevyModel:
 
     # -- sampling helpers used by the event simulator ---------------------
 
+    @cached_property
+    def _active_small_atoms(self) -> AtomSpec:
+        """The small atoms outside the removed ball (atom models only)."""
+        if self.eps == 0:
+            return self.small
+        return AtomSpec(tuple((x, m) for x, m in self.small.atoms if abs(x) > self.eps))
+
     def sample_small_mark(self, rng: np.random.Generator) -> float:
         if isinstance(self.small, AtomSpec):
-            kept = tuple((x, m) for x, m in self.small.atoms if abs(x) > self.eps)
-            if not kept:
+            kept = self._active_small_atoms
+            if not kept.atoms:
                 raise ValueError("no small-region mass survives the truncation")
-            return _sample_atoms(kept, rng)
+            return kept.sample(rng)
         if self.eps == 0:
             raise ValueError(
                 "small region has infinite mass; truncate() the model before sampling"
@@ -160,14 +189,7 @@ class LevyModel:
     def sample_tail_mark(self, rng: np.random.Generator) -> float:
         if self.tail.mass == 0:
             raise ValueError("tail region carries no mass")
-        return _sample_atoms(self.tail.atoms, rng)
-
-
-def _sample_atoms(atoms: tuple[tuple[float, float], ...], rng: np.random.Generator) -> float:
-    positions = np.array([x for x, _ in atoms])
-    masses = np.array([m for _, m in atoms])
-    i = rng.choice(len(positions), p=masses / masses.sum())
-    return float(positions[i])
+        return self.tail.sample(rng)
 
 
 def _sample_power_law_disc(spec: PowerLawSpec, eps: float, rng: np.random.Generator) -> float:

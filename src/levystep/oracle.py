@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .common import Region
 from .schemes import LinearCoefficients, Scheme, I32Compensator, DEFAULT_I32, run_scheme
 from .path import DrivingPath
 
@@ -47,18 +46,16 @@ def exact_solution(path: DrivingPath, eval_times: np.ndarray,
                    coef: LinearCoefficients, y0: float) -> np.ndarray:
     """The exact solution at the requested event times (right-continuous:
     the value at a jump time includes that jump)."""
-    eval_times = np.asarray(eval_times, dtype=np.float64)
-    idx = np.array([path.event_index(t) for t in eval_times])
+    idx = path.event_index(eval_times)
     log_drift = coef.drift - coef.small_jump * coef.p_integral \
         - 0.5 * coef.diffusion**2
     gaps = np.diff(path.event_times)
     # multiplier attributed to each event: the gap ending there, then any jump there
     mult = np.exp(log_drift * gaps + coef.diffusion * path.dw)
-    for j in path.jumps:
-        if j.region is Region.SMALL:
-            mult[j.event_index - 1] *= 1.0 + coef.small_jump * coef.p(j.mark)
-        else:
-            mult[j.event_index - 1] *= 1.0 + coef.tail_jump * coef.q(j.mark)
+    marks = path.jump_marks
+    mult[path.jump_events - 1] *= np.where(path.jump_small,
+                                           1.0 + coef.small_jump * coef.p(marks),
+                                           1.0 + coef.tail_jump * coef.q(marks))
     values = np.concatenate(([y0], y0 * np.cumprod(mult)))
     return values[idx]
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -62,35 +61,30 @@ class JumpEvent:
     event_index: int  # position of `time` in the path's event grid
 
 
-@dataclass(frozen=True)
-class SliceJump:
-    """One jump inside a slice, with the lookahead data the order-1 scheme
-    needs: the time of (and Wiener value at) the next jump of each region
-    strictly after this one, capped at the slice's right endpoint."""
+@dataclass(frozen=True, eq=False)
+class Slices:
+    """A batch of slices of one path, as flat arrays.
 
-    time: float
-    mark: float
-    region: Region
-    w_value: float
-    next_small_time: float
-    next_tail_time: float
-    w_next_small: float
-    w_next_tail: float
+    Per slice k (arrays of length n): the endpoints, their distance, the
+    Wiener increment dW and time integral dZ over the slice, and W at both
+    ends.  Per jump inside a slice (arrays of length K, ordered by slice and
+    then by time; slice k holds the jumps with left_k < time <= right_k):
+    time, mark, region flag, W at the jump and the owning slice.  Slices may
+    overlap, in which case a jump appears once for every slice holding it.
+    """
 
-
-@dataclass(frozen=True)
-class IntervalSlice:
-    left: float
-    right: float
-    delta: float
-    delta_w: float
-    delta_z: float
-    w_left: float
-    jumps: tuple[SliceJump, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.jumps)
+    left: np.ndarray
+    right: np.ndarray
+    delta: np.ndarray
+    dw: np.ndarray
+    dz: np.ndarray
+    w_left: np.ndarray
+    w_right: np.ndarray
+    time: np.ndarray
+    mark: np.ndarray
+    small: np.ndarray     # True for a small-region jump, False for a tail jump
+    w: np.ndarray
+    slice_id: np.ndarray  # nondecreasing
 
 
 def simulate_events(horizon: float, model: LevyModel,
@@ -145,120 +139,128 @@ class DrivingPath:
     dw: np.ndarray            # (n_events - 1,) per-gap Wiener increments
     z_locals: np.ndarray      # (n_events - 1,) per-gap local time integrals
     w_values: np.ndarray      # (n_events,) cumulative Wiener path, W(0) = 0
-    jumps: tuple[JumpEvent, ...]
+    jump_times: np.ndarray    # (n_jumps,) increasing
+    jump_marks: np.ndarray    # (n_jumps,)
+    jump_small: np.ndarray    # (n_jumps,) bool: small region (else tail)
+    jump_events: np.ndarray   # (n_jumps,) event index of each jump time
+    jump_cells: np.ndarray    # (n_jumps,) finest dyadic cell holding each jump
     cell_edges: np.ndarray    # (2**finest_level + 1,) event index of each dyadic point
     level_dw: tuple[np.ndarray, ...]  # per level 0..finest: interval dW
     level_dz: tuple[np.ndarray, ...]  # per level 0..finest: interval dZ
 
+    @property
+    def jumps(self) -> tuple[JumpEvent, ...]:
+        """The jumps as records, in time order (built on each access)."""
+        return tuple(
+            JumpEvent(time=float(t), mark=float(m),
+                      region=Region.SMALL if s else Region.TAIL, event_index=int(e))
+            for t, m, s, e in zip(self.jump_times, self.jump_marks,
+                                  self.jump_small, self.jump_events))
+
     # -- lookups -----------------------------------------------------------
 
-    def event_index(self, t: float) -> int:
-        """Exact position of t in the event grid; ValueError if absent."""
-        i = int(np.searchsorted(self.event_times, t))
-        if i >= self.event_times.size or self.event_times[i] != t:
+    def event_index(self, t):
+        """Exact position of t (a float or an array of them) in the event
+        grid; ValueError if any is absent."""
+        t = np.asarray(t, dtype=np.float64)
+        i = np.minimum(self.event_times.searchsorted(t), self.event_times.size - 1)
+        if (self.event_times[i] != t).any():
             raise ValueError(f"{t!r} is not an event time of this path")
-        return i
+        return i if i.ndim else int(i)
 
     def grid(self, level: int) -> np.ndarray:
         if not 0 <= level <= self.finest_level:
             raise ValueError(f"level {level} outside 0..{self.finest_level}")
         return dyadic_grid(self.horizon, level)
 
-    def with_jumps(self, jumps: Iterable[JumpEvent]) -> "DrivingPath":
-        """Same noise, restricted jump records (the event grid, Wiener data
-        and aggregation arrays are unchanged).  Used for truncation coupling."""
-        kept = tuple(sorted(jumps, key=lambda j: j.time))
-        for j in kept:
-            if self.event_times[j.event_index] != j.time:
-                raise ValueError("jump does not belong to this path")
-        return replace(self, jumps=kept)
+    def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
+        """Same noise, only the jumps where the boolean mask `keep` is set
+        (the event grid, Wiener data and aggregation arrays are unchanged).
+        Used for truncation coupling."""
+        keep = np.asarray(keep)
+        if keep.dtype != np.bool_ or keep.shape != self.jump_times.shape:
+            raise ValueError(f"keep must be a boolean mask of shape {self.jump_times.shape}")
+        return replace(self, jump_times=self.jump_times[keep],
+                       jump_marks=self.jump_marks[keep], jump_small=self.jump_small[keep],
+                       jump_events=self.jump_events[keep], jump_cells=self.jump_cells[keep])
 
     # -- slicing -----------------------------------------------------------
 
-    def slices(self, level: int) -> tuple[IntervalSlice, ...]:
+    def slices(self, level: int) -> Slices:
         """The 2**level slices of the uniform dyadic grid at `level`."""
-        grid = self.grid(level)
-        stride = 2 ** (self.finest_level - level)
-        edges = self.cell_edges[::stride]
-        w_grid = self.w_values[edges]
-        dws = self.level_dw[level]
-        dzs = self.level_dz[level]
-        by_interval: list[list[JumpEvent]] = [[] for _ in range(2**level)]
-        for j in self.jumps:
-            idx = int(np.searchsorted(grid, j.time, side="left")) - 1
-            by_interval[idx].append(j)
-        out = []
-        for i in range(2**level):
-            out.append(self._make_slice(
-                left=float(grid[i]), right=float(grid[i + 1]),
-                delta_w=float(dws[i]), delta_z=float(dzs[i]),
-                w_left=float(w_grid[i]), w_right=float(w_grid[i + 1]),
-                interval_jumps=by_interval[i],
-            ))
-        return tuple(out)
+        if not 0 <= level <= self.finest_level:
+            raise ValueError(f"level {level} outside 0..{self.finest_level}")
+        shift = self.finest_level - level
+        edges = self.cell_edges[::1 << shift]
+        grid, w_grid = self.event_times[edges], self.w_values[edges]  # grid == self.grid(level)
+        return Slices(left=grid[:-1], right=grid[1:], delta=grid[1:] - grid[:-1],
+                      dw=self.level_dw[level], dz=self.level_dz[level],
+                      w_left=w_grid[:-1], w_right=w_grid[1:],
+                      time=self.jump_times, mark=self.jump_marks, small=self.jump_small,
+                      w=self.w_values[self.jump_events],
+                      slice_id=self.jump_cells >> shift)
 
-    def slice_between(self, t_left: float, t_right: float) -> IntervalSlice:
-        """A single slice between two arbitrary event times (typically a grid
-        point and an interior jump time); aggregates gap data directly."""
-        ia, ib = self.event_index(t_left), self.event_index(t_right)
-        if ib <= ia:
+    def slice_between(self, lefts, rights) -> Slices:
+        """One slice from each lefts[k] to rights[k], both event times
+        (typically a grid point and an interior jump time); aggregates gap
+        data directly."""
+        ia = np.atleast_1d(self.event_index(lefts))
+        ib = np.atleast_1d(self.event_index(rights))
+        if ia.shape != ib.shape or np.any(ib <= ia):
             raise ValueError("slice endpoints out of order")
-        h = self.event_times[ia + 1:ib + 1] - self.event_times[ia:ib]
-        dw = float(np.sum(self.dw[ia:ib]))
-        dz = float(np.sum((self.w_values[ia:ib] - self.w_values[ia]) * h
-                          + self.z_locals[ia:ib]))
-        interval_jumps = [j for j in self.jumps if t_left < j.time <= t_right]
-        return self._make_slice(
-            left=float(t_left), right=float(t_right),
-            delta_w=dw, delta_z=dz,
-            w_left=float(self.w_values[ia]), w_right=float(self.w_values[ib]),
-            interval_jumps=interval_jumps,
-        )
-
-    def _make_slice(self, left, right, delta_w, delta_z, w_left, w_right,
-                    interval_jumps) -> IntervalSlice:
-        slice_jumps: list[SliceJump] = []
-        next_small = (right, w_right)
-        next_tail = (right, w_right)
-        for j in reversed(interval_jumps):
-            wj = float(self.w_values[j.event_index])
-            slice_jumps.append(SliceJump(
-                time=j.time, mark=j.mark, region=j.region, w_value=wj,
-                next_small_time=next_small[0], next_tail_time=next_tail[0],
-                w_next_small=next_small[1], w_next_tail=next_tail[1],
-            ))
-            if j.region is Region.SMALL:
-                next_small = (j.time, wj)
-            else:
-                next_tail = (j.time, wj)
-        slice_jumps.reverse()
-        return IntervalSlice(left=left, right=right, delta=right - left,
-                             delta_w=delta_w, delta_z=delta_z, w_left=w_left,
-                             jumps=tuple(slice_jumps))
+        lengths = ib - ia
+        gaps = _concat_ranges(ia, lengths)
+        h = self.event_times[gaps + 1] - self.event_times[gaps]
+        contrib = (self.w_values[gaps] - np.repeat(self.w_values[ia], lengths)) * h \
+            + self.z_locals[gaps]
+        # np.add.reduceat adds a segment as first + pairwise(rest); a leading
+        # 0.0 per segment makes it the pairwise sum np.sum gives, bit for bit
+        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        slots = np.arange(gaps.size) + np.repeat(np.arange(ia.size) + 1, lengths)
+        padded = np.zeros(gaps.size + ia.size)
+        padded[slots] = self.dw[gaps]
+        dw = np.add.reduceat(padded, starts)
+        padded[slots] = contrib
+        dz = np.add.reduceat(padded, starts)
+        first = np.searchsorted(self.jump_events, ia, side="right")
+        counts = np.searchsorted(self.jump_events, ib, side="right") - first
+        held = _concat_ranges(first, counts)
+        left, right = self.event_times[ia], self.event_times[ib]
+        return Slices(left=left, right=right, delta=right - left, dw=dw, dz=dz,
+                      w_left=self.w_values[ia], w_right=self.w_values[ib],
+                      time=self.jump_times[held], mark=self.jump_marks[held],
+                      small=self.jump_small[held],
+                      w=self.w_values[self.jump_events[held]],
+                      slice_id=np.repeat(np.arange(ia.size), counts))
 
 
-def _assemble(horizon: float, finest_level: int, event_times: np.ndarray,
-              dw: np.ndarray, z_locals: np.ndarray,
-              raw_jumps: tuple[tuple[float, float, Region], ...]) -> DrivingPath:
-    """Derive cumulative and per-level aggregation data from gap-level noise."""
+def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """starts[k], ..., starts[k] + counts[k] - 1 for every k, concatenated."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.repeat(starts - ends + counts, counts) + np.arange(total)
+
+
+def _assemble(horizon: float, finest_level: int, dyad: np.ndarray,
+              event_times: np.ndarray, gaps: np.ndarray, dw: np.ndarray,
+              z_locals: np.ndarray, jump_times: np.ndarray, jump_marks: np.ndarray,
+              jump_small: np.ndarray) -> DrivingPath:
+    """Derive cumulative and per-level aggregation data from gap-level noise
+    (`dyad` is the finest dyadic grid, `gaps` the event spacings)."""
     w_values = np.concatenate(([0.0], np.cumsum(dw)))
-    dyad = dyadic_grid(horizon, finest_level)
-    cell_edges = np.searchsorted(event_times, dyad)
-    if np.any(event_times[cell_edges] != dyad):
+    cell_edges = event_times.searchsorted(dyad)
+    if (event_times[cell_edges] != dyad).any():
         raise ValueError("event grid does not contain the dyadic grid")
-    jumps = tuple(JumpEvent(time=t, mark=m, region=r,
-                            event_index=int(np.searchsorted(event_times, t)))
-                  for t, m, r in raw_jumps)
-    for j in jumps:
-        if event_times[j.event_index] != j.time:
-            raise ValueError("jump time missing from the event grid")
+    jump_events = event_times.searchsorted(jump_times)
+    if (event_times[jump_events] != jump_times).any():
+        raise ValueError("jump time missing from the event grid")
+    jump_cells = dyad.searchsorted(jump_times) - 1
 
     # per finest-cell aggregates, then pairwise aggregation up the levels
     starts = cell_edges[:-1]
-    h = np.diff(event_times)
-    counts = np.diff(cell_edges)
+    counts = cell_edges[1:] - starts
     w_cell_left = np.repeat(w_values[starts], counts)
-    contrib = (w_values[:-1] - w_cell_left) * h + z_locals
+    contrib = (w_values[:-1] - w_cell_left) * gaps + z_locals
     cell_dw = np.add.reduceat(dw, starts)
     cell_dz = np.add.reduceat(contrib, starts)
 
@@ -273,8 +275,16 @@ def _assemble(horizon: float, finest_level: int, event_times: np.ndarray,
         level_dz[lvl] = cdz[0::2] + cdz[1::2] + cdw[0::2] * child_width
     return DrivingPath(horizon=horizon, finest_level=finest_level,
                        event_times=event_times, dw=dw, z_locals=z_locals,
-                       w_values=w_values, jumps=jumps, cell_edges=cell_edges,
-                       level_dw=tuple(level_dw), level_dz=tuple(level_dz))
+                       w_values=w_values, jump_times=jump_times,
+                       jump_marks=jump_marks, jump_small=jump_small,
+                       jump_events=jump_events, jump_cells=jump_cells,
+                       cell_edges=cell_edges, level_dw=tuple(level_dw),
+                       level_dz=tuple(level_dz))
+
+
+def _on_grid(grid: np.ndarray, t: float) -> bool:
+    i = int(grid.searchsorted(t))
+    return i < grid.size and grid[i] == t
 
 
 def build_path(horizon: float, finest_level: int, model: LevyModel,
@@ -290,11 +300,11 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
         raise ValueError("finest_level must be nonnegative")
     raw = simulate_events(horizon, model, rng)
     dyad = dyadic_grid(horizon, finest_level)
-    taken = set(dyad.tolist())
+    taken: set[float] = set()  # jump times placed so far
     fixed = []
     for t, mark, region in raw:
         t_adj, direction = t, np.inf
-        while t_adj in taken:
+        while t_adj in taken or _on_grid(dyad, t_adj):
             t_adj = float(np.nextafter(t_adj, direction))
             if t_adj >= horizon:  # ran into the endpoint; walk down instead
                 t_adj, direction = t, -np.inf
@@ -304,7 +314,10 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
         fixed.append((t_adj, mark, region))
     fixed.sort(key=lambda e: e[0])
     jump_times = np.array([t for t, _, _ in fixed], dtype=np.float64)
+    jump_marks = np.array([m for _, m, _ in fixed], dtype=np.float64)
+    jump_small = np.array([r is Region.SMALL for _, _, r in fixed], dtype=bool)
     event_times = np.sort(np.concatenate((dyad, jump_times)))
-    gaps = np.diff(event_times)
+    gaps = event_times[1:] - event_times[:-1]
     dw, z_locals = sample_dw_dz(gaps, rng)
-    return _assemble(horizon, finest_level, event_times, dw, z_locals, tuple(fixed))
+    return _assemble(horizon, finest_level, dyad, event_times, gaps, dw, z_locals,
+                     jump_times, jump_marks, jump_small)

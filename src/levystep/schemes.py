@@ -4,10 +4,12 @@
          + small_jump * Y p(x) (compensated small-jump measure)(dt, dx)
          + tail_jump  * Y q(x) (tail jump measure)(dt, dx).
 
-A stepper consumes one IntervalSlice (it never samples noise itself) and
-advances Y across it.  Both steppers are linear in Y, so each step is a
-multiplicative factor; `euler_factor` / `milstein_factor` compute that factor,
-`step_factor` picks one by scheme and `run_scheme` applies it slice by slice.
+A stepper consumes a `Slices` batch (it never samples noise itself) and
+returns one result per slice, computed with whole-array operations.  Both
+steppers are linear in Y, so each step is a multiplicative factor;
+`euler_factor` / `milstein_factor` compute the factors of a batch,
+`step_factor` picks one by scheme and `run_scheme` chains the factors of a
+ladder level into a trajectory.
 
 Conventions for the Milstein double sums (jumps of the slice are indexed in
 time order; `small n` / `tail n` means the outer sum runs over that region's
@@ -22,8 +24,12 @@ jumps only; sums with an empty index range are zero):
     I32   compensated small     q over tail jumps             k <  n (lead)
     I23   tail                  p over small jumps            k <  n (lead)
 
-The lookahead decomposition of the Wiener/time inner integrals uses each
-jump's next-same-region jump time capped at the slice end (SliceJump fields).
+The Wiener and time integrals of a running jump sum over a slice [a, b] are
+taken by summation by parts: the running small p-sum integrates against dW
+to the sum over small jumps of p * (W(b) - W(t_n)), and against time to the
+sum of p * (b - t_n); likewise for the tail q-sum.  The leads pair each jump
+with the running sums strictly before it.  All sums are formed left to right
+in time order.
 `I32Compensator` selects between two published conventions for the I32
 time-compensator; TAIL_RUNNING_SUM integrates the running tail q-sum over
 time and is the one consistent with the term's iterated-integral definition,
@@ -40,9 +46,8 @@ from typing import Callable
 
 import numpy as np
 
-from .common import Region
 from .levy import LevyModel, moment
-from .path import DrivingPath, IntervalSlice, dyadic_grid
+from .path import DrivingPath, Slices, dyadic_grid
 
 
 class Scheme(enum.Enum):
@@ -61,6 +66,8 @@ class I32Compensator(enum.Enum):
 
 DEFAULT_I32 = I32Compensator.TAIL_RUNNING_SUM
 
+TERM_KEYS = ("0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32", "33")
+
 
 @dataclass(frozen=True)
 class LinearCoefficients:
@@ -72,8 +79,8 @@ class LinearCoefficients:
     diffusion: float
     small_jump: float
     tail_jump: float
-    p: Callable[[float], float]
-    q: Callable[[float], float]
+    p: Callable[[np.ndarray], np.ndarray]   # applied to whole arrays of marks
+    q: Callable[[np.ndarray], np.ndarray]
     p_integral: float      # integral of p over the active small region
     p_sq_integral: float   # integral of p^2 over the active small region
 
@@ -90,104 +97,108 @@ class LinearCoefficients:
                    p_sq_integral=moment(model, 2))
 
 
-def euler_factor(slc: IntervalSlice, coef: LinearCoefficients) -> float:
-    sum_p = 0.0
-    sum_q = 0.0
-    for j in slc.jumps:
-        if j.region is Region.SMALL:
-            sum_p += coef.p(j.mark)
-        else:
-            sum_q += coef.q(j.mark)
+def euler_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
+    n, sid, small = slices.left.size, slices.slice_id, slices.small
+    # per-slice sums of p over small jumps and q over tail jumps, in time order
+    sum_p = np.bincount(sid, np.where(small, coef.p(slices.mark), 0.0), minlength=n)
+    sum_q = np.bincount(sid, np.where(small, 0.0, coef.q(slices.mark)), minlength=n)
     return (1.0
-            + coef.drift * slc.delta
-            + coef.diffusion * slc.delta_w
-            + coef.small_jump * (sum_p - slc.delta * coef.p_integral)
+            + coef.drift * slices.delta
+            + coef.diffusion * slices.dw
+            + coef.small_jump * (sum_p - slices.delta * coef.p_integral)
             + coef.tail_jump * sum_q)
 
 
-def milstein_terms(y: float, slc: IntervalSlice, coef: LinearCoefficients,
-                   i32_compensator: I32Compensator = DEFAULT_I32) -> dict[str, float]:
-    """All thirteen order-1 terms over one slice, keyed by multiindex text.
+def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
+    """Per slice, the sums over its jumps that the order-1 terms need, one
+    row each: sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead,
+    i22_time, i23_time, i22_hold, i32_hold_tail, i32_hold_small, i22_lead,
+    i33_lead, i32_lead, i23_lead (see the module docstring).
 
-    The keys are the digit words of the integrals ('0', '1', '2', '3' and the
-    nine two-digit words); summing the values and adding y gives the Milstein
-    update.  Empty jump sums contribute zero.
+    Every sum is formed from 0.0 left to right in time order, as a walk of
+    the slice forms it: jump j goes to row slice_id[j], column (its rank in
+    the slice) + 1 of a zero-padded matrix whose cumulative sums along the
+    row are the running sums, and whose last column holds the totals.
     """
+    n, sid, small = slices.left.size, slices.slice_id, slices.small
+    if not sid.size:
+        return np.zeros((15, n))
+    q_mark = coef.q(slices.mark)
+    # p at small jumps, q at tail jumps, q at small jumps; zero elsewhere
+    amps = np.where(np.array((small, ~small, small)),
+                    np.array((coef.p(slices.mark), q_mark, q_mark)), 0.0)
+    pq = amps[:2]
+    at = np.array((slices.time, slices.w))
+    ends = np.array((slices.left, slices.w_left, slices.right, slices.w_right))[:, sid]
+    since, wincr = at - ends[:2]        # from the slice's left end to the jump
+    to_end, w_to_end = ends[2:] - at    # from the jump to the slice's right end
+    per_jump = np.concatenate((
+        pq,                                                 # sum_p, sum_q
+        # sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time
+        (np.array((wincr, w_to_end, since))[:, None] * pq).reshape(6, -1),
+        amps * to_end))                                     # i22_hold, i32_hold_*
+    col = np.arange(1, sid.size + 1) - sid.searchsorted(sid)
+    padded = np.zeros((per_jump.shape[0], n, int(col.max()) + 1))
+    padded[:, sid, col] = per_jump
+    run = padded.cumsum(axis=2)
+    # the leads pair each jump's p (or q) with the p-sum (or q-sum) strictly
+    # before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
+    leads = (padded[[0, 1, 0, 1], :, 1:] * run[[0, 1, 1, 0], :, :-1]).cumsum(axis=2)
+    return np.concatenate((run[:, :, -1], leads[:, :, -1]))
+
+
+def _term_rows(slices: Slices, coef: LinearCoefficients,
+               i32_compensator: I32Compensator) -> np.ndarray:
+    """The thirteen terms at y = 1, one row per key of TERM_KEYS."""
     b, s = coef.drift, coef.diffusion
     cf, cg = coef.small_jump, coef.tail_jump
     m1 = coef.p_integral
-    delta, dw, dz = slc.delta, slc.delta_w, slc.delta_z
-    w0 = slc.w_left
-
-    sum_p = 0.0            # p over small jumps
-    sum_q = 0.0            # q over tail jumps
-    sum_p_wincr = 0.0      # p * (W at jump - W at left), small jumps
-    sum_q_wincr = 0.0      # q * (W at jump - W at left), tail jumps
-    i21_lead = 0.0         # running small p-sum (k<=n) * Wiener gap to next small
-    i31_lead = 0.0         # running tail q-sum (k<=n) * Wiener gap to next tail
-    i22_lead = 0.0         # strict-prior small p-sum * p at small jump
-    i22_time = 0.0         # (jump time - left) * p at small jump
-    i22_hold = 0.0         # running small p-sum (k<=n) * hold time to next small
-    i33_lead = 0.0         # strict-prior tail q-sum * q at tail jump
-    i32_lead = 0.0         # strict-prior tail q-sum * p at small jump
-    i32_hold_tail = 0.0    # running tail q-sum (k<=n) * hold time to next tail
-    i32_hold_small = 0.0   # running small q-sum (k<=n) * hold time to next small
-    i23_lead = 0.0         # strict-prior small p-sum * q at tail jump
-    i23_time = 0.0         # (jump time - left) * q at tail jump
-
-    acc_p = 0.0            # p-sum over small jumps seen so far
-    acc_q = 0.0            # q-sum over tail jumps seen so far
-    acc_q_small = 0.0      # q-sum over *small* jumps (I32 variant only)
-    for j in slc.jumps:
-        if j.region is Region.SMALL:
-            pj = coef.p(j.mark)
-            sum_p += pj
-            sum_p_wincr += pj * (j.w_value - w0)
-            i22_lead += acc_p * pj
-            i22_time += (j.time - slc.left) * pj
-            i32_lead += acc_q * pj
-            acc_p += pj
-            acc_q_small += coef.q(j.mark)
-            i21_lead += acc_p * (j.w_next_small - j.w_value)
-            i22_hold += acc_p * (j.next_small_time - j.time)
-            i32_hold_small += acc_q_small * (j.next_small_time - j.time)
-        else:
-            qj = coef.q(j.mark)
-            sum_q += qj
-            sum_q_wincr += qj * (j.w_value - w0)
-            i33_lead += acc_q * qj
-            i23_lead += acc_p * qj
-            i23_time += (j.time - slc.left) * qj
-            acc_q += qj
-            i31_lead += acc_q * (j.w_next_tail - j.w_value)
-            i32_hold_tail += acc_q * (j.next_tail_time - j.time)
-
+    delta, dw, dz = slices.delta, slices.dw, slices.dz
+    (sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
+     i22_hold, i32_hold_tail, i32_hold_small, i22_lead, i33_lead, i32_lead,
+     i23_lead) = _jump_sums(slices, coef)
     if i32_compensator is I32Compensator.TAIL_RUNNING_SUM:
         i32_comp = i32_hold_tail
     else:
         i32_comp = i32_hold_small
+    # six terms are (a jump sum) - m1 * (its compensator); 22 has two more parts
+    t2, t12, t21, t22, t23, t32 = (
+        np.array((sum_p, sum_p_wincr, i21_lead, i22_lead, i23_lead, i32_lead))
+        - m1 * np.array((delta, dz, delta * dw - dz, i22_time, i23_time, i32_comp)))
+    scale = np.array([b, s, cf, cg, 0.5 * s * s, cf * s, cg * s, cf * s, cg * s,
+                      cf * cf, cf * cg, cf * cg, cg * cg])
+    return scale[:, None] * np.array((
+        delta,                                                        # 0
+        dw,                                                           # 1
+        t2,                                                           # 2
+        sum_q,                                                        # 3
+        dw * dw - delta,                                              # 11
+        t12,                                                          # 12
+        sum_q_wincr,                                                  # 13
+        t21,                                                          # 21
+        i31_lead,                                                     # 31
+        t22 - m1 * i22_hold + 0.5 * m1 * m1 * delta * delta,          # 22
+        t23,                                                          # 23
+        t32,                                                          # 32
+        i33_lead))                                                    # 33
 
-    return {
-        "0": b * y * delta,
-        "1": s * y * dw,
-        "2": cf * y * (sum_p - delta * m1),
-        "3": cg * y * sum_q,
-        "11": 0.5 * s * s * y * (dw * dw - delta),
-        "12": cf * s * y * (sum_p_wincr - m1 * dz),
-        "13": cg * s * y * sum_q_wincr,
-        "21": cf * s * y * (i21_lead - m1 * (delta * dw - dz)),
-        "31": cg * s * y * i31_lead,
-        "22": cf * cf * y * (i22_lead - m1 * i22_time - m1 * i22_hold
-                             + 0.5 * m1 * m1 * delta * delta),
-        "23": cf * cg * y * (i23_lead - m1 * i23_time),
-        "32": cf * cg * y * (i32_lead - m1 * i32_comp),
-        "33": cg * cg * y * i33_lead,
-    }
+
+def milstein_terms(y: float, slices: Slices, coef: LinearCoefficients,
+                   i32_compensator: I32Compensator = DEFAULT_I32) -> dict[str, np.ndarray]:
+    """All thirteen order-1 terms over every slice, keyed by multiindex text.
+
+    The keys are the digit words of the integrals ('0', '1', '2', '3' and the
+    nine two-digit words); each value is an array over the slices, and
+    summing the values and adding y gives the Milstein update from state y.
+    Empty jump sums contribute zero.
+    """
+    return dict(zip(TERM_KEYS, y * _term_rows(slices, coef, i32_compensator)))
 
 
-def milstein_factor(slc: IntervalSlice, coef: LinearCoefficients,
-                    i32_compensator: I32Compensator = DEFAULT_I32) -> float:
-    return 1.0 + sum(milstein_terms(1.0, slc, coef, i32_compensator).values())
+def milstein_factor(slices: Slices, coef: LinearCoefficients,
+                    i32_compensator: I32Compensator = DEFAULT_I32) -> np.ndarray:
+    # the terms added in key order, left to right
+    return 1.0 + np.cumsum(_term_rows(slices, coef, i32_compensator), axis=0)[-1]
 
 
 @dataclass(frozen=True)
@@ -201,13 +212,13 @@ class Trajectory:
         return self.scheme.strong_order
 
 
-def step_factor(scheme: Scheme, slc: IntervalSlice, coef: LinearCoefficients,
-                i32_compensator: I32Compensator = DEFAULT_I32) -> float:
-    """The multiplicative one-slice update of either scheme (used for grid
-    slices and for partial slices ending at an interior jump time)."""
+def step_factor(scheme: Scheme, slices: Slices, coef: LinearCoefficients,
+                i32_compensator: I32Compensator = DEFAULT_I32) -> np.ndarray:
+    """The multiplicative one-slice update of either scheme, per slice (used
+    for grid slices and for partial slices ending at an interior jump time)."""
     if scheme is Scheme.EULER:
-        return euler_factor(slc, coef)
-    return milstein_factor(slc, coef, i32_compensator)
+        return euler_factor(slices, coef)
+    return milstein_factor(slices, coef, i32_compensator)
 
 
 def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
@@ -221,10 +232,7 @@ def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
             and np.array_equal(grid, dyadic_grid(path.horizon, level))):
         raise ValueError("grid must be the path's uniform dyadic grid at a level "
                          f"in 0..{path.finest_level}")
-    values = np.empty(grid.size)
-    values[0] = y0
-    y = y0
-    for i, slc in enumerate(path.slices(level)):
-        y = y * step_factor(scheme, slc, coef, i32_compensator)
-        values[i + 1] = y
+    factors = step_factor(scheme, path.slices(level), coef, i32_compensator)
+    # the running product y0 * f0 * f1 * ..., formed left to right
+    values = np.cumprod(np.concatenate(([y0], factors)))
     return Trajectory(times=grid, values=values, scheme=scheme)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import integrate
 
 from levystep import LinearCoefficients, Multiindex, Region, in_hierarchical_set
-from levystep.path import IntervalSlice, SliceJump
+from levystep.path import Slices
 from levystep.schemes import I32Compensator
 
 
@@ -51,44 +51,59 @@ def quad_power_law_moment(c: float, a: float, amp, power: int,
 
 class RawSlice:
     """Gap-level description of one interval: event times ev[0..n], per-gap
-    Wiener increments and local time integrals, jumps at the interior events.
+    Wiener increments and local time integrals, and what happens at each
+    event after the left end (a jump, or nothing when its region is None).
     The slice aggregates are derived exactly as the production code defines
     them; the walker below uses only the raw arrays."""
 
-    def __init__(self, left, delta, jump_data, dws, zlocs, w_left):
-        # jump_data: sequence of (fraction in (0,1), mark, region), sorted
+    def __init__(self, left, delta, jump_data, dws, zlocs, w_left, times=None):
+        # jump_data: sequence of (fraction in (0,1], mark, region), sorted, one
+        # per interior event plus optionally one for the right end; `times`,
+        # when given, replaces left + fraction * delta
         self.left = left
         self.delta = delta
         self.jump_data = list(jump_data)
         self.dws = list(dws)
         self.zlocs = list(zlocs)
-        self.times = [left + f * delta for f, _, _ in jump_data]
-        self.ev = [left] + self.times + [left + delta]
+        self.times = (list(times) if times is not None
+                      else [left + f * delta for f, _, _ in jump_data])
+        self.ev = [left] + self.times[:len(self.dws) - 1] + [left + delta]
         self.w = [w_left]
         for d in dws:
             self.w.append(self.w[-1] + d)
 
-    def to_slice(self) -> IntervalSlice:
+    @classmethod
+    def from_path(cls, path, ia: int, ib: int) -> "RawSlice":
+        """The raw gap data of `path` over the event indices ia < ib (a jump
+        at event ib belongs to the slice)."""
+        regions = {int(e): (float(m), Region.SMALL if s else Region.TAIL)
+                   for e, m, s in zip(path.jump_events, path.jump_marks, path.jump_small)}
+        times = [float(t) for t in path.event_times[ia + 1:ib + 1]]
+        left = float(path.event_times[ia])
+        jump_data = [(None, *regions.get(i, (None, None))) for i in range(ia + 1, ib + 1)]
+        return cls(left, float(path.event_times[ib]) - left, jump_data,
+                   path.dw[ia:ib], path.z_locals[ia:ib], float(path.w_values[ia]),
+                   times=times)
+
+    def to_slice(self) -> Slices:
+        """The one-slice batch the production evaluator consumes."""
         dw_tot = sum(self.dws)
         dz = sum((self.w[j] - self.w[0]) * (self.ev[j + 1] - self.ev[j]) + self.zlocs[j]
                  for j in range(len(self.dws)))
-        right, w_right = self.ev[-1], self.w[-1]
-        nxt_s, nxt_t = (right, w_right), (right, w_right)
-        out = []
-        for i in range(len(self.times) - 1, -1, -1):
-            _, mark, reg = self.jump_data[i]
-            t, wj = self.times[i], self.w[i + 1]
-            out.append(SliceJump(time=t, mark=mark, region=reg, w_value=wj,
-                                 next_small_time=nxt_s[0], next_tail_time=nxt_t[0],
-                                 w_next_small=nxt_s[1], w_next_tail=nxt_t[1]))
-            if reg is Region.SMALL:
-                nxt_s = (t, wj)
-            else:
-                nxt_t = (t, wj)
-        out.reverse()
-        return IntervalSlice(left=self.left, right=right, delta=self.delta,
-                             delta_w=dw_tot, delta_z=dz, w_left=self.w[0],
-                             jumps=tuple(out))
+        at_jump = [i for i, (_, _, reg) in enumerate(self.jump_data) if reg is not None]
+
+        def one(v):
+            return np.array([v], dtype=np.float64)
+
+        return Slices(left=one(self.left), right=one(self.ev[-1]), delta=one(self.delta),
+                      dw=one(dw_tot), dz=one(dz), w_left=one(self.w[0]),
+                      w_right=one(self.w[-1]),
+                      time=np.array([self.times[i] for i in at_jump], dtype=np.float64),
+                      mark=np.array([self.jump_data[i][1] for i in at_jump], dtype=np.float64),
+                      small=np.array([self.jump_data[i][2] is Region.SMALL for i in at_jump],
+                                     dtype=bool),
+                      w=np.array([self.w[i + 1] for i in at_jump], dtype=np.float64),
+                      slice_id=np.zeros(len(at_jump), dtype=np.intp))
 
 
 def random_raw_slice(rng: np.random.Generator, max_jumps: int = 6) -> RawSlice:
@@ -125,7 +140,8 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients,
     jumps = raw.jump_data
     n_g = len(dws)
 
-    # running sums *after* event i (event i = i-th jump for 1 <= i <= K)
+    # running sums *after* event i (a jump at the right end, event n_g, is
+    # counted but integrates over no time)
     jp = [0.0] * (n_g + 1)
     jq = [0.0] * (n_g + 1)
     jq_small = [0.0] * (n_g + 1)
@@ -136,7 +152,7 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients,
             if reg is Region.SMALL:
                 jp[i] += coef.p(mark)
                 jq_small[i] += coef.q(mark)
-            else:
+            elif reg is Region.TAIL:
                 jq[i] += coef.q(mark)
 
     h = [ev[i + 1] - ev[i] for i in range(n_g)]
@@ -163,7 +179,7 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients,
         if r is Region.SMALL:
             i22 += coef.p(m) * (jp[i] - m1 * (t - tau))
             i32_lead += jq[i] * coef.p(m)
-        else:
+        elif r is Region.TAIL:
             i33 += jq[i] * coef.q(m)
             i23 += coef.q(m) * (jp[i] - m1 * (t - tau))
 
@@ -183,6 +199,11 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients,
         "32": F * G * y * (i32_lead - m1 * i32_comp),
         "33": G * G * y * i33,
     }
+
+
+def slice_terms(terms: dict, k: int = 0) -> dict:
+    """The thirteen terms of slice k of a batch, as floats."""
+    return {key: float(val[k]) for key, val in terms.items()}
 
 
 def assert_term_match(got: dict, want: dict, tol: float = 1e-12) -> None:

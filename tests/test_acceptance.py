@@ -133,15 +133,14 @@ def test_criterion_3_aggregation_identities():
         path = build_path(1.0, 6, model, path_rng(7, i))
         n_jumps += len(path.jumps)
         for lv in range(6):
-            parents = path.slices(lv)
+            par = path.slices(lv)
             children = path.slices(lv + 1)
             width = 1.0 / 2 ** (lv + 1)
-            for k, par in enumerate(parents):
-                cl, cr = children[2 * k], children[2 * k + 1]
-                if par.delta_w != cl.delta_w + cr.delta_w:
-                    dw_exact = False
-                gap = abs(par.delta_z - (cl.delta_z + cr.delta_z + cl.delta_w * width))
-                worst_dz = max(worst_dz, gap)
+            cl_dw, cr_dw = children.dw[0::2], children.dw[1::2]
+            if not np.array_equal(par.dw, cl_dw + cr_dw):
+                dw_exact = False
+            gap = np.abs(par.dz - (children.dz[0::2] + children.dz[1::2] + cl_dw * width))
+            worst_dz = max(worst_dz, float(gap.max()))
     elapsed = time.perf_counter() - t0
     ok = dw_exact and worst_dz <= 1e-12 and n_jumps > 0 and elapsed < 10.0
     assert _report(3, ok, f"dW telescoping exact: {dw_exact}, worst dZ gap "
@@ -164,7 +163,7 @@ def test_criterion_4_term_evaluator_oracle():
         y = float(rng.uniform(0.5, 2.0))
         got = milstein_terms(y, raw.to_slice(), coef)
         for key, expect in walk_terms(y, raw, coef).items():
-            dev = abs(got[key] - expect) / max(1.0, abs(expect))
+            dev = abs(float(got[key][0]) - expect) / max(1.0, abs(expect))
             worst = max(worst, dev)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
@@ -236,7 +235,7 @@ def test_criterion_8_martingale_centering():
     vals = np.empty(n)
     for i in range(n):
         path = build_path(1.0, 0, model, path_rng(42, i))
-        vals[i] = milstein_terms(1.0, path.slices(0)[0], coef)["2"]
+        vals[i] = milstein_terms(1.0, path.slices(0), coef)["2"][0]
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n)
     elapsed = time.perf_counter() - t0

@@ -2,6 +2,8 @@
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +43,26 @@ def base_config(**over):
     }
     cfg.update(over)
     return cfg
+
+
+# the README's two example configs, cut to 20 paths
+README_MODEL = {
+    "small": {"kind": "atoms", "atoms": [[0.5, 0.6], [-0.4, 0.4]]},
+    "tail": {"kind": "atoms", "atoms": [[1.5, 0.3], [-2.0, 0.2]]},
+    "p": {"coef": 1.0, "exponent": 1.0},
+    "q": {"coef": 1.0, "exponent": 1.0},
+}
+README_CONVERGE = {
+    "model": README_MODEL, "b": -0.5, "sigma": 0.3, "F": 0.2, "G": 0.1,
+    "y0": 1.0, "T": 1.0, "scheme": "milstein", "ladder_levels": [3, 4, 5, 6, 7, 8],
+    "finest_level": 10, "paths": 20, "seed": 1337,
+}
+README_TRUNCATE = {
+    "model": README_MODEL | {"small": {"kind": "power_law", "c": 1.0, "a": 0.5}},
+    "b": -0.5, "sigma": 0.3, "F": 0.2, "G": 0.1, "scheme": "euler",
+    "epsilons": [0.5, 0.25, 0.125], "truncation_level": 5, "ladder_levels": [3, 5],
+    "finest_level": 8, "paths": 20, "seed": 2025,
+}
 
 
 def trunc_config(**over):
@@ -92,12 +114,27 @@ def test_config_defaults():
     (lambda c: c.update(i32_compensator="median"), "i32_compensator"),
     (lambda c: c.update(oracle={"kind": "psychic"}), "oracle kind"),
     (lambda c: c.update(oracle={"kind": "fine_grid"}), "level"),
+    (lambda c: c.update(paths=True), "'paths' must be an integer"),
+    (lambda c: c.update(paths=12.5), "'paths' must be an integer"),
+    (lambda c: c.update(finest_level="7"), "'finest_level' must be an integer"),
+    (lambda c: c.update(truncation_level=2.5), "'truncation_level' must be an integer"),
+    (lambda c: c.update(trajectory_level=[3]), "'trajectory_level' must be an integer"),
+    (lambda c: c.update(epsilons=["x"]), "'epsilons' must be a number"),
+    (lambda c: c.update(epsilons=[float("nan")]), "'epsilons' must be finite"),
+    (lambda c: c.update(sigma=True), "'sigma' must be a number"),
+    (lambda c: c.update(G=10**400), "'G' must be finite"),
 ])
 def test_config_rejections(mangle, match):
     cfg = base_config()
     mangle(cfg)
     with pytest.raises(ConfigError, match=match):
         config_from_dict(cfg)
+
+
+def test_config_accepts_integral_floats():
+    cfg = config_from_dict(base_config(paths=12.0, seed=3.0, ladder_levels=[2.0, 3, 4]))
+    assert (cfg.paths, cfg.seed, cfg.ladder_levels) == (12, 3, (2, 3, 4))
+    assert isinstance(cfg.paths, int) and isinstance(cfg.seed, int)
 
 
 def test_config_rejects_non_object():
@@ -254,6 +291,23 @@ def test_truncation_study_needs_epsilons():
 
 # -- single trajectory -----------------------------------------------------------
 
+def test_per_path_errors_match_recorded_values():
+    # values recorded from the per-slice object evaluator that the array
+    # evaluator replaced, on the README configs at 20 paths: the Euler and
+    # truncation errors must be reproduced bit for bit, the Milstein ones
+    # (whose sums are reordered) to 1e-12 relative
+    recorded = json.loads((Path(__file__).parent / "data" / "per_path_errors.json").read_text())
+    for scheme in ("euler", "milstein"):
+        rep = strong_error_study(config_from_dict(README_CONVERGE | {"scheme": scheme}))
+        want = np.array(recorded[scheme])
+        if scheme == "euler":
+            assert np.array_equal(rep.per_path, want)
+        else:
+            np.testing.assert_allclose(rep.per_path, want, rtol=1e-12, atol=0)
+    rep = truncation_study(config_from_dict(README_TRUNCATE))
+    assert np.array_equal(rep.per_path, np.array(recorded["truncation"]))
+
+
 def test_simulate_trajectory_shapes():
     cfg = config_from_dict(base_config())
     traj, oracle_vals = simulate_trajectory(cfg)
@@ -328,6 +382,14 @@ def test_report_json_nan_becomes_null(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["slope_se"] is None
     assert doc["slope_ci"] == [None, None]
+
+
+def test_report_json_refuses_nonfinite_values(tmp_path, euler_report):
+    rep = replace(euler_report, mean_sup_sq=np.array([1.0, math.inf, 2.0]))
+    out = tmp_path / "r.json"
+    with pytest.raises(ValueError):
+        harness.write_report_json(rep, out)
+    assert not out.exists()
 
 
 def test_report_json_truncation(tmp_path, trunc_report):
@@ -411,6 +473,42 @@ def test_cli_nonfinite_model_value(tmp_path, capsys):
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
     assert "model.q" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("paths", "abc"),
+    ("seed", -1),
+    ("oracle", {"kind": "fine_grid", "level": "x"}),
+    ("ladder_levels", [3.7, 4.2, 5.1]),
+    ("b", float("nan")),        # written as the JSON token NaN
+    ("y0", float("inf")),       # written as the JSON token Infinity
+])
+def test_cli_malformed_top_level_value(tmp_path, capsys, key, value):
+    p = write_cfg(tmp_path, base_config(**{"paths": 5, key: value}))
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_negative_seed_override(tmp_path, capsys):
+    p = write_cfg(tmp_path, base_config(paths=5))
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(p), "--out-dir", str(out),
+                     "--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_cli_truncate_rejects_model_epsilon(tmp_path, capsys):
+    cfg = trunc_config(paths=5)
+    cfg["model"]["epsilon"] = 0.45
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["truncate", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert "model.epsilon" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    assert not (out / "truncation.csv").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -200,6 +200,23 @@ def test_sample_mark_atoms_frequencies(finite_model, rng):
     assert abs(frac - 0.6) < 3 * math.sqrt(0.6 * 0.4 / n)
 
 
+@pytest.mark.parametrize("atoms", [
+    ((0.5, 0.6), (-0.4, 0.4)),
+    ((1.5, 0.3), (-2.0, 0.2)),
+    ((0.1, 0.3), (0.2, 0.25), (0.7, 0.05), (-0.3, 1.7)),
+])
+def test_atom_sampler_matches_generator_choice(atoms):
+    # the cached cumulative-mass draw picks the atom Generator.choice picks
+    # and leaves the generator in the same state, so every stream is unchanged
+    spec = AtomSpec(atoms)
+    positions = [x for x, _ in atoms]
+    masses = np.array([m for _, m in atoms])
+    for seed in range(500):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert spec.sample(ours) == positions[ref.choice(len(atoms), p=masses / masses.sum())]
+        assert ours.random() == ref.random()
+
+
 def test_sample_mark_untruncated_power_law_rejected(rng):
     with pytest.raises(ValueError):
         power_model().sample_small_mark(rng)

@@ -16,7 +16,8 @@ PUBLIC = frozenset("""
     Counts IndexSet Multiindex counts hierarchical_set in_hierarchical_set
     remainder_set subscript_set
     OracleConfig OracleKind exact_solution fine_reference reference_solution
-    DrivingPath JumpEvent build_path dyadic_grid sample_dw_dz simulate_events
+    DrivingPath JumpEvent Slices build_path dyadic_grid sample_dw_dz
+    simulate_events
     DEFAULT_I32 I32Compensator LinearCoefficients Scheme Trajectory
     euler_factor milstein_factor milstein_terms run_scheme step_factor
     ConvergenceReport StudyConfig TruncationReport config_from_dict

@@ -2,15 +2,12 @@
 multi-resolution slicing that couples every step size to one noise draw."""
 
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from levystep import (
     AmplitudeSpec,
     AtomSpec,
-    JumpEvent,
     LevyModel,
     PowerLawSpec,
     Region,
@@ -187,7 +184,8 @@ def test_build_path_rejects_negative_level(finite_model, rng):
 
 
 class ScriptedRng:
-    """Just enough of the Generator surface to force chosen arrival times."""
+    """Just enough of the Generator surface to force chosen arrival times
+    (each jump takes two uniforms: its region, then its atom)."""
 
     def __init__(self, exponentials, uniforms):
         self._exp = list(exponentials)
@@ -199,9 +197,6 @@ class ScriptedRng:
     def random(self):
         return self._uni.pop(0)
 
-    def choice(self, n, p=None):
-        return 0
-
     def standard_normal(self, shape):
         return np.zeros(shape)
 
@@ -209,7 +204,7 @@ class ScriptedRng:
 def test_build_path_nudges_dyadic_collision(finite_model, caplog):
     # one small jump exactly at 0.5 = 4/8: collides with the level-3 grid and
     # must move by one ulp rather than corrupt the event grid
-    scripted = ScriptedRng(exponentials=[0.5, 10.0], uniforms=[0.0])
+    scripted = ScriptedRng(exponentials=[0.5, 10.0], uniforms=[0.0, 0.0])
     with caplog.at_level("WARNING", logger="levystep.path"):
         path = build_path(1.0, 3, finite_model, scripted)
     assert len(path.jumps) == 1
@@ -221,7 +216,7 @@ def test_build_path_nudges_dyadic_collision(finite_model, caplog):
 def test_build_path_nudges_duplicate_jump_times(finite_model):
     # two arrivals at the same instant (zero holding time): the second is
     # shifted one ulp up, both survive
-    scripted = ScriptedRng(exponentials=[0.3, 0.0, 10.0], uniforms=[0.0, 0.0])
+    scripted = ScriptedRng(exponentials=[0.3, 0.0, 10.0], uniforms=[0.0] * 4)
     path = build_path(1.0, 3, finite_model, scripted)
     times = [j.time for j in path.jumps]
     assert len(times) == 2
@@ -235,48 +230,50 @@ def test_build_path_nudges_duplicate_jump_times(finite_model):
 def test_two_level_coupling_is_exact():
     path = build_path(1.0, 8, dense_model(), np.random.default_rng(21))
     for level in range(8):
-        parents = path.slices(level)
+        par = path.slices(level)
         children = path.slices(level + 1)
         width = 1.0 / 2 ** (level + 1)
-        for i, par in enumerate(parents):
-            cl, cr = children[2 * i], children[2 * i + 1]
-            assert par.delta_w == cl.delta_w + cr.delta_w  # 0 ulp
-            assert par.delta_z == cl.delta_z + cr.delta_z + cl.delta_w * width
-            assert par.w_left == cl.w_left
+        cl_dw, cr_dw = children.dw[0::2], children.dw[1::2]
+        assert np.array_equal(par.dw, cl_dw + cr_dw)  # 0 ulp
+        assert np.array_equal(par.dz, children.dz[0::2] + children.dz[1::2] + cl_dw * width)
+        assert np.array_equal(par.w_left, children.w_left[0::2])
 
 
 def test_slices_match_direct_gap_aggregation():
     path = build_path(1.0, 6, dense_model(), np.random.default_rng(22))
     grid = path.grid(3)
-    direct = [path.slice_between(float(grid[i]), float(grid[i + 1]))
-              for i in range(8)]
-    for tree, gap in zip(path.slices(3), direct):
-        assert tree.delta_w == pytest.approx(gap.delta_w, abs=1e-12)
-        assert tree.delta_z == pytest.approx(gap.delta_z, abs=1e-12)
-        assert tree.jumps == gap.jumps
-        assert tree.w_left == gap.w_left
+    tree = path.slices(3)
+    direct = path.slice_between(grid[:-1], grid[1:])
+    np.testing.assert_allclose(tree.dw, direct.dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tree.dz, direct.dz, rtol=0, atol=1e-12)
+    for name in ("left", "right", "delta", "w_left", "w_right",
+                 "time", "mark", "small", "w", "slice_id"):
+        assert np.array_equal(getattr(tree, name), getattr(direct, name)), name
 
 
 def test_finest_cell_without_jumps_is_a_single_gap(finite_model):
     path = build_path(1.0, 5, finite_model, np.random.default_rng(4))
     counts = np.diff(path.cell_edges)
     cells = path.slices(5)
+    held = np.bincount(cells.slice_id, minlength=32)
     bare = [i for i in range(32) if counts[i] == 1]
     assert bare  # rate 1.5 on 32 cells leaves plenty of jump-free cells
     for i in bare:
         gap = path.cell_edges[i]
-        assert cells[i].delta_w == path.dw[gap]
-        assert cells[i].delta_z == path.z_locals[gap]
-        assert cells[i].count == 0
+        assert cells.dw[i] == path.dw[gap]
+        assert cells.dz[i] == path.z_locals[gap]
+        assert held[i] == 0
 
 
 def test_whole_horizon_slice(finite_model):
     # the tree aggregate sums in a different order than cumsum, so compare
     # with a tolerance, not bitwise
     path = build_path(1.0, 4, finite_model, np.random.default_rng(6))
-    (top,) = path.slices(0)
-    assert top.delta_w == pytest.approx(float(path.w_values[-1]), abs=1e-12)
-    assert top.count == len(path.jumps)
+    top = path.slices(0)
+    assert top.left.size == 1
+    assert top.dw[0] == pytest.approx(float(path.w_values[-1]), abs=1e-12)
+    assert top.time.size == len(path.jumps)
+    assert np.array_equal(top.slice_id, np.zeros(len(path.jumps)))
 
 
 # -- partial slices and jump bookkeeping -------------------------------------
@@ -287,12 +284,37 @@ def test_slice_between_partial_to_jump_time():
     j = next(j for j in path.jumps if grid[0] < j.time < grid[1])
     slc = path.slice_between(0.0, j.time)
     ia, ib = 0, path.event_index(j.time)
-    assert slc.delta == j.time
-    assert slc.delta_w == pytest.approx(
+    assert slc.delta[0] == j.time
+    assert slc.dw[0] == pytest.approx(
         float(path.w_values[ib] - path.w_values[ia]), abs=1e-12)
+    assert slc.dw[0] == np.sum(path.dw[ia:ib])  # the pairwise sum, bit for bit
     # right endpoint included, left excluded
-    assert slc.jumps[-1].time == j.time
-    assert all(0.0 < sj.time <= j.time for sj in slc.jumps)
+    assert slc.time[-1] == j.time
+    assert np.all((0.0 < slc.time) & (slc.time <= j.time))
+    assert np.array_equal(slc.w, path.w_values[path.event_index(slc.time)])
+    rest = path.slice_between(j.time, grid[1])
+    assert np.all((j.time < rest.time) & (rest.time <= grid[1]))
+
+
+def test_slice_between_batch_matches_single_slices():
+    # overlapping partial slices, one per jump: each batch entry equals the
+    # same slice taken alone, and holds exactly the jumps in (left, right]
+    path = build_path(1.0, 5, dense_model(8.0, 4.0), np.random.default_rng(42))
+    grid = path.grid(1)
+    lefts = grid[path.jump_cells >> 4]
+    batch = path.slice_between(lefts, path.jump_times)
+    assert batch.left.size == path.jump_times.size
+    for k, (a, b) in enumerate(zip(lefts, path.jump_times)):
+        one = path.slice_between(a, b)
+        for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right"):
+            assert getattr(batch, name)[k] == getattr(one, name)[0], name
+        mine = batch.slice_id == k
+        assert np.array_equal(batch.time[mine], one.time)
+        assert np.array_equal(batch.time[mine],
+                              path.jump_times[(a < path.jump_times) & (path.jump_times <= b)])
+        assert np.array_equal(batch.mark[mine], one.mark)
+        assert np.array_equal(batch.small[mine], one.small)
+    assert np.all(np.diff(batch.slice_id) >= 0)
 
 
 def test_slice_between_additivity():
@@ -301,71 +323,59 @@ def test_slice_between_additivity():
     left = path.slice_between(a, m)
     right = path.slice_between(m, b)
     full = path.slice_between(a, b)
-    assert full.delta_w == pytest.approx(left.delta_w + right.delta_w, abs=1e-12)
-    want_dz = left.delta_z + right.delta_z + left.delta_w * (b - m)
-    assert full.delta_z == pytest.approx(want_dz, abs=1e-12)
-    assert full.count == left.count + right.count
+    assert full.dw[0] == pytest.approx(left.dw[0] + right.dw[0], abs=1e-12)
+    want_dz = left.dz[0] + right.dz[0] + left.dw[0] * (b - m)
+    assert full.dz[0] == pytest.approx(want_dz, abs=1e-12)
+    assert full.time.size == left.time.size + right.time.size
 
 
 def test_slice_between_validation(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(2))
     with pytest.raises(ValueError, match="order"):
         path.slice_between(0.5, 0.5)
+    with pytest.raises(ValueError, match="order"):
+        path.slice_between([0.0, 0.5], [0.25])
     with pytest.raises(ValueError, match="not an event time"):
         path.slice_between(0.0, 0.3)
-
-
-def test_lookahead_fields_match_naive_scan():
-    # each jump must know the next jump of each region strictly after it,
-    # capped at the slice end; verify against an O(K^2) rescan
-    for seed in (50, 51, 52):
-        path = build_path(1.0, 5, dense_model(8.0, 4.0), np.random.default_rng(seed))
-        for slc in path.slices(1):
-            i_right = path.event_index(slc.right)
-            w_right = float(path.w_values[i_right])
-            for k, sj in enumerate(slc.jumps):
-                nxt = {Region.SMALL: (slc.right, w_right),
-                       Region.TAIL: (slc.right, w_right)}
-                for later in slc.jumps[k + 1:]:
-                    if later.region is Region.SMALL and nxt[Region.SMALL][0] == slc.right:
-                        nxt[Region.SMALL] = (later.time, later.w_value)
-                    if later.region is Region.TAIL and nxt[Region.TAIL][0] == slc.right:
-                        nxt[Region.TAIL] = (later.time, later.w_value)
-                assert (sj.next_small_time, sj.w_next_small) == nxt[Region.SMALL]
-                assert (sj.next_tail_time, sj.w_next_tail) == nxt[Region.TAIL]
-                assert sj.w_value == float(path.w_values[path.event_index(sj.time)])
+    with pytest.raises(ValueError, match="not an event time"):
+        path.slice_between([0.0, 0.25], [0.5, 0.3])
 
 
 # -- jump filtering and lookups ----------------------------------------------
 
 def test_with_jumps_keeps_noise(finite_model):
     path = build_path(1.0, 5, dense_model(), np.random.default_rng(60))
-    tail_only = path.with_jumps(j for j in path.jumps if j.region is Region.TAIL)
+    tail_only = path.with_jumps(~path.jump_small)
     assert np.array_equal(tail_only.event_times, path.event_times)
     assert np.array_equal(tail_only.w_values, path.w_values)
     assert all(j.region is Region.TAIL for j in tail_only.jumps)
-    for a, b in zip(tail_only.slices(2), path.slices(2)):
-        assert a.delta_w == b.delta_w and a.delta_z == b.delta_z
-        assert len(a.jumps) <= len(b.jumps)
+    assert tail_only.jumps == tuple(j for j in path.jumps if j.region is Region.TAIL)
+    a, b = tail_only.slices(2), path.slices(2)
+    assert np.array_equal(a.dw, b.dw) and np.array_equal(a.dz, b.dz)
+    assert np.all(np.bincount(a.slice_id, minlength=4) <= np.bincount(b.slice_id, minlength=4))
 
 
-def test_with_jumps_rejects_foreign_jump(finite_model):
-    path = build_path(1.0, 4, finite_model, np.random.default_rng(61))
-    alien = JumpEvent(time=0.123, mark=0.5, region=Region.SMALL, event_index=1)
-    with pytest.raises(ValueError, match="belong"):
-        path.with_jumps([alien])
-    if path.jumps:
-        shifted = replace(path.jumps[0], event_index=0)
-        with pytest.raises(ValueError, match="belong"):
-            path.with_jumps([shifted])
+def test_with_jumps_rejects_bad_mask(finite_model):
+    path = build_path(1.0, 4, dense_model(), np.random.default_rng(61))
+    n = path.jump_times.size
+    assert n > 0
+    for bad in (np.ones(n + 1, dtype=bool), np.ones(n, dtype=int), [True] * (n - 1)):
+        with pytest.raises(ValueError, match="boolean mask"):
+            path.with_jumps(bad)
 
 
 def test_event_index_and_grid_lookups(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(62))
     assert path.event_index(0.0) == 0
     assert path.event_index(1.0) == path.event_times.size - 1
+    assert np.array_equal(path.event_index(path.event_times[::-1]),
+                          np.arange(path.event_times.size)[::-1])
     with pytest.raises(ValueError):
         path.event_index(0.1234567)
+    with pytest.raises(ValueError):
+        path.event_index(np.array([0.0, 0.1234567]))
+    with pytest.raises(ValueError):
+        path.event_index(1.5)
     assert np.array_equal(path.grid(2), dyadic_grid(1.0, 2))
     with pytest.raises(ValueError):
         path.grid(5)

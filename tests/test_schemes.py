@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import RawSlice, assert_term_match, random_raw_slice, walk_terms
+from helpers import (RawSlice, assert_term_match, random_raw_slice, slice_terms,
+                     walk_terms)
 from levystep import (
     AmplitudeSpec,
     AtomSpec,
@@ -71,14 +72,15 @@ def test_euler_factor_frozen_example(finite_coef):
     raw = RawSlice(left=0.0, delta=0.5,
                    jump_data=[(0.3, 0.5, Region.SMALL), (0.7, -2.0, Region.TAIL)],
                    dws=[0.1, 0.05, 0.05], zlocs=[0.0, 0.0, 0.0], w_left=0.0)
-    assert euler_factor(raw.to_slice(), finite_coef) == pytest.approx(0.696, rel=1e-12)
+    (factor,) = euler_factor(raw.to_slice(), finite_coef)
+    assert factor == pytest.approx(0.696, rel=1e-12)
 
 
 def test_euler_no_jump_formula(finite_coef):
     slc = bare_slice(delta=0.25, delta_w=-0.3)
     want = (1.0 + finite_coef.drift * 0.25 + finite_coef.diffusion * (-0.3)
             - finite_coef.small_jump * 0.25 * finite_coef.p_integral)
-    assert euler_factor(slc, finite_coef) == pytest.approx(want, rel=1e-15)
+    assert euler_factor(slc, finite_coef)[0] == pytest.approx(want, rel=1e-15)
 
 
 # -- Milstein term structure ---------------------------------------------------
@@ -86,6 +88,7 @@ def test_euler_no_jump_formula(finite_coef):
 def test_milstein_term_keys(finite_coef, rng):
     terms = milstein_terms(1.0, random_raw_slice(rng).to_slice(), finite_coef)
     assert set(terms) == TERM_KEYS
+    assert all(v.shape == (1,) for v in terms.values())
 
 
 def test_milstein_frozen_example(finite_coef):
@@ -95,18 +98,18 @@ def test_milstein_frozen_example(finite_coef):
     raw = RawSlice(left=0.0, delta=0.5, jump_data=[(0.4, 0.5, Region.SMALL)],
                    dws=[0.1, -0.2], zlocs=[0.01, 0.02], w_left=0.0)
     slc = raw.to_slice()
-    assert slc.delta_z == pytest.approx(0.06, rel=1e-12)
+    assert slc.dz[0] == pytest.approx(0.06, rel=1e-12)
     want = {
         "0": -0.25, "1": -0.03, "2": 0.086, "3": 0.0,
         "11": -0.02205, "12": 0.002496, "13": 0.0,
         "21": -0.005076, "31": 0.0,
         "22": -0.001302, "23": 0.0, "32": 0.0, "33": 0.0,
     }
-    got = milstein_terms(1.0, slc, finite_coef, I32Compensator.TAIL_RUNNING_SUM)
+    got = slice_terms(milstein_terms(1.0, slc, finite_coef, I32Compensator.TAIL_RUNNING_SUM))
     for key, val in want.items():
         assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
     # the alternative compensator charges the hold time after the small jump
-    alt = milstein_terms(1.0, slc, finite_coef, I32Compensator.SMALL_RUNNING_SUM)
+    alt = slice_terms(milstein_terms(1.0, slc, finite_coef, I32Compensator.SMALL_RUNNING_SUM))
     assert alt["32"] == pytest.approx(-0.00042, rel=1e-12)
     assert {k: v for k, v in alt.items() if k != "32"} == \
         {k: v for k, v in got.items() if k != "32"}
@@ -120,38 +123,39 @@ def test_milstein_without_jumps_reduces_to_classical():
     slc = bare_slice(delta=0.5, delta_w=0.2)
     want = (1.0 - 0.5 * 0.5 + 0.3 * 0.2
             + 0.5 * 0.09 * (0.2 * 0.2 - 0.5))
-    assert milstein_factor(slc, coef) == pytest.approx(want, rel=1e-14)
+    assert milstein_factor(slc, coef)[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_empty_sum_terms_are_zero(finite_coef):
     # no jumps: pure jump-measure terms vanish, compensated ones keep only
     # their deterministic compensator parts
     slc = bare_slice(delta=0.4, delta_w=0.15)
-    t = milstein_terms(2.0, slc, finite_coef)
+    t = slice_terms(milstein_terms(2.0, slc, finite_coef))
+    dz = float(slc.dz[0])
     for key in ("3", "13", "31", "23", "32", "33"):
         assert t[key] == 0.0
     m1 = finite_coef.p_integral
     f, s = finite_coef.small_jump, finite_coef.diffusion
     assert t["2"] == pytest.approx(-2.0 * f * 0.4 * m1, rel=1e-14)
-    assert t["12"] == pytest.approx(-2.0 * f * s * m1 * slc.delta_z, rel=1e-14)
+    assert t["12"] == pytest.approx(-2.0 * f * s * m1 * dz, rel=1e-14)
     assert t["21"] == pytest.approx(
-        -2.0 * f * s * m1 * (0.4 * 0.15 - slc.delta_z), rel=1e-14)
+        -2.0 * f * s * m1 * (0.4 * 0.15 - dz), rel=1e-14)
     assert t["22"] == pytest.approx(2.0 * f * f * 0.5 * m1**2 * 0.4**2, rel=1e-14)
 
 
 def test_first_order_terms_match_euler(finite_coef, rng):
     for _ in range(25):
         slc = random_raw_slice(rng).to_slice()
-        t = milstein_terms(1.0, slc, finite_coef)
+        t = slice_terms(milstein_terms(1.0, slc, finite_coef))
         low = 1.0 + t["0"] + t["1"] + t["2"] + t["3"]
-        assert low == pytest.approx(float(euler_factor(slc, finite_coef)), rel=1e-13)
+        assert low == pytest.approx(float(euler_factor(slc, finite_coef)[0]), rel=1e-13)
 
 
 def test_milstein_terms_linear_in_y(finite_coef, rng):
     for _ in range(10):
         slc = random_raw_slice(rng).to_slice()
-        unit = milstein_terms(1.0, slc, finite_coef)
-        scaled = milstein_terms(-2.5, slc, finite_coef)
+        unit = slice_terms(milstein_terms(1.0, slc, finite_coef))
+        scaled = slice_terms(milstein_terms(-2.5, slc, finite_coef))
         for key in TERM_KEYS:
             assert scaled[key] == pytest.approx(-2.5 * unit[key], rel=1e-13, abs=1e-16)
 
@@ -167,8 +171,41 @@ def test_terms_match_event_walk(variant):
     for _ in range(500):
         raw = random_raw_slice(rng)
         y = float(rng.uniform(0.5, 2.0))
-        got = milstein_terms(y, raw.to_slice(), coef, variant)
+        got = slice_terms(milstein_terms(y, raw.to_slice(), coef, variant))
         assert_term_match(got, walk_terms(y, raw, coef, variant))
+
+
+@pytest.mark.parametrize("variant", list(I32Compensator))
+def test_array_core_matches_event_walk_on_paths(variant):
+    # every slice of levels 0..4 and every partial slice (grid point to jump
+    # time) of dense real paths, against the walk over the path's own gaps
+    coef = mixed_coef()
+    y = 1.3
+    for seed in (7, 8, 9):
+        path = dense_path(seed, level=6, small_rate=8.0, tail_rate=4.0)
+        assert path.jump_small.any() and not path.jump_small.all()
+        for level in range(5):
+            shift = path.finest_level - level
+            batches = [(path.slices(level),
+                        [(path.cell_edges[k << shift], path.cell_edges[(k + 1) << shift])
+                         for k in range(2**level)])]
+            cell = path.jump_cells >> shift
+            lefts = path.grid(level)[cell]
+            batches.append((path.slice_between(lefts, path.jump_times),
+                            list(zip(path.event_index(lefts), path.jump_events))))
+            for slices, bounds in batches:
+                terms = milstein_terms(y, slices, coef, variant)
+                euler = euler_factor(slices, coef)
+                for k, (ia, ib) in enumerate(bounds):
+                    want = walk_terms(y, RawSlice.from_path(path, int(ia), int(ib)),
+                                      coef, variant)
+                    assert_term_match(slice_terms(terms, k), want)
+                    low = 1.0 + sum(want[key] for key in ("0", "1", "2", "3")) / y
+                    assert euler[k] == pytest.approx(low, rel=1e-12, abs=1e-12)
+        # some level-1 slice holds several small jumps and a tail jump
+        half = path.jump_cells >> (path.finest_level - 1)
+        assert any(path.jump_small[half == h].sum() >= 2
+                   and (~path.jump_small[half == h]).any() for h in (0, 1))
 
 
 def test_i32_variants_differ_on_mixed_slices():
@@ -179,8 +216,8 @@ def test_i32_variants_differ_on_mixed_slices():
                    jump_data=[(0.25, 1.5, Region.TAIL), (0.6, 0.4, Region.SMALL)],
                    dws=[0.1, -0.05, 0.2], zlocs=[0.01, 0.0, -0.02], w_left=0.3)
     slc = raw.to_slice()
-    a = milstein_terms(1.0, slc, coef, I32Compensator.TAIL_RUNNING_SUM)
-    b = milstein_terms(1.0, slc, coef, I32Compensator.SMALL_RUNNING_SUM)
+    a = slice_terms(milstein_terms(1.0, slc, coef, I32Compensator.TAIL_RUNNING_SUM))
+    b = slice_terms(milstein_terms(1.0, slc, coef, I32Compensator.SMALL_RUNNING_SUM))
     assert a["32"] != b["32"]
     assert {k: v for k, v in a.items() if k != "32"} == \
         {k: v for k, v in b.items() if k != "32"}
@@ -188,17 +225,19 @@ def test_i32_variants_differ_on_mixed_slices():
 
 def test_step_factor_dispatch(finite_coef, rng):
     slc = random_raw_slice(rng).to_slice()
-    assert step_factor(Scheme.EULER, slc, finite_coef) == euler_factor(slc, finite_coef)
+    assert np.array_equal(step_factor(Scheme.EULER, slc, finite_coef),
+                          euler_factor(slc, finite_coef))
     for variant in I32Compensator:
-        assert step_factor(Scheme.MILSTEIN, slc, finite_coef, variant) == \
-            milstein_factor(slc, finite_coef, variant)
+        assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, finite_coef, variant),
+                              milstein_factor(slc, finite_coef, variant))
 
 
 # -- trajectories ---------------------------------------------------------------
 
-def dense_path(seed, level=6):
-    model = LevyModel(small=AtomSpec(((0.5, 2.0), (-0.4, 2.0))),
-                      tail=AtomSpec(((1.5, 1.0), (-2.0, 1.0))),
+def dense_path(seed, level=6, small_rate=4.0, tail_rate=2.0):
+    s, t = 0.5 * small_rate, 0.5 * tail_rate
+    model = LevyModel(small=AtomSpec(((0.5, s), (-0.4, s))),
+                      tail=AtomSpec(((1.5, t), (-2.0, t))),
                       p=AmplitudeSpec(1.0, 1.0), q=AmplitudeSpec(1.0, 1.0))
     return build_path(1.0, level, model, np.random.default_rng(seed))
 
@@ -209,8 +248,8 @@ def test_run_scheme_matches_manual_stepping(scheme, finite_coef):
     traj = run_scheme(scheme, path.grid(3), path, finite_coef, y0=1.0)
     y = 1.0
     values = [1.0]
-    for slc in path.slices(3):
-        y = y * step_factor(scheme, slc, finite_coef)
+    for factor in step_factor(scheme, path.slices(3), finite_coef):
+        y = y * factor
         values.append(y)
     assert np.array_equal(traj.values, np.array(values))
     assert np.array_equal(traj.times, path.grid(3))
