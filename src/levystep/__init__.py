@@ -7,8 +7,7 @@ from .levy import (AmplitudeSpec, AtomSpec, LevyModel, PowerLawSpec, activate,
 from .multiindex import (Counts, IndexSet, Multiindex, counts,
                          hierarchical_set, in_hierarchical_set, remainder_set,
                          subscript_set)
-from .oracle import (OracleConfig, OracleKind, exact_solution, fine_reference,
-                     reference_solution)
+from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
 from .path import (DrivingPath, JumpEvent, Slices, build_path, dyadic_grid,
                    sample_dw_dz, simulate_events)
 from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
@@ -32,7 +31,6 @@ __all__ = [
     "in_hierarchical_set", "remainder_set", "subscript_set",
     # oracle
     "OracleConfig", "OracleKind", "exact_solution", "fine_reference",
-    "reference_solution",
     # path
     "DrivingPath", "JumpEvent", "Slices", "build_path", "dyadic_grid",
     "sample_dw_dz", "simulate_events",

@@ -14,14 +14,14 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .common import ConfigError
+from .common import ConfigError, finite, integer, require, section
 from .levy import LevyModel, activate, model_from_config, truncate
-from .oracle import OracleConfig, OracleKind, exact_solution, reference_solution
+from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
 from .path import DrivingPath, build_path
 from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
                       run_scheme, step_factor)
@@ -67,53 +67,26 @@ class StudyConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def coefficients_for(self, active_model) -> LinearCoefficients:
-        return LinearCoefficients.for_model(self.drift, self.diffusion,
-                                            self.small_jump, self.tail_jump,
-                                            active_model)
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ConfigError(msg)
-
-
-def _integer(key: str, value) -> int:
-    """A config integer: a JSON number with an integral value (3 or 3.0);
-    bools, strings and fractional or nonfinite numbers are refused."""
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ConfigError(f"config key '{key}' must be an integer, got {value!r}")
-    return int(value)
-
-
-def _finite(key: str, value) -> float:
-    """A config float: a JSON number with a finite value; bools and strings
-    are refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"config key '{key}' must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"config key '{key}' must be finite, got {value!r}")
-    return number
+        return replace(LinearCoefficients.for_model(self.drift, self.diffusion,
+                                                    self.small_jump, self.tail_jump,
+                                                    active_model),
+                       i32=self.i32_compensator)
 
 
 def config_from_dict(obj: dict) -> StudyConfig:
-    _require(isinstance(obj, dict), "config must be a JSON object")
+    require(isinstance(obj, dict), "config must be a JSON object")
     extra = set(obj) - _TOP_KEYS
-    _require(not extra, f"unknown config keys: {sorted(extra)}")
-    _require("model" in obj, "config needs a 'model' section")
+    require(not extra, f"unknown config keys: {sorted(extra)}")
+    require("model" in obj, "config needs a 'model' section")
     model, eps = model_from_config(obj["model"])
 
     def num(key, default=None):
         val = obj.get(key, default)
-        _require(val is not None, f"config key '{key}' is required")
-        return _finite(key, val)
+        require(val is not None, f"config key '{key}' is required")
+        return finite(key, val)
 
     horizon = num("T", 1.0)
-    _require(horizon > 0, "T must be positive")
+    require(horizon > 0, "T must be positive")
     scheme_name = obj.get("scheme", "euler")
     try:
         scheme = Scheme(scheme_name)
@@ -121,42 +94,42 @@ def config_from_dict(obj: dict) -> StudyConfig:
         raise ConfigError(f"unknown scheme {scheme_name!r}") from None
 
     ladder = obj.get("ladder_levels", [])
-    _require(isinstance(ladder, (list, tuple)), "ladder_levels must be a list")
-    levels = tuple(_integer("ladder_levels", x) for x in ladder)
-    _require(all(lv >= 0 for lv in levels), "ladder levels must be nonnegative")
-    _require(list(levels) == sorted(set(levels)), "ladder levels must be strictly increasing")
+    require(isinstance(ladder, (list, tuple)), "ladder_levels must be a list")
+    levels = tuple(integer("ladder_levels", x) for x in ladder)
+    require(all(lv >= 0 for lv in levels), "ladder levels must be nonnegative")
+    require(list(levels) == sorted(set(levels)), "ladder levels must be strictly increasing")
 
-    finest = _integer("finest_level", obj.get("finest_level", (max(levels) + 2) if levels else 8))
+    finest = integer("finest_level", obj.get("finest_level", (max(levels) + 2) if levels else 8))
     if levels:
-        _require(finest >= max(levels) + 2,
-                 "finest_level must be at least two levels finer than the ladder")
+        require(finest >= max(levels) + 2,
+                "finest_level must be at least two levels finer than the ladder")
 
-    paths = _integer("paths", obj.get("paths", 0))
-    _require(paths >= 2, "paths must be at least 2")
-    _require("seed" in obj, "config key 'seed' is required")
-    seed = _integer("seed", obj["seed"])
-    _require(seed >= 0, f"config key 'seed' must be nonnegative, got {seed}")
+    paths = integer("paths", obj.get("paths", 0))
+    require(paths >= 2, "paths must be at least 2")
+    require("seed" in obj, "config key 'seed' is required")
+    seed = integer("seed", obj["seed"])
+    require(seed >= 0, f"config key 'seed' must be nonnegative, got {seed}")
 
     epsilons = obj.get("epsilons")
     if epsilons is not None:
-        _require(isinstance(epsilons, (list, tuple)) and epsilons,
-                 "epsilons must be a nonempty list")
-        epsilons = tuple(sorted({_finite("epsilons", e) for e in epsilons}, reverse=True))
-        _require(all(0 < e < 1 for e in epsilons), "epsilons must lie in (0, 1)")
+        require(isinstance(epsilons, (list, tuple)) and epsilons,
+                "epsilons must be a nonempty list")
+        epsilons = tuple(sorted({finite("epsilons", e) for e in epsilons}, reverse=True))
+        require(all(0 < e < 1 for e in epsilons), "epsilons must lie in (0, 1)")
 
     trunc_level = obj.get("truncation_level")
     if trunc_level is None and levels:
         trunc_level = max(levels)
     if trunc_level is not None:
-        trunc_level = _integer("truncation_level", trunc_level)
-        _require(0 <= trunc_level <= finest, "truncation_level must not exceed finest_level")
+        trunc_level = integer("truncation_level", trunc_level)
+        require(0 <= trunc_level <= finest, "truncation_level must not exceed finest_level")
 
     traj_level = obj.get("trajectory_level")
     if traj_level is None and levels:
         traj_level = max(levels)
     if traj_level is not None:
-        traj_level = _integer("trajectory_level", traj_level)
-        _require(0 <= traj_level <= finest, "trajectory_level must not exceed finest_level")
+        traj_level = integer("trajectory_level", traj_level)
+        require(0 <= traj_level <= finest, "trajectory_level must not exceed finest_level")
 
     i32_name = obj.get("i32_compensator", DEFAULT_I32.value)
     try:
@@ -164,8 +137,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
     except ValueError:
         raise ConfigError(f"unknown i32_compensator {i32_name!r}") from None
 
-    oracle_obj = obj.get("oracle") or {}
-    _require(isinstance(oracle_obj, dict), "oracle must be an object")
+    oracle_obj = section("oracle", obj.get("oracle") or {}, {"kind", "level"})
     kind_name = oracle_obj.get("kind", OracleKind.EXACT_LINEAR.value)
     try:
         kind = OracleKind(kind_name)
@@ -174,7 +146,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
     level = oracle_obj.get("level")
     try:
         oracle = OracleConfig(kind=kind,
-                              level=None if level is None else _integer("oracle.level", level))
+                              level=None if level is None else integer("oracle.level", level))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -259,35 +231,49 @@ class ConvergenceReport:
         return np.sqrt(self.mean_sup_sq)
 
 
+def _grid_events(path: DrivingPath, level: int) -> np.ndarray:
+    """Event indices of the level-`level` dyadic grid points of `path`."""
+    return path.cell_edges[::1 << (path.finest_level - level)]
+
+
+def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
+               level: int) -> np.ndarray:
+    """The study's oracle at every event time of `path`, for schemes run on
+    grids no finer than `level`.  The exact solution is taken at every event;
+    the fine-grid reference only at the level-`level` grid points (NaN
+    elsewhere), which requires its own level to be at least 4 levels finer and
+    within the path."""
+    if cfg.oracle.kind is OracleKind.EXACT_LINEAR:
+        return exact_solution(path, path.event_times, coef, cfg.y0)
+    require(level + 4 <= cfg.oracle.level <= cfg.finest_level,
+            f"oracle.level must be at least 4 levels finer than the evaluated grid "
+            f"(level {level}) and at most finest_level ({cfg.finest_level}), "
+            f"got {cfg.oracle.level}")
+    values = np.full(path.event_times.size, np.nan)
+    at = _grid_events(path, level)
+    values[at] = fine_reference(path, path.event_times[at], coef, cfg.y0, cfg.oracle.level)
+    return values
+
+
 def _sup_error_one_path(cfg: StudyConfig, path: DrivingPath,
                         coef: LinearCoefficients, level: int,
                         oracle_at_events: np.ndarray):
     """(sup |err|^2, sup |Y_scheme|^2) for one ladder level on one path."""
     grid = path.grid(level)
-    traj = run_scheme(cfg.scheme, grid, path, coef, cfg.y0,
-                      cfg.i32_compensator)
-    stride = 2 ** (path.finest_level - level)
-    grid_idx = path.cell_edges[::stride]
-    sup = float(np.max(np.abs(traj.values - oracle_at_events[grid_idx])))
+    traj = run_scheme(cfg.scheme, grid, path, coef, cfg.y0)
+    sup = float(np.max(np.abs(traj.values - oracle_at_events[_grid_events(path, level)])))
     if cfg.oracle.kind is OracleKind.EXACT_LINEAR and path.jump_times.size:
         # evaluate the scheme at interior jump times via partial slices;
         # the base value is the last grid value at or before the jump
         cell = path.jump_cells >> (path.finest_level - level)
         parts = path.slice_between(grid[cell], path.jump_times)
-        y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef,
-                                               cfg.i32_compensator)
+        y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef)
         sup = max(sup, float(np.max(np.abs(y_at - oracle_at_events[path.jump_events]))))
     return sup * sup, float(np.max(np.abs(traj.values))) ** 2
 
 
 def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
-    _require(len(cfg.ladder_levels) >= 2, "a convergence study needs at least two ladder levels")
-    if cfg.oracle.kind is OracleKind.FINE_GRID:
-        _require(cfg.oracle.level is not None
-                 and cfg.oracle.level >= max(cfg.ladder_levels) + 4,
-                 "fine-grid oracle must be at least 4 levels finer than the ladder")
-        _require(cfg.oracle.level <= cfg.finest_level,
-                 "fine-grid oracle level must not exceed finest_level")
+    require(len(cfg.ladder_levels) >= 2, "a convergence study needs at least two ladder levels")
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
     levels = cfg.ladder_levels
@@ -297,16 +283,8 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     for i in range(cfg.paths):
         rng = path_rng(cfg.seed, i)
         path = build_path(cfg.horizon, cfg.finest_level, active, rng)
-        if cfg.oracle.kind is OracleKind.EXACT_LINEAR:
-            oracle_vals = exact_solution(path, path.event_times, coef, cfg.y0)
-        else:
-            # cache the fine-grid reference at its own grid; ladder grids are
-            # subsets, jump-time comparison is skipped for this oracle
-            oracle_vals = np.full(path.event_times.size, np.nan)
-            stride = 2 ** (path.finest_level - cfg.oracle.level)
-            ref = run_scheme(Scheme.MILSTEIN, path.grid(cfg.oracle.level),
-                             path, coef, cfg.y0, cfg.i32_compensator)
-            oracle_vals[path.cell_edges[::stride]] = ref.values
+        # every ladder grid is a subset of the finest one
+        oracle_vals = _reference(cfg, path, coef, levels[-1])
         for k, lv in enumerate(levels):
             per_path[i, k], scheme_sup[i, k] = _sup_error_one_path(
                 cfg, path, coef, lv, oracle_vals)
@@ -358,13 +336,13 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     below its own level filtered out and its own analytic compensator
     moments, so the measured difference is pure truncation error.
     """
-    _require(cfg.epsilons is not None, "a truncation study needs an 'epsilons' list")
-    _require(len(cfg.epsilons) >= 2, "a truncation study needs at least two distinct epsilons")
-    _require(cfg.truncation_level is not None,
-             "a truncation study needs 'truncation_level' (or ladder_levels)")
-    _require(cfg.epsilon is None,
-             "a truncation study truncates at its own 'epsilons'; "
-             "remove model.epsilon, which it would ignore")
+    require(cfg.epsilons is not None, "a truncation study needs an 'epsilons' list")
+    require(len(cfg.epsilons) >= 2, "a truncation study needs at least two distinct epsilons")
+    require(cfg.truncation_level is not None,
+            "a truncation study needs 'truncation_level' (or ladder_levels)")
+    require(cfg.epsilon is None,
+            "a truncation study truncates at its own 'epsilons'; "
+            "remove model.epsilon, which it would ignore")
     eps_list = np.array(cfg.epsilons)  # descending
     eps0 = float(eps_list.min()) / 4.0
     level = cfg.truncation_level
@@ -378,13 +356,11 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
         rng = path_rng(cfg.seed, i)
         path = build_path(cfg.horizon, cfg.finest_level, active0, rng)
         grid = path.grid(level)
-        ref = run_scheme(cfg.scheme, grid, path, coef0, cfg.y0,
-                         cfg.i32_compensator)
+        ref = run_scheme(cfg.scheme, grid, path, coef0, cfg.y0)
         for k, e in enumerate(eps_list):
             kept = ~path.jump_small | (np.abs(path.jump_marks) > e)
             filtered = path.with_jumps(kept)
-            traj = run_scheme(cfg.scheme, grid, filtered, coefs[k], cfg.y0,
-                              cfg.i32_compensator)
+            traj = run_scheme(cfg.scheme, grid, filtered, coefs[k], cfg.y0)
             per_path[i, k] = float(np.max(np.abs(traj.values - ref.values))) ** 2
     mean = per_path.mean(axis=0)
     if np.any(mean <= 0):
@@ -404,16 +380,15 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
 
 def simulate_trajectory(cfg: StudyConfig):
     """One coupled (scheme, oracle) trajectory on the trajectory_level grid."""
-    _require(cfg.trajectory_level is not None,
-             "simulate needs 'trajectory_level' (or ladder_levels)")
+    require(cfg.trajectory_level is not None,
+            "simulate needs 'trajectory_level' (or ladder_levels)")
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
     rng = path_rng(cfg.seed, 0)
     path = build_path(cfg.horizon, cfg.finest_level, active, rng)
-    grid = path.grid(cfg.trajectory_level)
-    traj = run_scheme(cfg.scheme, grid, path, coef, cfg.y0, cfg.i32_compensator)
-    oracle_vals = reference_solution(cfg.oracle, path, grid, coef, cfg.y0)
-    return traj, oracle_vals
+    level = cfg.trajectory_level
+    oracle_vals = _reference(cfg, path, coef, level)[_grid_events(path, level)]
+    return run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0), oracle_vals
 
 
 # -- output writers -----------------------------------------------------------

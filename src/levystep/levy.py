@@ -23,7 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .common import ConfigError, DivergentIntegralError
+from .common import ConfigError, DivergentIntegralError, finite, require, section
 
 
 @dataclass(frozen=True)
@@ -265,66 +265,54 @@ def truncate(model: LevyModel, eps: float) -> LevyModel:
 # -- config loading ---------------------------------------------------------
 
 
-def _object(key: str, obj, allowed: set[str]) -> dict:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{key} must be an object, got {obj!r}")
-    extra = set(obj) - allowed
-    if extra:
-        raise ConfigError(f"unknown {key} keys: {sorted(extra)}")
-    return obj
-
-
-def _number(key: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-
-
 def _amplitude_from_config(key: str, obj) -> AmplitudeSpec:
     if obj is None or obj == {} or obj == "identity":
         return IDENTITY
     if isinstance(obj, dict):
-        _object(key, obj, {"coef", "exponent", "kind"})
+        section(key, obj, {"coef", "exponent", "kind"})
         if obj.get("kind") not in (None, "identity", "power"):
             raise ConfigError(f"unknown {key} kind {obj.get('kind')!r}")
         if obj.get("kind") == "identity":
             return IDENTITY
         try:
-            return AmplitudeSpec(_number(f"{key}.coef", obj.get("coef", 1.0)),
-                                 _number(f"{key}.exponent", obj.get("exponent", 1.0)))
+            return AmplitudeSpec(finite(f"{key}.coef", obj.get("coef", 1.0)),
+                                 finite(f"{key}.exponent", obj.get("exponent", 1.0)))
         except ValueError as exc:
             raise ConfigError(f"{key}: {exc}") from None
     raise ConfigError(f"cannot interpret {key} amplitude spec {obj!r}")
 
 
 def _atoms_from_config(key: str, pairs) -> AtomSpec:
+    key = f"{key}.atoms"
+    require(isinstance(pairs, (list, tuple))
+            and all(isinstance(a, (list, tuple)) and len(a) == 2 for a in pairs),
+            f"{key} must be a list of [position, mass] pairs, got {pairs!r}")
     try:
-        return AtomSpec(tuple((float(x), float(m)) for x, m in pairs))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {key}.atoms list {pairs!r}: {exc}") from None
+        return AtomSpec(tuple((finite(key, x), finite(key, m)) for x, m in pairs))
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def model_from_config(obj: dict) -> tuple[LevyModel, float | None]:
     """Build (model, optional truncation eps) from a parsed JSON object."""
-    _object("model", obj, {"small", "tail", "p", "q", "epsilon"})
+    section("model", obj, {"small", "tail", "p", "q", "epsilon"})
     small_obj = obj.get("small")
     if not isinstance(small_obj, dict) or "kind" not in small_obj:
         raise ConfigError("model.small must be an object with a 'kind'")
     kind = small_obj["kind"]
     if kind == "atoms":
-        _object("model.small", small_obj, {"kind", "atoms"})
+        section("model.small", small_obj, {"kind", "atoms"})
         small: SmallSpec = _atoms_from_config("model.small", small_obj.get("atoms", ()))
     elif kind == "power_law":
-        _object("model.small", small_obj, {"kind", "c", "a"})
+        section("model.small", small_obj, {"kind", "c", "a"})
         try:
-            small = PowerLawSpec(_number("model.small.c", small_obj.get("c")),
-                                 _number("model.small.a", small_obj.get("a")))
+            small = PowerLawSpec(finite("model.small.c", small_obj.get("c")),
+                                 finite("model.small.a", small_obj.get("a")))
         except ValueError as exc:
             raise ConfigError(f"model.small: {exc}") from None
     else:
         raise ConfigError(f"unknown small-region kind {kind!r}")
-    tail_obj = _object("model.tail", obj.get("tail", {"atoms": []}), {"kind", "atoms"})
+    tail_obj = section("model.tail", obj.get("tail", {"atoms": []}), {"kind", "atoms"})
     if tail_obj.get("kind", "atoms") != "atoms":
         raise ConfigError(f"model.tail kind must be 'atoms', got {tail_obj['kind']!r}")
     tail = _atoms_from_config("model.tail", tail_obj.get("atoms", ()))
@@ -336,7 +324,7 @@ def model_from_config(obj: dict) -> tuple[LevyModel, float | None]:
         raise ConfigError(str(exc)) from None
     eps = obj.get("epsilon")
     if eps is not None:
-        eps = _number("model.epsilon", eps)
+        eps = finite("model.epsilon", eps)
         if not 0 < eps < 1:
             raise ConfigError(f"model.epsilon must lie in (0, 1), got {eps}")
     return model, eps

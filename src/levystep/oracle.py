@@ -13,7 +13,8 @@ region, so for a truncated model this is the exact solution of the truncated
 equation.
 
 `fine_reference` is the fallback when no closed form is wanted: the order-1
-scheme run on a much finer dyadic grid of the same path.
+scheme run on a much finer dyadic grid of the same path, with the I32
+convention its coefficients carry.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schemes import LinearCoefficients, Scheme, I32Compensator, DEFAULT_I32, run_scheme
+from .schemes import LinearCoefficients, Scheme, run_scheme
 from .path import DrivingPath
 
 
@@ -61,8 +62,7 @@ def exact_solution(path: DrivingPath, eval_times: np.ndarray,
 
 
 def fine_reference(path: DrivingPath, eval_times: np.ndarray,
-                   coef: LinearCoefficients, y0: float, level: int,
-                   i32_compensator: I32Compensator = DEFAULT_I32) -> np.ndarray:
+                   coef: LinearCoefficients, y0: float, level: int) -> np.ndarray:
     """Order-1 scheme on the dyadic grid at `level`, read off at eval_times.
 
     The reference must be meaningfully finer than whatever it judges: every
@@ -76,17 +76,9 @@ def fine_reference(path: DrivingPath, eval_times: np.ndarray,
     if min_gap < 16 * step * (1 - 1e-12):
         raise ValueError("reference level is not at least 4 dyadic levels finer "
                          "than the evaluation grid")
-    traj = run_scheme(Scheme.MILSTEIN, path.grid(level), path, coef, y0,
-                      i32_compensator)
+    traj = run_scheme(Scheme.MILSTEIN, path.grid(level), path, coef, y0)
     pos = np.searchsorted(traj.times, eval_times)
     if np.any(pos >= traj.times.size) or np.any(traj.times[pos] != eval_times):
         raise ValueError("evaluation times must lie on the reference grid")
     return traj.values[pos]
 
-
-def reference_solution(oracle: OracleConfig, path: DrivingPath,
-                       eval_times: np.ndarray, coef: LinearCoefficients,
-                       y0: float) -> np.ndarray:
-    if oracle.kind is OracleKind.EXACT_LINEAR:
-        return exact_solution(path, eval_times, coef, y0)
-    return fine_reference(path, eval_times, coef, y0, oracle.level)

@@ -87,9 +87,10 @@ class Slices:
     slice_id: np.ndarray  # nondecreasing
 
 
-def simulate_events(horizon: float, model: LevyModel,
-                    rng: np.random.Generator) -> tuple[tuple[float, float, Region], ...]:
-    """Arrival times and marks of the active jump stream on (0, horizon).
+def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrival times, marks and small-region flags (False for the tail) of
+    the active jump stream on (0, horizon), as arrays in arrival order.
 
     Arrivals are a Poisson stream at the model's total active rate; each mark
     is drawn from the normalized restriction of the measure to the region
@@ -103,21 +104,21 @@ def simulate_events(horizon: float, model: LevyModel,
         raise ValueError(
             "active jump rate is infinite; truncate the model before simulating"
         )
-    out: list[tuple[float, float, Region]] = []
-    if rate == 0.0:
-        return ()
-    small_frac = model.small_mass / rate
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            return tuple(out)
-        region = Region.SMALL if rng.random() < small_frac else Region.TAIL
-        if region is Region.SMALL:
-            mark = model.sample_small_mark(rng)
-        else:
-            mark = model.sample_tail_mark(rng)
-        out.append((t, mark, region))
+    times: list[float] = []
+    marks: list[float] = []
+    small: list[bool] = []
+    if rate > 0.0:
+        small_frac = model.small_mass / rate
+        t = rng.exponential(1.0 / rate)
+        while t < horizon:
+            is_small = rng.random() < small_frac
+            marks.append(model.sample_small_mark(rng) if is_small
+                         else model.sample_tail_mark(rng))
+            times.append(t)
+            small.append(is_small)
+            t += rng.exponential(1.0 / rate)
+    return (np.array(times, dtype=np.float64), np.array(marks, dtype=np.float64),
+            np.array(small, dtype=bool))
 
 
 def dyadic_grid(horizon: float, level: int) -> np.ndarray:
@@ -131,7 +132,7 @@ def dyadic_grid(horizon: float, level: int) -> np.ndarray:
     return (np.arange(2**level + 1, dtype=np.float64) * horizon) / float(2**level)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DrivingPath:
     horizon: float
     finest_level: int
@@ -282,9 +283,23 @@ def _assemble(horizon: float, finest_level: int, dyad: np.ndarray,
                        level_dz=tuple(level_dz))
 
 
-def _on_grid(grid: np.ndarray, t: float) -> bool:
-    i = int(grid.searchsorted(t))
-    return i < grid.size and grid[i] == t
+def _nudged(times: np.ndarray, dyad: np.ndarray, horizon: float) -> np.ndarray:
+    """`times` with every jump time that hits a dyadic point or an earlier
+    jump moved by single ulps (upward, or downward from the endpoint) until it
+    is free; each move is logged."""
+    taken: set[float] = set()
+    out = times.copy()
+    for k, t in enumerate(times.tolist()):
+        t_adj, direction = t, np.inf
+        while t_adj in taken or dyad[dyad.searchsorted(t_adj)] == t_adj:
+            t_adj = float(np.nextafter(t_adj, direction))
+            if t_adj >= horizon:  # ran into the endpoint; walk down instead
+                t_adj, direction = t, -np.inf
+        if t_adj != t:
+            logger.warning("jump time %r collided with the grid; nudged to %r", t, t_adj)
+        taken.add(t_adj)
+        out[k] = t_adj
+    return out
 
 
 def build_path(horizon: float, finest_level: int, model: LevyModel,
@@ -298,26 +313,17 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     """
     if finest_level < 0:
         raise ValueError("finest_level must be nonnegative")
-    raw = simulate_events(horizon, model, rng)
+    jump_times, jump_marks, jump_small = simulate_events(horizon, model, rng)
     dyad = dyadic_grid(horizon, finest_level)
-    taken: set[float] = set()  # jump times placed so far
-    fixed = []
-    for t, mark, region in raw:
-        t_adj, direction = t, np.inf
-        while t_adj in taken or _on_grid(dyad, t_adj):
-            t_adj = float(np.nextafter(t_adj, direction))
-            if t_adj >= horizon:  # ran into the endpoint; walk down instead
-                t_adj, direction = t, -np.inf
-        if t_adj != t:
-            logger.warning("jump time %r collided with the grid; nudged to %r", t, t_adj)
-        taken.add(t_adj)
-        fixed.append((t_adj, mark, region))
-    fixed.sort(key=lambda e: e[0])
-    jump_times = np.array([t for t, _, _ in fixed], dtype=np.float64)
-    jump_marks = np.array([m for _, m, _ in fixed], dtype=np.float64)
-    jump_small = np.array([r is Region.SMALL for _, _, r in fixed], dtype=bool)
     event_times = np.sort(np.concatenate((dyad, jump_times)))
     gaps = event_times[1:] - event_times[:-1]
+    if not gaps.all():  # a jump time on a dyadic point or on an earlier jump
+        jump_times = _nudged(jump_times, dyad, horizon)
+        order = np.argsort(jump_times, kind="stable")
+        jump_times, jump_marks, jump_small = \
+            jump_times[order], jump_marks[order], jump_small[order]
+        event_times = np.sort(np.concatenate((dyad, jump_times)))
+        gaps = event_times[1:] - event_times[:-1]
     dw, z_locals = sample_dw_dz(gaps, rng)
     return _assemble(horizon, finest_level, dyad, event_times, gaps, dw, z_locals,
                      jump_times, jump_marks, jump_small)

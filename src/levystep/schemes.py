@@ -34,7 +34,8 @@ in time order.
 time-compensator; TAIL_RUNNING_SUM integrates the running tail q-sum over
 time and is the one consistent with the term's iterated-integral definition,
 SMALL_RUNNING_SUM accumulates q over small-region marks instead and is kept
-for comparison.
+for comparison.  The choice is part of the scheme's coefficients: it rides on
+`LinearCoefficients.i32`.
 """
 
 from __future__ import annotations
@@ -83,6 +84,7 @@ class LinearCoefficients:
     q: Callable[[np.ndarray], np.ndarray]
     p_integral: float      # integral of p over the active small region
     p_sq_integral: float   # integral of p^2 over the active small region
+    i32: I32Compensator = DEFAULT_I32  # the I32 time-compensator convention
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.p_integral) or not math.isfinite(self.p_sq_integral):
@@ -147,8 +149,7 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     return np.concatenate((run[:, :, -1], leads[:, :, -1]))
 
 
-def _term_rows(slices: Slices, coef: LinearCoefficients,
-               i32_compensator: I32Compensator) -> np.ndarray:
+def _term_rows(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     """The thirteen terms at y = 1, one row per key of TERM_KEYS."""
     b, s = coef.drift, coef.diffusion
     cf, cg = coef.small_jump, coef.tail_jump
@@ -157,10 +158,7 @@ def _term_rows(slices: Slices, coef: LinearCoefficients,
     (sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
      i22_hold, i32_hold_tail, i32_hold_small, i22_lead, i33_lead, i32_lead,
      i23_lead) = _jump_sums(slices, coef)
-    if i32_compensator is I32Compensator.TAIL_RUNNING_SUM:
-        i32_comp = i32_hold_tail
-    else:
-        i32_comp = i32_hold_small
+    i32_comp = i32_hold_tail if coef.i32 is I32Compensator.TAIL_RUNNING_SUM else i32_hold_small
     # six terms are (a jump sum) - m1 * (its compensator); 22 has two more parts
     t2, t12, t21, t22, t23, t32 = (
         np.array((sum_p, sum_p_wincr, i21_lead, i22_lead, i23_lead, i32_lead))
@@ -183,8 +181,8 @@ def _term_rows(slices: Slices, coef: LinearCoefficients,
         i33_lead))                                                    # 33
 
 
-def milstein_terms(y: float, slices: Slices, coef: LinearCoefficients,
-                   i32_compensator: I32Compensator = DEFAULT_I32) -> dict[str, np.ndarray]:
+def milstein_terms(y: float, slices: Slices,
+                   coef: LinearCoefficients) -> dict[str, np.ndarray]:
     """All thirteen order-1 terms over every slice, keyed by multiindex text.
 
     The keys are the digit words of the integrals ('0', '1', '2', '3' and the
@@ -192,38 +190,30 @@ def milstein_terms(y: float, slices: Slices, coef: LinearCoefficients,
     summing the values and adding y gives the Milstein update from state y.
     Empty jump sums contribute zero.
     """
-    return dict(zip(TERM_KEYS, y * _term_rows(slices, coef, i32_compensator)))
+    return dict(zip(TERM_KEYS, y * _term_rows(slices, coef)))
 
 
-def milstein_factor(slices: Slices, coef: LinearCoefficients,
-                    i32_compensator: I32Compensator = DEFAULT_I32) -> np.ndarray:
+def milstein_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     # the terms added in key order, left to right
-    return 1.0 + np.cumsum(_term_rows(slices, coef, i32_compensator), axis=0)[-1]
+    return 1.0 + np.cumsum(_term_rows(slices, coef), axis=0)[-1]
 
 
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
     values: np.ndarray
-    scheme: Scheme
-
-    @property
-    def strong_order(self) -> float:
-        return self.scheme.strong_order
 
 
-def step_factor(scheme: Scheme, slices: Slices, coef: LinearCoefficients,
-                i32_compensator: I32Compensator = DEFAULT_I32) -> np.ndarray:
+def step_factor(scheme: Scheme, slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     """The multiplicative one-slice update of either scheme, per slice (used
     for grid slices and for partial slices ending at an interior jump time)."""
     if scheme is Scheme.EULER:
         return euler_factor(slices, coef)
-    return milstein_factor(slices, coef, i32_compensator)
+    return milstein_factor(slices, coef)
 
 
 def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
-               coef: LinearCoefficients, y0: float,
-               i32_compensator: I32Compensator = DEFAULT_I32) -> Trajectory:
+               coef: LinearCoefficients, y0: float) -> Trajectory:
     """Advance the scheme across every slice of `grid`, which must be the
     path's uniform dyadic grid at some level 0..path.finest_level."""
     grid = np.asarray(grid, dtype=np.float64)
@@ -232,7 +222,7 @@ def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
             and np.array_equal(grid, dyadic_grid(path.horizon, level))):
         raise ValueError("grid must be the path's uniform dyadic grid at a level "
                          f"in 0..{path.finest_level}")
-    factors = step_factor(scheme, path.slices(level), coef, i32_compensator)
+    factors = step_factor(scheme, path.slices(level), coef)
     # the running product y0 * f0 * f1 * ..., formed left to right
     values = np.cumprod(np.concatenate(([y0], factors)))
-    return Trajectory(times=grid, values=values, scheme=scheme)
+    return Trajectory(times=grid, values=values)

@@ -124,8 +124,7 @@ def random_raw_slice(rng: np.random.Generator, max_jumps: int = 6) -> RawSlice:
 
 # -- event-walk evaluation of the thirteen order-1 terms ----------------------
 
-def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients,
-               i32_variant: I32Compensator = I32Compensator.TAIL_RUNNING_SUM) -> dict:
+def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients) -> dict:
     """Evaluate every integral by walking the ordered event sequence.
 
     Piecewise-constant integrands are integrated gap by gap against time or
@@ -183,7 +182,7 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients,
             i33 += jq[i] * coef.q(m)
             i23 += coef.q(m) * (jp[i] - m1 * (t - tau))
 
-    i32_comp = int_jq_ds if i32_variant is I32Compensator.TAIL_RUNNING_SUM else int_jqs_ds
+    i32_comp = int_jq_ds if coef.i32 is I32Compensator.TAIL_RUNNING_SUM else int_jqs_ds
     return {
         "0": b * y * delta,
         "1": s * y * dw_tot,

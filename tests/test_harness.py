@@ -10,14 +10,18 @@ import pytest
 
 from levystep import (
     ConfigError,
+    I32Compensator,
     OracleKind,
     Scheme,
     TruncationReport,
+    activate,
+    build_path,
     config_from_dict,
     config_from_json,
     exclude_coarsest,
     fit_slope,
     path_rng,
+    run_scheme,
     simulate_trajectory,
     strong_error_study,
     truncation_study,
@@ -239,9 +243,10 @@ def test_strong_study_fine_grid_oracle():
     rep = strong_error_study(cfg)
     assert np.all(rep.mean_sup_sq > 0)
     assert "fine-grid" in rep.sup_note
-    with pytest.raises(ConfigError, match="4 levels finer"):
-        strong_error_study(config_from_dict(base_config(
-            finest_level=8, oracle={"kind": "fine_grid", "level": 6})))
+    for level in (6, 9):   # too close to the ladder; beyond finest_level
+        with pytest.raises(ConfigError, match="oracle.level .* 4 levels finer"):
+            strong_error_study(config_from_dict(base_config(
+                finest_level=8, oracle={"kind": "fine_grid", "level": level})))
 
 
 def test_strong_study_needs_two_levels():
@@ -321,6 +326,24 @@ def test_simulate_trajectory_fine_grid_oracle():
         trajectory_level=3, oracle={"kind": "fine_grid", "level": 7}))
     traj, oracle_vals = simulate_trajectory(cfg)
     assert traj.times.size == 9 == oracle_vals.size
+
+
+def test_simulate_fine_grid_oracle_follows_the_i32_convention():
+    # the reference is the order-1 scheme at the oracle level with the
+    # configured I32 convention, as the convergence study uses it
+    cfg = config_from_dict(base_config(
+        scheme="milstein", trajectory_level=3, i32_compensator="small_running_sum",
+        oracle={"kind": "fine_grid", "level": 7}))
+    _, oracle_vals = simulate_trajectory(cfg)
+    active = activate(cfg.model, cfg.epsilon)
+    coef = cfg.coefficients_for(active)
+    assert coef.i32 is I32Compensator.SMALL_RUNNING_SUM
+    path = build_path(cfg.horizon, cfg.finest_level, active, path_rng(cfg.seed, 0))
+    ref = run_scheme(Scheme.MILSTEIN, path.grid(7), path, coef, cfg.y0)
+    assert np.array_equal(oracle_vals, ref.values[::16])
+    default = run_scheme(Scheme.MILSTEIN, path.grid(7), path,
+                         replace(coef, i32=I32Compensator.TAIL_RUNNING_SUM), cfg.y0)
+    assert not np.array_equal(oracle_vals, default.values[::16])
 
 
 def test_simulate_trajectory_needs_level():
@@ -509,6 +532,38 @@ def test_cli_truncate_rejects_model_epsilon(tmp_path, capsys):
     assert "model.epsilon" in capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert not (out / "truncation.csv").exists()
+
+
+def test_cli_simulate_rejects_close_fine_grid_oracle(tmp_path, capsys):
+    p = write_cfg(tmp_path, base_config(trajectory_level=4,
+                                        oracle={"kind": "fine_grid", "level": 7}))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert "oracle.level" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+STRING_ATOM = {"kind": "atoms", "atoms": [["0.5", 0.6], [-0.4, 0.4]]}
+
+
+@pytest.mark.parametrize("section,value,key", [
+    ("small", STRING_ATOM, "model.small.atoms"),
+    ("p", {"coef": "1.0"}, "model.p.coef"),
+    ("p", {"coef": True}, "model.p.coef"),
+    ("epsilon", "0.3", "model.epsilon"),
+    ("oracle", {"kind": "fine_grid", "level": 8, "bogus": 1}, "bogus"),
+])
+def test_cli_strict_numbers_and_sections(tmp_path, capsys, section, value, key):
+    cfg = base_config(paths=5, finest_level=8)
+    if section == "oracle":
+        cfg["oracle"] = value
+    else:
+        cfg["model"][section] = value
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

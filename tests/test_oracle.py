@@ -15,11 +15,12 @@ from levystep import (
     Region,
     Scheme,
     build_path,
+    config_from_dict,
     exact_solution,
     fine_reference,
-    reference_solution,
     run_scheme,
 )
+from levystep import harness
 
 IDENT = AmplitudeSpec(1.0, 1.0)
 
@@ -172,14 +173,20 @@ def test_fine_reference_margin_validation():
 # -- dispatch ---------------------------------------------------------------------
 
 def test_reference_solution_dispatch():
+    # the studies' one oracle route: the exact solution at every event time,
+    # or the fine-grid reference at the evaluated grid points (NaN elsewhere)
     path = jumpy_path(14, level=6)
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    times = path.grid(1)
-    exact = reference_solution(OracleConfig(), path, times, coef, 1.0)
-    assert np.array_equal(exact, exact_solution(path, times, coef, 1.0))
-    fine = reference_solution(OracleConfig(OracleKind.FINE_GRID, level=6),
-                              path, times, coef, 1.0)
-    assert np.array_equal(fine, fine_reference(path, times, coef, 1.0, level=6))
+    study = {"model": {"small": {"kind": "atoms", "atoms": [[0.5, 1.0]]}},
+             "b": 0.0, "sigma": 0.0, "F": 0.0, "G": 0.0, "ladder_levels": [1, 2],
+             "finest_level": 6, "paths": 2, "seed": 0}
+    exact = harness._reference(config_from_dict(study), path, coef, 2)
+    assert np.array_equal(exact, exact_solution(path, path.event_times, coef, 1.0))
+    cfg = config_from_dict(study | {"oracle": {"kind": "fine_grid", "level": 6}})
+    fine = harness._reference(cfg, path, coef, 2)
+    at = path.event_index(path.grid(2))
+    assert np.array_equal(fine[at], fine_reference(path, path.grid(2), coef, 1.0, level=6))
+    assert np.isnan(np.delete(fine, at)).all()
 
 
 def test_oracle_config_validation():

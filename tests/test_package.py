@@ -15,7 +15,7 @@ PUBLIC = frozenset("""
     moment truncate
     Counts IndexSet Multiindex counts hierarchical_set in_hierarchical_set
     remainder_set subscript_set
-    OracleConfig OracleKind exact_solution fine_reference reference_solution
+    OracleConfig OracleKind exact_solution fine_reference
     DrivingPath JumpEvent Slices build_path dyadic_grid sample_dw_dz
     simulate_events
     DEFAULT_I32 I32Compensator LinearCoefficients Scheme Trajectory

@@ -77,21 +77,21 @@ def test_simulate_events_rejects_bad_horizon(finite_model, rng):
 
 def test_simulate_events_zero_rate():
     empty = LevyModel(small=AtomSpec(()), tail=AtomSpec(()), p=IDENT, q=IDENT)
-    assert simulate_events(1.0, empty, np.random.default_rng(0)) == ()
+    times, marks, small = simulate_events(1.0, empty, np.random.default_rng(0))
+    assert times.shape == marks.shape == small.shape == (0,)
+    assert (times.dtype, marks.dtype, small.dtype) == (np.float64, np.float64, np.bool_)
 
 
 def test_simulate_events_structure(finite_model):
     rng = np.random.default_rng(99)
     for _ in range(50):
-        events = simulate_events(2.0, finite_model, rng)
-        times = [t for t, _, _ in events]
-        assert all(0.0 < t < 2.0 for t in times)
-        assert times == sorted(times)
-        for _, mark, region in events:
-            if region is Region.SMALL:
-                assert mark in (0.5, -0.4)
-            else:
-                assert mark in (1.5, -2.0)
+        times, marks, small = simulate_events(2.0, finite_model, rng)
+        assert times.shape == marks.shape == small.shape
+        assert small.dtype == np.bool_
+        assert np.all((0.0 < times) & (times < 2.0))
+        assert np.all(np.diff(times) > 0)
+        assert np.isin(marks[small], (0.5, -0.4)).all()
+        assert np.isin(marks[~small], (1.5, -2.0)).all()
 
 
 def test_simulate_events_count_law_and_region_split(finite_model):
@@ -101,10 +101,10 @@ def test_simulate_events_count_law_and_region_split(finite_model):
     counts = []
     n_small = n_total = 0
     for _ in range(n_runs):
-        ev = simulate_events(horizon, finite_model, rng)
-        counts.append(len(ev))
-        n_total += len(ev)
-        n_small += sum(1 for _, _, r in ev if r is Region.SMALL)
+        _, _, small = simulate_events(horizon, finite_model, rng)
+        counts.append(small.size)
+        n_total += small.size
+        n_small += int(small.sum())
     lam = finite_model.active_rate * horizon
     mean = np.mean(counts)
     assert abs(mean - lam) < 4 * math.sqrt(lam / n_runs)
@@ -117,7 +117,7 @@ def test_simulate_events_count_law_and_region_split(finite_model):
 def test_simulate_events_deterministic(finite_model):
     a = simulate_events(1.0, finite_model, np.random.default_rng(np.random.SeedSequence((7, 3))))
     b = simulate_events(1.0, finite_model, np.random.default_rng(np.random.SeedSequence((7, 3))))
-    assert a == b
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # -- dyadic grids ------------------------------------------------------------
@@ -176,6 +176,27 @@ def test_build_path_reproducible(finite_model):
     assert np.array_equal(a.dw, b.dw)
     assert np.array_equal(a.z_locals, b.z_locals)
     assert a.jumps == b.jumps
+
+
+def test_driving_path_compares_by_identity(finite_model):
+    # a path holds arrays, so == is identity (as for Slices) and never raises
+    a = build_path(1.0, 4, finite_model, np.random.default_rng(8))
+    b = build_path(1.0, 4, finite_model, np.random.default_rng(8))
+    assert a == a and a in [a] and len({a, a}) == 1
+    assert a != b and b not in [a] and len({a, b}) == 2
+    assert np.array_equal(a.event_times, b.event_times)
+
+
+def test_build_path_takes_jump_arrays_from_the_sampler(finite_model):
+    # the sampler's arrays become the path's jumps unchanged
+    seed = np.random.SeedSequence((3, 1))
+    times, marks, small = simulate_events(1.0, finite_model, np.random.default_rng(seed))
+    path = build_path(1.0, 6, finite_model, np.random.default_rng(seed))
+    assert times.size > 1
+    assert np.array_equal(path.jump_times, times)
+    assert np.array_equal(path.jump_marks, marks)
+    assert np.array_equal(path.jump_small, small)
+    assert [j.region is Region.SMALL for j in path.jumps] == small.tolist()
 
 
 def test_build_path_rejects_negative_level(finite_model, rng):

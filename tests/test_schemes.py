@@ -2,6 +2,7 @@
 event-walk oracle, and trajectory assembly over shared driving paths."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,23 +20,25 @@ from levystep import (
     build_path,
     dyadic_grid,
     euler_factor,
+    hierarchical_set,
     milstein_factor,
     milstein_terms,
     run_scheme,
     step_factor,
 )
+from levystep import schemes
 
 TERM_KEYS = frozenset(
     ["0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32", "33"])
 
 
-def mixed_coef():
+def mixed_coef(i32=I32Compensator.TAIL_RUNNING_SUM):
     # p != q and both nonlinear enough to catch orientation swaps in the
     # cross terms; the moments are free parameters for synthetic slices
     return LinearCoefficients(
         drift=-0.4, diffusion=0.6, small_jump=0.5, tail_jump=0.3,
         p=lambda x: 1.3 * x + 0.2 * x * x, q=lambda x: 0.7 * x,
-        p_integral=0.25, p_sq_integral=0.9)
+        p_integral=0.25, p_sq_integral=0.9, i32=i32)
 
 
 def bare_slice(delta=0.5, delta_w=0.2, w_left=0.0):
@@ -56,6 +59,11 @@ def test_coefficients_reject_infinite_moments():
         LinearCoefficients(drift=0.0, diffusion=0.0, small_jump=1.0,
                            tail_jump=0.0, p=lambda x: x, q=lambda x: x,
                            p_integral=math.inf, p_sq_integral=1.0)
+
+
+def test_term_keys_are_the_order_one_multiindices():
+    # the words of the strong order-1 hierarchical set, less the empty word
+    assert set(schemes.TERM_KEYS) == set(hierarchical_set(1).render()) - {"v"}
 
 
 def test_scheme_enum():
@@ -105,11 +113,13 @@ def test_milstein_frozen_example(finite_coef):
         "21": -0.005076, "31": 0.0,
         "22": -0.001302, "23": 0.0, "32": 0.0, "33": 0.0,
     }
-    got = slice_terms(milstein_terms(1.0, slc, finite_coef, I32Compensator.TAIL_RUNNING_SUM))
+    assert finite_coef.i32 is I32Compensator.TAIL_RUNNING_SUM
+    got = slice_terms(milstein_terms(1.0, slc, finite_coef))
     for key, val in want.items():
         assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
     # the alternative compensator charges the hold time after the small jump
-    alt = slice_terms(milstein_terms(1.0, slc, finite_coef, I32Compensator.SMALL_RUNNING_SUM))
+    alt = slice_terms(milstein_terms(
+        1.0, slc, replace(finite_coef, i32=I32Compensator.SMALL_RUNNING_SUM)))
     assert alt["32"] == pytest.approx(-0.00042, rel=1e-12)
     assert {k: v for k, v in alt.items() if k != "32"} == \
         {k: v for k, v in got.items() if k != "32"}
@@ -166,20 +176,20 @@ def test_milstein_terms_linear_in_y(finite_coef, rng):
 def test_terms_match_event_walk(variant):
     # 500 random slices with up to 6 jumps of both regions; every term must
     # agree with the gap-walking evaluator to 1e-12
-    coef = mixed_coef()
+    coef = mixed_coef(variant)
     rng = np.random.default_rng(314159)
     for _ in range(500):
         raw = random_raw_slice(rng)
         y = float(rng.uniform(0.5, 2.0))
-        got = slice_terms(milstein_terms(y, raw.to_slice(), coef, variant))
-        assert_term_match(got, walk_terms(y, raw, coef, variant))
+        got = slice_terms(milstein_terms(y, raw.to_slice(), coef))
+        assert_term_match(got, walk_terms(y, raw, coef))
 
 
 @pytest.mark.parametrize("variant", list(I32Compensator))
 def test_array_core_matches_event_walk_on_paths(variant):
     # every slice of levels 0..4 and every partial slice (grid point to jump
     # time) of dense real paths, against the walk over the path's own gaps
-    coef = mixed_coef()
+    coef = mixed_coef(variant)
     y = 1.3
     for seed in (7, 8, 9):
         path = dense_path(seed, level=6, small_rate=8.0, tail_rate=4.0)
@@ -194,11 +204,10 @@ def test_array_core_matches_event_walk_on_paths(variant):
             batches.append((path.slice_between(lefts, path.jump_times),
                             list(zip(path.event_index(lefts), path.jump_events))))
             for slices, bounds in batches:
-                terms = milstein_terms(y, slices, coef, variant)
+                terms = milstein_terms(y, slices, coef)
                 euler = euler_factor(slices, coef)
                 for k, (ia, ib) in enumerate(bounds):
-                    want = walk_terms(y, RawSlice.from_path(path, int(ia), int(ib)),
-                                      coef, variant)
+                    want = walk_terms(y, RawSlice.from_path(path, int(ia), int(ib)), coef)
                     assert_term_match(slice_terms(terms, k), want)
                     low = 1.0 + sum(want[key] for key in ("0", "1", "2", "3")) / y
                     assert euler[k] == pytest.approx(low, rel=1e-12, abs=1e-12)
@@ -211,13 +220,12 @@ def test_array_core_matches_event_walk_on_paths(variant):
 def test_i32_variants_differ_on_mixed_slices():
     # tail jump before a small jump: the two compensator conventions charge
     # different hold times, so the term must differ when m1 != 0
-    coef = mixed_coef()
     raw = RawSlice(left=0.0, delta=1.0,
                    jump_data=[(0.25, 1.5, Region.TAIL), (0.6, 0.4, Region.SMALL)],
                    dws=[0.1, -0.05, 0.2], zlocs=[0.01, 0.0, -0.02], w_left=0.3)
     slc = raw.to_slice()
-    a = slice_terms(milstein_terms(1.0, slc, coef, I32Compensator.TAIL_RUNNING_SUM))
-    b = slice_terms(milstein_terms(1.0, slc, coef, I32Compensator.SMALL_RUNNING_SUM))
+    a = slice_terms(milstein_terms(1.0, slc, mixed_coef(I32Compensator.TAIL_RUNNING_SUM)))
+    b = slice_terms(milstein_terms(1.0, slc, mixed_coef(I32Compensator.SMALL_RUNNING_SUM)))
     assert a["32"] != b["32"]
     assert {k: v for k, v in a.items() if k != "32"} == \
         {k: v for k, v in b.items() if k != "32"}
@@ -228,8 +236,9 @@ def test_step_factor_dispatch(finite_coef, rng):
     assert np.array_equal(step_factor(Scheme.EULER, slc, finite_coef),
                           euler_factor(slc, finite_coef))
     for variant in I32Compensator:
-        assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, finite_coef, variant),
-                              milstein_factor(slc, finite_coef, variant))
+        coef = replace(finite_coef, i32=variant)
+        assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, coef),
+                              milstein_factor(slc, coef))
 
 
 # -- trajectories ---------------------------------------------------------------
@@ -253,8 +262,6 @@ def test_run_scheme_matches_manual_stepping(scheme, finite_coef):
         values.append(y)
     assert np.array_equal(traj.values, np.array(values))
     assert np.array_equal(traj.times, path.grid(3))
-    assert traj.scheme is scheme
-    assert traj.strong_order == scheme.strong_order
 
 
 def test_run_scheme_non_uniform_grid(finite_coef):
