@@ -4,9 +4,8 @@ process and a (possibly infinite-activity) Poisson jump measure."""
 from .common import ConfigError, DivergentIntegralError, Region
 from .levy import (AmplitudeSpec, AtomSpec, LevyModel, PowerLawSpec, activate,
                    model_from_config, moment, truncate)
-from .multiindex import (Counts, IndexSet, Multiindex, counts,
-                         hierarchical_set, in_hierarchical_set, remainder_set,
-                         subscript_set)
+from .multiindex import (Counts, IndexSet, Multiindex, hierarchical_set,
+                         in_hierarchical_set, remainder_set, subscript_set)
 from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
 from .path import (DrivingPath, JumpEvent, Slices, build_path, dyadic_grid,
                    sample_dw_dz, simulate_events)
@@ -27,7 +26,7 @@ __all__ = [
     "AmplitudeSpec", "AtomSpec", "LevyModel", "PowerLawSpec", "activate",
     "model_from_config", "moment", "truncate",
     # multiindex
-    "Counts", "IndexSet", "Multiindex", "counts", "hierarchical_set",
+    "Counts", "IndexSet", "Multiindex", "hierarchical_set",
     "in_hierarchical_set", "remainder_set", "subscript_set",
     # oracle
     "OracleConfig", "OracleKind", "exact_solution", "fine_reference",

@@ -198,11 +198,14 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 
 # -- strong convergence study ------------------------------------------------
 
-def exclude_coarsest(mean: np.ndarray, se: np.ndarray, min_points: int = 4) -> bool:
+_EXCLUDE_MIN_LEVELS = 4
+
+
+def exclude_coarsest(mean: np.ndarray, se: np.ndarray) -> bool:
     """Pre-asymptotic guard: True when the coarsest level's mean error is not
     statistically separated (2 s.e.) from the next level's.  Never fires when
-    dropping the point would leave fewer than min_points - 1 levels."""
-    if mean.size < min_points:
+    dropping the point would leave fewer than _EXCLUDE_MIN_LEVELS - 1 levels."""
+    if mean.size < _EXCLUDE_MIN_LEVELS:
         return False
     return bool(abs(mean[0] - mean[1]) < 2.0 * math.hypot(se[0], se[1]))
 
@@ -231,11 +234,6 @@ class ConvergenceReport:
         return np.sqrt(self.mean_sup_sq)
 
 
-def _grid_events(path: DrivingPath, level: int) -> np.ndarray:
-    """Event indices of the level-`level` dyadic grid points of `path`."""
-    return path.cell_edges[::1 << (path.finest_level - level)]
-
-
 def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
                level: int) -> np.ndarray:
     """The study's oracle at every event time of `path`, for schemes run on
@@ -250,8 +248,8 @@ def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
             f"(level {level}) and at most finest_level ({cfg.finest_level}), "
             f"got {cfg.oracle.level}")
     values = np.full(path.event_times.size, np.nan)
-    at = _grid_events(path, level)
-    values[at] = fine_reference(path, path.event_times[at], coef, cfg.y0, cfg.oracle.level)
+    values[path.grid_events(level)] = fine_reference(path, coef, cfg.y0,
+                                                     cfg.oracle.level, level)
     return values
 
 
@@ -259,17 +257,32 @@ def _sup_error_one_path(cfg: StudyConfig, path: DrivingPath,
                         coef: LinearCoefficients, level: int,
                         oracle_at_events: np.ndarray):
     """(sup |err|^2, sup |Y_scheme|^2) for one ladder level on one path."""
-    grid = path.grid(level)
-    traj = run_scheme(cfg.scheme, grid, path, coef, cfg.y0)
-    sup = float(np.max(np.abs(traj.values - oracle_at_events[_grid_events(path, level)])))
+    edges = path.grid_events(level)
+    traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
+    err = np.abs(traj.values - oracle_at_events[edges])
     if cfg.oracle.kind is OracleKind.EXACT_LINEAR and path.jump_times.size:
         # evaluate the scheme at interior jump times via partial slices;
         # the base value is the last grid value at or before the jump
         cell = path.jump_cells >> (path.finest_level - level)
-        parts = path.slice_between(grid[cell], path.jump_times)
+        parts = path.slice_between(edges[cell], path.jump_events)
         y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef)
-        sup = max(sup, float(np.max(np.abs(y_at - oracle_at_events[path.jump_events]))))
+        err = np.concatenate((err, np.abs(y_at - oracle_at_events[path.jump_events])))
+    sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
     return sup * sup, float(np.max(np.abs(traj.values))) ** 2
+
+
+def _path_stats(per_path: np.ndarray, key: str, values) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over paths (rows), one column per `key` value;
+    raises, naming path and column, on a nonfinite result or a zero mean."""
+    bad = np.argwhere(~np.isfinite(per_path))
+    if bad.size:
+        i, k = bad[0]
+        raise RuntimeError(f"nonfinite result on path {i} at {key} {values[k]}")
+    mean = per_path.mean(axis=0)
+    if np.any(mean <= 0):
+        raise RuntimeError(f"degenerate study: zero mean over paths at {key} "
+                           f"{values[int(np.argmax(mean <= 0))]}")
+    return mean, per_path.std(axis=0, ddof=1) / math.sqrt(per_path.shape[0])
 
 
 def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
@@ -288,11 +301,7 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
         for k, lv in enumerate(levels):
             per_path[i, k], scheme_sup[i, k] = _sup_error_one_path(
                 cfg, path, coef, lv, oracle_vals)
-    mean = per_path.mean(axis=0)
-    if np.any(mean <= 0):
-        raise RuntimeError("degenerate study: some mean squared errors are zero")
-    se = per_path.std(axis=0, ddof=1) / math.sqrt(cfg.paths)
-
+    mean, se = _path_stats(per_path, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
     slope, slope_se = fit_slope(np.log(deltas[keep]), 0.5 * np.log(mean[keep]))
@@ -362,10 +371,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
             filtered = path.with_jumps(kept)
             traj = run_scheme(cfg.scheme, grid, filtered, coefs[k], cfg.y0)
             per_path[i, k] = float(np.max(np.abs(traj.values - ref.values))) ** 2
-    mean = per_path.mean(axis=0)
-    if np.any(mean <= 0):
-        raise RuntimeError("degenerate truncation study: zero mean difference")
-    se = per_path.std(axis=0, ddof=1) / math.sqrt(cfg.paths)
+    mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se
     return TruncationReport(
@@ -387,8 +393,12 @@ def simulate_trajectory(cfg: StudyConfig):
     rng = path_rng(cfg.seed, 0)
     path = build_path(cfg.horizon, cfg.finest_level, active, rng)
     level = cfg.trajectory_level
-    oracle_vals = _reference(cfg, path, coef, level)[_grid_events(path, level)]
-    return run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0), oracle_vals
+    oracle_vals = _reference(cfg, path, coef, level)[path.grid_events(level)]
+    traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
+    bad = ~(np.isfinite(traj.values) & np.isfinite(oracle_vals))
+    if bad.any():
+        raise RuntimeError(f"nonfinite result on path 0 at time {traj.times[bad.argmax()]}")
+    return traj, oracle_vals
 
 
 # -- output writers -----------------------------------------------------------

@@ -114,10 +114,6 @@ class Multiindex:
 EMPTY = Multiindex(())
 
 
-def counts(alpha: Multiindex) -> Counts:
-    return alpha.counts()
-
-
 def _canonical(members) -> tuple[Multiindex, ...]:
     return tuple(sorted(set(members), key=lambda a: (len(a), a.digits)))
 

@@ -61,24 +61,16 @@ def exact_solution(path: DrivingPath, eval_times: np.ndarray,
     return values[idx]
 
 
-def fine_reference(path: DrivingPath, eval_times: np.ndarray,
-                   coef: LinearCoefficients, y0: float, level: int) -> np.ndarray:
-    """Order-1 scheme on the dyadic grid at `level`, read off at eval_times.
+def fine_reference(path: DrivingPath, coef: LinearCoefficients, y0: float,
+                   level: int, at_level: int) -> np.ndarray:
+    """Order-1 scheme on the dyadic grid at `level`, read off at the
+    2**at_level + 1 grid points of `at_level`.
 
     The reference must be meaningfully finer than whatever it judges: every
-    evaluation gap has to span at least 16 reference steps (4 dyadic levels).
+    evaluated step has to span at least 16 reference steps (4 dyadic levels).
     """
-    eval_times = np.asarray(eval_times, dtype=np.float64)
-    if level > path.finest_level:
-        raise ValueError("reference level exceeds the path's finest level")
-    step = path.horizon / 2**level
-    min_gap = np.min(np.diff(eval_times)) if eval_times.size > 1 else path.horizon
-    if min_gap < 16 * step * (1 - 1e-12):
-        raise ValueError("reference level is not at least 4 dyadic levels finer "
-                         "than the evaluation grid")
-    traj = run_scheme(Scheme.MILSTEIN, path.grid(level), path, coef, y0)
-    pos = np.searchsorted(traj.times, eval_times)
-    if np.any(pos >= traj.times.size) or np.any(traj.times[pos] != eval_times):
-        raise ValueError("evaluation times must lie on the reference grid")
-    return traj.values[pos]
-
+    if not (0 <= at_level and at_level + 4 <= level <= path.finest_level):
+        raise ValueError(f"reference level {level} must lie in {at_level + 4}.."
+                         f"{path.finest_level}: 4 dyadic levels finer, within the path")
+    values = run_scheme(Scheme.MILSTEIN, path.grid(level), path, coef, y0).values
+    return values[::1 << (level - at_level)]

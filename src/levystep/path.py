@@ -169,10 +169,15 @@ class DrivingPath:
             raise ValueError(f"{t!r} is not an event time of this path")
         return i if i.ndim else int(i)
 
-    def grid(self, level: int) -> np.ndarray:
+    def grid_events(self, level: int) -> np.ndarray:
+        """Event indices of the 2**level + 1 dyadic points at `level`."""
         if not 0 <= level <= self.finest_level:
             raise ValueError(f"level {level} outside 0..{self.finest_level}")
-        return dyadic_grid(self.horizon, level)
+        return self.cell_edges[::1 << (self.finest_level - level)]
+
+    def grid(self, level: int) -> np.ndarray:
+        # bit-equal to dyadic_grid(horizon, level): _assemble checks the edges
+        return self.event_times[self.grid_events(level)]
 
     def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
         """Same noise, only the jumps where the boolean mask `keep` is set
@@ -189,26 +194,20 @@ class DrivingPath:
 
     def slices(self, level: int) -> Slices:
         """The 2**level slices of the uniform dyadic grid at `level`."""
-        if not 0 <= level <= self.finest_level:
-            raise ValueError(f"level {level} outside 0..{self.finest_level}")
-        shift = self.finest_level - level
-        edges = self.cell_edges[::1 << shift]
-        grid, w_grid = self.event_times[edges], self.w_values[edges]  # grid == self.grid(level)
-        return Slices(left=grid[:-1], right=grid[1:], delta=grid[1:] - grid[:-1],
-                      dw=self.level_dw[level], dz=self.level_dz[level],
-                      w_left=w_grid[:-1], w_right=w_grid[1:],
-                      time=self.jump_times, mark=self.jump_marks, small=self.jump_small,
-                      w=self.w_values[self.jump_events],
-                      slice_id=self.jump_cells >> shift)
+        edges = self.grid_events(level)
+        return self._batch(edges[:-1], edges[1:], self.level_dw[level],
+                           self.level_dz[level], slice(None),
+                           self.jump_cells >> (self.finest_level - level))
 
-    def slice_between(self, lefts, rights) -> Slices:
-        """One slice from each lefts[k] to rights[k], both event times
-        (typically a grid point and an interior jump time); aggregates gap
-        data directly."""
-        ia = np.atleast_1d(self.event_index(lefts))
-        ib = np.atleast_1d(self.event_index(rights))
-        if ia.shape != ib.shape or np.any(ib <= ia):
-            raise ValueError("slice endpoints out of order")
+    def slice_between(self, ia, ib) -> Slices:
+        """One slice from event ia[k] to event ib[k] for every k (signed
+        integer event indices with 0 <= ia < ib < n_events, typically a grid
+        point and an interior jump); aggregates gap data directly."""
+        ia, ib, n = np.atleast_1d(ia), np.atleast_1d(ib), self.event_times.size
+        if not (ia.dtype.kind == ib.dtype.kind == "i" and ia.ndim == 1
+                and ia.shape == ib.shape and np.all((0 <= ia) & (ia < ib) & (ib < n))):
+            raise ValueError("slice endpoints must be integer event-index arrays of "
+                             f"one shape with 0 <= ia < ib < {n}")
         lengths = ib - ia
         gaps = _concat_ranges(ia, lengths)
         h = self.event_times[gaps + 1] - self.event_times[gaps]
@@ -225,14 +224,18 @@ class DrivingPath:
         dz = np.add.reduceat(padded, starts)
         first = np.searchsorted(self.jump_events, ia, side="right")
         counts = np.searchsorted(self.jump_events, ib, side="right") - first
-        held = _concat_ranges(first, counts)
+        return self._batch(ia, ib, dw, dz, _concat_ranges(first, counts),
+                           np.repeat(np.arange(ia.size), counts))
+
+    def _batch(self, ia, ib, dw, dz, held, slice_id) -> Slices:
+        """The slices from events ia[k] to ib[k] with their dW and dZ, holding
+        the jumps `held` (an index or a slice into the jump arrays)."""
         left, right = self.event_times[ia], self.event_times[ib]
         return Slices(left=left, right=right, delta=right - left, dw=dw, dz=dz,
                       w_left=self.w_values[ia], w_right=self.w_values[ib],
                       time=self.jump_times[held], mark=self.jump_marks[held],
                       small=self.jump_small[held],
-                      w=self.w_values[self.jump_events[held]],
-                      slice_id=np.repeat(np.arange(ia.size), counts))
+                      w=self.w_values[self.jump_events[held]], slice_id=slice_id)
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -72,7 +72,7 @@ TERM_KEYS = ("0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32",
 
 @dataclass(frozen=True)
 class LinearCoefficients:
-    """Scalar coefficients of the linear model plus the amplitude moments the
+    """Scalar coefficients of the linear model plus the amplitude moment the
     compensated terms need over the *active* small region (the full ball for
     a finite-activity model, the disc for a truncated one)."""
 
@@ -83,20 +83,18 @@ class LinearCoefficients:
     p: Callable[[np.ndarray], np.ndarray]   # applied to whole arrays of marks
     q: Callable[[np.ndarray], np.ndarray]
     p_integral: float      # integral of p over the active small region
-    p_sq_integral: float   # integral of p^2 over the active small region
     i32: I32Compensator = DEFAULT_I32  # the I32 time-compensator convention
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.p_integral) or not math.isfinite(self.p_sq_integral):
-            raise ValueError("amplitude moments over the active small region must be finite")
+        if not math.isfinite(self.p_integral):
+            raise ValueError("the p moment over the active small region must be finite")
 
     @classmethod
     def for_model(cls, drift: float, diffusion: float, small_jump: float,
                   tail_jump: float, model: LevyModel) -> "LinearCoefficients":
         return cls(drift=drift, diffusion=diffusion, small_jump=small_jump,
                    tail_jump=tail_jump, p=model.p, q=model.q,
-                   p_integral=moment(model, 1),
-                   p_sq_integral=moment(model, 2))
+                   p_integral=moment(model, 1))
 
 
 def euler_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:

@@ -155,7 +155,7 @@ def test_criterion_4_term_evaluator_oracle():
     coef = LinearCoefficients(
         drift=-0.4, diffusion=0.6, small_jump=0.5, tail_jump=0.3,
         p=lambda x: 1.3 * x + 0.2 * x * x, q=lambda x: 0.7 * x,
-        p_integral=0.25, p_sq_integral=0.9)
+        p_integral=0.25)
     rng = np.random.default_rng(271828)
     worst = 0.0
     for _ in range(1000):

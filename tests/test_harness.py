@@ -566,6 +566,46 @@ def test_cli_strict_numbers_and_sections(tmp_path, capsys, section, value, key):
     assert not (out / "report.json").exists()
 
 
+# a drift so large that the scheme and the oracle overflow on every path
+OVERFLOW = README_CONVERGE | {"b": 1e300, "ladder_levels": [3, 4, 5], "finest_level": 7,
+                              "paths": 5}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,cfg,where", [
+    ("simulate", OVERFLOW, "path 0 at time "),
+    ("converge", OVERFLOW, "path 0 at level 3"),
+    ("truncate", OVERFLOW | {"model": README_TRUNCATE["model"], "epsilons": [0.5, 0.25],
+                             "truncation_level": 4}, "path 0 at epsilon 0.5"),
+], ids=["simulate", "converge", "truncate"])
+def test_cli_nonfinite_result_exits_1_and_writes_nothing(tmp_path, capsys, command, cfg,
+                                                         where):
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 1
+    assert f"nonfinite result on {where}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+CLI_DATA = Path(__file__).parent / "data" / "cli"
+
+
+def test_cli_outputs_match_pinned_files(tmp_path):
+    # each directory holds a config and the files the CLI wrote for it when
+    # it was recorded; the command is the directory name up to the first '-'
+    runs = sorted(d for d in CLI_DATA.iterdir() if d.is_dir())
+    assert len(runs) == 6
+    for run in runs:
+        out = tmp_path / run.name
+        command = run.name.split("-")[0]
+        assert cli.main([command, "--config", str(run / "config.json"),
+                         "--out-dir", str(out)]) == 0, run.name
+        pinned = sorted(f.name for f in run.iterdir() if f.name != "config.json")
+        assert sorted(f.name for f in out.iterdir()) == pinned, run.name
+        for name in pinned:
+            assert (out / name).read_bytes() == (run / name).read_bytes(), (run.name, name)
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     p = write_cfg(tmp_path, base_config(b=0.0, sigma=0.0, F=0.0, G=0.0, paths=5))
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(tmp_path)]) == 1

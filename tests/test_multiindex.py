@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from levystep import (Multiindex, Region, counts, hierarchical_set,
-                      in_hierarchical_set, remainder_set, subscript_set)
+from levystep import (Multiindex, Region, hierarchical_set, in_hierarchical_set,
+                      remainder_set, subscript_set)
 from levystep.multiindex import EMPTY, IndexSet
 
 from helpers import brute_hierarchical, brute_remainder
@@ -23,7 +23,7 @@ def test_bad_digit_rejected():
 
 
 def test_counts_example():
-    c = counts(Multiindex.parse("2013"))
+    c = Multiindex.parse("2013").counts()
     assert (c.length, c.s, c.w, c.n_compensated, c.n_tail, c.k) == (4, 1, 1, 1, 1, 2)
 
 

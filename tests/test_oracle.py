@@ -25,12 +25,10 @@ from levystep import harness
 IDENT = AmplitudeSpec(1.0, 1.0)
 
 
-def coef_with(drift=0.0, diffusion=0.0, small_jump=0.0, tail_jump=0.0,
-              m1=0.14, m2=0.214):
+def coef_with(drift=0.0, diffusion=0.0, small_jump=0.0, tail_jump=0.0, m1=0.14):
     return LinearCoefficients(drift=drift, diffusion=diffusion,
                               small_jump=small_jump, tail_jump=tail_jump,
-                              p=lambda x: x, q=lambda x: x,
-                              p_integral=m1, p_sq_integral=m2)
+                              p=lambda x: x, q=lambda x: x, p_integral=m1)
 
 
 def jumpy_path(seed, level=6, small_rate=3.0, tail_rate=1.5):
@@ -143,8 +141,7 @@ def test_milstein_approaches_exact():
 def test_fine_reference_matches_direct_run():
     path = jumpy_path(11, level=7)
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    eval_times = path.grid(2)
-    got = fine_reference(path, eval_times, coef, 1.0, level=7)
+    got = fine_reference(path, coef, 1.0, level=7, at_level=2)
     traj = run_scheme(Scheme.MILSTEIN, path.grid(7), path, coef, 1.0)
     assert np.array_equal(got, traj.values[:: 2**5])
 
@@ -154,7 +151,7 @@ def test_fine_reference_error_shrinks_with_level():
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
     eval_times = path.grid(1)
     exact = exact_solution(path, eval_times, coef, 1.0)
-    errs = [np.max(np.abs(fine_reference(path, eval_times, coef, 1.0, level=lv) - exact))
+    errs = [np.max(np.abs(fine_reference(path, coef, 1.0, level=lv, at_level=1) - exact))
             for lv in (5, 7, 9)]
     assert errs[0] > errs[-1]
 
@@ -162,12 +159,12 @@ def test_fine_reference_error_shrinks_with_level():
 def test_fine_reference_margin_validation():
     path = jumpy_path(13, level=6)
     coef = coef_with(drift=-0.5)
-    with pytest.raises(ValueError, match="4 dyadic levels"):
-        fine_reference(path, path.grid(4), coef, 1.0, level=6)
-    with pytest.raises(ValueError, match="finest"):
-        fine_reference(path, path.grid(2), coef, 1.0, level=7)
-    with pytest.raises(ValueError, match="reference grid"):
-        fine_reference(path, np.array([0.0, 1.0 / 3.0, 1.0]), coef, 1.0, level=6)
+    # one integer rule: at_level + 4 <= level <= finest_level, at_level >= 0
+    for level, at_level in ((6, 4), (6, 3), (7, 2), (3, -1)):
+        with pytest.raises(ValueError, match="4 dyadic levels finer, within the path"):
+            fine_reference(path, coef, 1.0, level=level, at_level=at_level)
+    assert fine_reference(path, coef, 1.0, level=6, at_level=2).size == 2**2 + 1
+    assert fine_reference(path, coef, 1.0, level=4, at_level=0).size == 2
 
 
 # -- dispatch ---------------------------------------------------------------------
@@ -184,8 +181,9 @@ def test_reference_solution_dispatch():
     assert np.array_equal(exact, exact_solution(path, path.event_times, coef, 1.0))
     cfg = config_from_dict(study | {"oracle": {"kind": "fine_grid", "level": 6}})
     fine = harness._reference(cfg, path, coef, 2)
-    at = path.event_index(path.grid(2))
-    assert np.array_equal(fine[at], fine_reference(path, path.grid(2), coef, 1.0, level=6))
+    at = path.grid_events(2)
+    assert np.array_equal(at, path.event_index(path.grid(2)))
+    assert np.array_equal(fine[at], fine_reference(path, coef, 1.0, level=6, at_level=2))
     assert np.isnan(np.delete(fine, at)).all()
 
 

@@ -13,7 +13,7 @@ PUBLIC = frozenset("""
     ConfigError DivergentIntegralError Region
     AmplitudeSpec AtomSpec LevyModel PowerLawSpec activate model_from_config
     moment truncate
-    Counts IndexSet Multiindex counts hierarchical_set in_hierarchical_set
+    Counts IndexSet Multiindex hierarchical_set in_hierarchical_set
     remainder_set subscript_set
     OracleConfig OracleKind exact_solution fine_reference
     DrivingPath JumpEvent Slices build_path dyadic_grid sample_dw_dz

@@ -232,6 +232,11 @@ def test_build_path_nudges_dyadic_collision(finite_model, caplog):
     assert path.jumps[0].time == float(np.nextafter(0.5, np.inf))
     assert path.event_times.size == 2**3 + 1 + 1
     assert any("nudged" in rec.message for rec in caplog.records)
+    # the level-to-event map still lands on the dyadic points, bit for bit
+    for level in range(4):
+        grid = path.grid(level)
+        assert grid.tobytes() == dyadic_grid(1.0, level).tobytes()
+        assert path.event_times[path.grid_events(level)].tobytes() == grid.tobytes()
 
 
 def test_build_path_nudges_duplicate_jump_times(finite_model):
@@ -262,9 +267,9 @@ def test_two_level_coupling_is_exact():
 
 def test_slices_match_direct_gap_aggregation():
     path = build_path(1.0, 6, dense_model(), np.random.default_rng(22))
-    grid = path.grid(3)
+    edges = path.grid_events(3)
     tree = path.slices(3)
-    direct = path.slice_between(grid[:-1], grid[1:])
+    direct = path.slice_between(edges[:-1], edges[1:])
     np.testing.assert_allclose(tree.dw, direct.dw, rtol=0, atol=1e-12)
     np.testing.assert_allclose(tree.dz, direct.dz, rtol=0, atol=1e-12)
     for name in ("left", "right", "delta", "w_left", "w_right",
@@ -303,8 +308,8 @@ def test_slice_between_partial_to_jump_time():
     path = build_path(1.0, 5, dense_model(), np.random.default_rng(40))
     grid = path.grid(2)
     j = next(j for j in path.jumps if grid[0] < j.time < grid[1])
-    slc = path.slice_between(0.0, j.time)
-    ia, ib = 0, path.event_index(j.time)
+    ia, ib = 0, j.event_index
+    slc = path.slice_between(ia, ib)
     assert slc.delta[0] == j.time
     assert slc.dw[0] == pytest.approx(
         float(path.w_values[ib] - path.w_values[ia]), abs=1e-12)
@@ -313,7 +318,7 @@ def test_slice_between_partial_to_jump_time():
     assert slc.time[-1] == j.time
     assert np.all((0.0 < slc.time) & (slc.time <= j.time))
     assert np.array_equal(slc.w, path.w_values[path.event_index(slc.time)])
-    rest = path.slice_between(j.time, grid[1])
+    rest = path.slice_between(ib, path.grid_events(2)[1])
     assert np.all((j.time < rest.time) & (rest.time <= grid[1]))
 
 
@@ -321,12 +326,12 @@ def test_slice_between_batch_matches_single_slices():
     # overlapping partial slices, one per jump: each batch entry equals the
     # same slice taken alone, and holds exactly the jumps in (left, right]
     path = build_path(1.0, 5, dense_model(8.0, 4.0), np.random.default_rng(42))
-    grid = path.grid(1)
-    lefts = grid[path.jump_cells >> 4]
-    batch = path.slice_between(lefts, path.jump_times)
+    lefts = path.grid_events(1)[path.jump_cells >> 4]
+    batch = path.slice_between(lefts, path.jump_events)
     assert batch.left.size == path.jump_times.size
-    for k, (a, b) in enumerate(zip(lefts, path.jump_times)):
-        one = path.slice_between(a, b)
+    for k, (ia, ib) in enumerate(zip(lefts, path.jump_events)):
+        a, b = path.event_times[ia], path.event_times[ib]
+        one = path.slice_between(ia, ib)
         for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right"):
             assert getattr(batch, name)[k] == getattr(one, name)[0], name
         mine = batch.slice_id == k
@@ -340,26 +345,29 @@ def test_slice_between_batch_matches_single_slices():
 
 def test_slice_between_additivity():
     path = build_path(1.0, 5, dense_model(), np.random.default_rng(41))
-    a, m, b = 0.0, 0.5, 1.0
+    a, m, b = path.grid_events(1)   # the events at 0.0, 0.5 and 1.0
     left = path.slice_between(a, m)
     right = path.slice_between(m, b)
     full = path.slice_between(a, b)
     assert full.dw[0] == pytest.approx(left.dw[0] + right.dw[0], abs=1e-12)
-    want_dz = left.dz[0] + right.dz[0] + left.dw[0] * (b - m)
+    want_dz = left.dz[0] + right.dz[0] + left.dw[0] * (1.0 - 0.5)
     assert full.dz[0] == pytest.approx(want_dz, abs=1e-12)
     assert full.time.size == left.time.size + right.time.size
 
 
 def test_slice_between_validation(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(2))
-    with pytest.raises(ValueError, match="order"):
-        path.slice_between(0.5, 0.5)
-    with pytest.raises(ValueError, match="order"):
-        path.slice_between([0.0, 0.5], [0.25])
-    with pytest.raises(ValueError, match="not an event time"):
-        path.slice_between(0.0, 0.3)
-    with pytest.raises(ValueError, match="not an event time"):
-        path.slice_between([0.0, 0.25], [0.5, 0.3])
+    n = path.event_times.size
+    for ia, ib in (
+        (3, 3), ([0, 5], [2, 5]),           # ib <= ia
+        ([0, 5], [2]), ([[0]], [[2]]),      # shape mismatch, not one-dimensional
+        (0.0, 0.5), ([0.0, 1.0], [2, 3]),   # float arrays (even integral ones)
+        (-1, 2), ([0, -3], [2, 1]),         # a negative index
+        (0, n), ([0, 1], [2, n + 4]),       # an index >= n_events
+    ):
+        with pytest.raises(ValueError, match="integer event-index arrays"):
+            path.slice_between(ia, ib)
+    assert path.slice_between(0, n - 1).right[0] == 1.0
 
 
 # -- jump filtering and lookups ----------------------------------------------

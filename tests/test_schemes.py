@@ -23,6 +23,7 @@ from levystep import (
     hierarchical_set,
     milstein_factor,
     milstein_terms,
+    moment,
     run_scheme,
     step_factor,
 )
@@ -38,7 +39,7 @@ def mixed_coef(i32=I32Compensator.TAIL_RUNNING_SUM):
     return LinearCoefficients(
         drift=-0.4, diffusion=0.6, small_jump=0.5, tail_jump=0.3,
         p=lambda x: 1.3 * x + 0.2 * x * x, q=lambda x: 0.7 * x,
-        p_integral=0.25, p_sq_integral=0.9, i32=i32)
+        p_integral=0.25, i32=i32)
 
 
 def bare_slice(delta=0.5, delta_w=0.2, w_left=0.0):
@@ -49,16 +50,16 @@ def bare_slice(delta=0.5, delta_w=0.2, w_left=0.0):
 
 # -- coefficients --------------------------------------------------------------
 
-def test_for_model_moments(finite_coef):
+def test_for_model_moments(finite_model, finite_coef):
     assert finite_coef.p_integral == pytest.approx(0.14, rel=1e-12)
-    assert finite_coef.p_sq_integral == pytest.approx(0.214, rel=1e-12)
+    assert moment(finite_model, 2) == pytest.approx(0.214, rel=1e-12)
 
 
 def test_coefficients_reject_infinite_moments():
     with pytest.raises(ValueError, match="finite"):
         LinearCoefficients(drift=0.0, diffusion=0.0, small_jump=1.0,
                            tail_jump=0.0, p=lambda x: x, q=lambda x: x,
-                           p_integral=math.inf, p_sq_integral=1.0)
+                           p_integral=math.inf)
 
 
 def test_term_keys_are_the_order_one_multiindices():
@@ -129,7 +130,7 @@ def test_milstein_without_jumps_reduces_to_classical():
     # F = G = 0: only the diffusion terms survive
     coef = LinearCoefficients(drift=-0.5, diffusion=0.3, small_jump=0.0,
                               tail_jump=0.0, p=lambda x: x, q=lambda x: x,
-                              p_integral=0.14, p_sq_integral=0.214)
+                              p_integral=0.14)
     slc = bare_slice(delta=0.5, delta_w=0.2)
     want = (1.0 - 0.5 * 0.5 + 0.3 * 0.2
             + 0.5 * 0.09 * (0.2 * 0.2 - 0.5))
@@ -195,14 +196,11 @@ def test_array_core_matches_event_walk_on_paths(variant):
         path = dense_path(seed, level=6, small_rate=8.0, tail_rate=4.0)
         assert path.jump_small.any() and not path.jump_small.all()
         for level in range(5):
-            shift = path.finest_level - level
-            batches = [(path.slices(level),
-                        [(path.cell_edges[k << shift], path.cell_edges[(k + 1) << shift])
-                         for k in range(2**level)])]
-            cell = path.jump_cells >> shift
-            lefts = path.grid(level)[cell]
-            batches.append((path.slice_between(lefts, path.jump_times),
-                            list(zip(path.event_index(lefts), path.jump_events))))
+            edges = path.event_index(dyadic_grid(path.horizon, level))
+            batches = [(path.slices(level), list(zip(edges[:-1], edges[1:])))]
+            lefts = edges[path.jump_cells >> (path.finest_level - level)]
+            batches.append((path.slice_between(lefts, path.jump_events),
+                            list(zip(lefts, path.jump_events))))
             for slices, bounds in batches:
                 terms = milstein_terms(y, slices, coef)
                 euler = euler_factor(slices, coef)
