@@ -35,6 +35,15 @@ def section(key: str, obj, allowed: set[str]) -> dict:
     return obj
 
 
+def choice(label: str, kinds: type[enum.Enum], value) -> enum.Enum:
+    """The member of the enum `kinds` whose value is the config text `value`."""
+    try:
+        return kinds(value)
+    except ValueError:
+        raise ConfigError(f"unknown {label} {value!r}; expected one of "
+                          f"{[kind.value for kind in kinds]}") from None
+
+
 def integer(key: str, value) -> int:
     """A config integer: a JSON number with an integral value (3 or 3.0);
     bools, strings and fractional or nonfinite numbers are refused."""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import ConfigError, finite, integer, require, section
+from .common import ConfigError, choice, finite, integer, require, section
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
 from .path import DrivingPath, build_path
@@ -33,6 +33,8 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 
 
 # -- configuration -----------------------------------------------------------
+
+_MAX_FINEST_LEVEL = 20  # 2**20 cells, about 100 MB of arrays a path; checked before any allocation
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
              "ladder_levels", "finest_level", "paths", "seed", "epsilons",
@@ -87,11 +89,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
 
     horizon = num("T", 1.0)
     require(horizon > 0, "T must be positive")
-    scheme_name = obj.get("scheme", "euler")
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ConfigError(f"unknown scheme {scheme_name!r}") from None
+    scheme = choice("scheme", Scheme, obj.get("scheme", "euler"))
 
     ladder = obj.get("ladder_levels", [])
     require(isinstance(ladder, (list, tuple)), "ladder_levels must be a list")
@@ -100,6 +98,8 @@ def config_from_dict(obj: dict) -> StudyConfig:
     require(list(levels) == sorted(set(levels)), "ladder levels must be strictly increasing")
 
     finest = integer("finest_level", obj.get("finest_level", (max(levels) + 2) if levels else 8))
+    require(0 <= finest <= _MAX_FINEST_LEVEL,
+            f"config key 'finest_level' must lie in 0..{_MAX_FINEST_LEVEL}, got {finest}")
     if levels:
         require(finest >= max(levels) + 2,
                 "finest_level must be at least two levels finer than the ladder")
@@ -131,18 +131,13 @@ def config_from_dict(obj: dict) -> StudyConfig:
         traj_level = integer("trajectory_level", traj_level)
         require(0 <= traj_level <= finest, "trajectory_level must not exceed finest_level")
 
-    i32_name = obj.get("i32_compensator", DEFAULT_I32.value)
-    try:
-        i32 = I32Compensator(i32_name)
-    except ValueError:
-        raise ConfigError(f"unknown i32_compensator {i32_name!r}") from None
+    i32 = choice("i32_compensator", I32Compensator,
+                 obj.get("i32_compensator", DEFAULT_I32.value))
 
-    oracle_obj = section("oracle", obj.get("oracle") or {}, {"kind", "level"})
-    kind_name = oracle_obj.get("kind", OracleKind.EXACT_LINEAR.value)
-    try:
-        kind = OracleKind(kind_name)
-    except ValueError:
-        raise ConfigError(f"unknown oracle kind {kind_name!r}") from None
+    oracle_obj = obj.get("oracle")  # only a missing or null oracle means the default
+    oracle_obj = section("oracle", {} if oracle_obj is None else oracle_obj, {"kind", "level"})
+    kind = choice("oracle kind", OracleKind,
+                  oracle_obj.get("kind", OracleKind.EXACT_LINEAR.value))
     level = oracle_obj.get("level")
     try:
         oracle = OracleConfig(kind=kind,
@@ -164,10 +159,12 @@ def config_from_dict(obj: dict) -> StudyConfig:
 
 def config_from_json(path) -> StudyConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     return config_from_dict(obj)

@@ -266,20 +266,13 @@ def truncate(model: LevyModel, eps: float) -> LevyModel:
 
 
 def _amplitude_from_config(key: str, obj) -> AmplitudeSpec:
-    if obj is None or obj == {} or obj == "identity":
-        return IDENTITY
-    if isinstance(obj, dict):
-        section(key, obj, {"coef", "exponent", "kind"})
-        if obj.get("kind") not in (None, "identity", "power"):
-            raise ConfigError(f"unknown {key} kind {obj.get('kind')!r}")
-        if obj.get("kind") == "identity":
-            return IDENTITY
-        try:
-            return AmplitudeSpec(finite(f"{key}.coef", obj.get("coef", 1.0)),
-                                 finite(f"{key}.exponent", obj.get("exponent", 1.0)))
-        except ValueError as exc:
-            raise ConfigError(f"{key}: {exc}") from None
-    raise ConfigError(f"cannot interpret {key} amplitude spec {obj!r}")
+    """{"coef", "exponent"}, each defaulting to 1; absent or null is identity."""
+    obj = section(key, {} if obj is None else obj, {"coef", "exponent"})
+    try:
+        return AmplitudeSpec(**{name: finite(f"{key}.{name}", value)
+                                for name, value in obj.items()})
+    except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _atoms_from_config(key: str, pairs) -> AtomSpec:

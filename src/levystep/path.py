@@ -176,7 +176,7 @@ class DrivingPath:
         return self.cell_edges[::1 << (self.finest_level - level)]
 
     def grid(self, level: int) -> np.ndarray:
-        # bit-equal to dyadic_grid(horizon, level): _assemble checks the edges
+        # bit-equal to dyadic_grid(horizon, level) by the merge in build_path
         return self.event_times[self.grid_events(level)]
 
     def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
@@ -209,19 +209,17 @@ class DrivingPath:
             raise ValueError("slice endpoints must be integer event-index arrays of "
                              f"one shape with 0 <= ia < ib < {n}")
         lengths = ib - ia
-        gaps = _concat_ranges(ia, lengths)
-        h = self.event_times[gaps + 1] - self.event_times[gaps]
-        contrib = (self.w_values[gaps] - np.repeat(self.w_values[ia], lengths)) * h \
-            + self.z_locals[gaps]
-        # np.add.reduceat adds a segment as first + pairwise(rest); a leading
-        # 0.0 per segment makes it the pairwise sum np.sum gives, bit for bit
+        # np.add.reduceat adds a segment as first + pairwise(rest); a zeroed
+        # pad slot ahead of each slice's gaps (index -1 at ia = 0) makes it
+        # the pairwise sum np.sum gives, bit for bit
+        gaps = _concat_ranges(ia - 1, lengths + 1)
         starts = np.cumsum(lengths + 1) - (lengths + 1)
-        slots = np.arange(gaps.size) + np.repeat(np.arange(ia.size) + 1, lengths)
-        padded = np.zeros(gaps.size + ia.size)
-        padded[slots] = self.dw[gaps]
-        dw = np.add.reduceat(padded, starts)
-        padded[slots] = contrib
-        dz = np.add.reduceat(padded, starts)
+        h = self.event_times[gaps + 1] - self.event_times[gaps]
+        dw = self.dw[gaps]
+        dz = (self.w_values[gaps] - np.repeat(self.w_values[ia], lengths + 1)) * h \
+            + self.z_locals[gaps]
+        dw[starts] = dz[starts] = 0.0
+        dw, dz = np.add.reduceat(dw, starts), np.add.reduceat(dz, starts)
         first = np.searchsorted(self.jump_events, ia, side="right")
         counts = np.searchsorted(self.jump_events, ib, side="right") - first
         return self._batch(ia, ib, dw, dz, _concat_ranges(first, counts),
@@ -245,45 +243,14 @@ def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(total)
 
 
-def _assemble(horizon: float, finest_level: int, dyad: np.ndarray,
-              event_times: np.ndarray, gaps: np.ndarray, dw: np.ndarray,
-              z_locals: np.ndarray, jump_times: np.ndarray, jump_marks: np.ndarray,
-              jump_small: np.ndarray) -> DrivingPath:
-    """Derive cumulative and per-level aggregation data from gap-level noise
-    (`dyad` is the finest dyadic grid, `gaps` the event spacings)."""
-    w_values = np.concatenate(([0.0], np.cumsum(dw)))
-    cell_edges = event_times.searchsorted(dyad)
-    if (event_times[cell_edges] != dyad).any():
-        raise ValueError("event grid does not contain the dyadic grid")
-    jump_events = event_times.searchsorted(jump_times)
-    if (event_times[jump_events] != jump_times).any():
-        raise ValueError("jump time missing from the event grid")
-    jump_cells = dyad.searchsorted(jump_times) - 1
-
-    # per finest-cell aggregates, then pairwise aggregation up the levels
-    starts = cell_edges[:-1]
-    counts = cell_edges[1:] - starts
-    w_cell_left = np.repeat(w_values[starts], counts)
-    contrib = (w_values[:-1] - w_cell_left) * gaps + z_locals
-    cell_dw = np.add.reduceat(dw, starts)
-    cell_dz = np.add.reduceat(contrib, starts)
-
-    level_dw: list[np.ndarray] = [np.empty(0)] * (finest_level + 1)
-    level_dz: list[np.ndarray] = [np.empty(0)] * (finest_level + 1)
-    level_dw[finest_level] = cell_dw
-    level_dz[finest_level] = cell_dz
-    for lvl in range(finest_level - 1, -1, -1):
-        cdw, cdz = level_dw[lvl + 1], level_dz[lvl + 1]
-        child_width = horizon / float(2 ** (lvl + 1))
-        level_dw[lvl] = cdw[0::2] + cdw[1::2]
-        level_dz[lvl] = cdz[0::2] + cdz[1::2] + cdw[0::2] * child_width
-    return DrivingPath(horizon=horizon, finest_level=finest_level,
-                       event_times=event_times, dw=dw, z_locals=z_locals,
-                       w_values=w_values, jump_times=jump_times,
-                       jump_marks=jump_marks, jump_small=jump_small,
-                       jump_events=jump_events, jump_cells=jump_cells,
-                       cell_edges=cell_edges, level_dw=tuple(level_dw),
-                       level_dz=tuple(level_dz))
+def _merge(dyad: np.ndarray, jump_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted union of the dyadic points and the jump times, and the
+    position in it of each dyadic point, then of each jump time."""
+    times = np.concatenate((dyad, jump_times))
+    order = np.argsort(times, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    return times[order], position
 
 
 def _nudged(times: np.ndarray, dyad: np.ndarray, horizon: float) -> np.ndarray:
@@ -318,15 +285,35 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
         raise ValueError("finest_level must be nonnegative")
     jump_times, jump_marks, jump_small = simulate_events(horizon, model, rng)
     dyad = dyadic_grid(horizon, finest_level)
-    event_times = np.sort(np.concatenate((dyad, jump_times)))
+    event_times, position = _merge(dyad, jump_times)
     gaps = event_times[1:] - event_times[:-1]
     if not gaps.all():  # a jump time on a dyadic point or on an earlier jump
         jump_times = _nudged(jump_times, dyad, horizon)
         order = np.argsort(jump_times, kind="stable")
         jump_times, jump_marks, jump_small = \
             jump_times[order], jump_marks[order], jump_small[order]
-        event_times = np.sort(np.concatenate((dyad, jump_times)))
+        event_times, position = _merge(dyad, jump_times)
         gaps = event_times[1:] - event_times[:-1]
     dw, z_locals = sample_dw_dz(gaps, rng)
-    return _assemble(horizon, finest_level, dyad, event_times, gaps, dw, z_locals,
-                     jump_times, jump_marks, jump_small)
+    w_values = np.concatenate(([0.0], np.cumsum(dw)))
+    cell_edges, jump_events = position[:dyad.size], position[dyad.size:]
+    # jump j has j earlier jumps and its cell + 1 dyadic points before it
+    jump_cells = jump_events - np.arange(jump_events.size) - 1
+
+    # per finest-cell aggregates, then pairwise aggregation up the levels
+    starts = cell_edges[:-1]
+    w_cell_left = np.repeat(w_values[starts], cell_edges[1:] - starts)
+    contrib = (w_values[:-1] - w_cell_left) * gaps + z_locals
+    level_dw = [np.add.reduceat(dw, starts)]
+    level_dz = [np.add.reduceat(contrib, starts)]
+    for child_level in range(finest_level, 0, -1):
+        cdw, cdz = level_dw[-1], level_dz[-1]
+        level_dw.append(cdw[0::2] + cdw[1::2])
+        level_dz.append(cdz[0::2] + cdz[1::2] + cdw[0::2] * (horizon / float(2**child_level)))
+    return DrivingPath(horizon=horizon, finest_level=finest_level,
+                       event_times=event_times, dw=dw, z_locals=z_locals,
+                       w_values=w_values, jump_times=jump_times,
+                       jump_marks=jump_marks, jump_small=jump_small,
+                       jump_events=jump_events, jump_cells=jump_cells,
+                       cell_edges=cell_edges, level_dw=tuple(level_dw[::-1]),
+                       level_dz=tuple(level_dz[::-1]))

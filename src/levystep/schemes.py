@@ -48,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from .levy import LevyModel, moment
-from .path import DrivingPath, Slices, dyadic_grid
+from .path import DrivingPath, Slices
 
 
 class Scheme(enum.Enum):
@@ -217,7 +217,7 @@ def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
     grid = np.asarray(grid, dtype=np.float64)
     level = (grid.size - 1).bit_length() - 1  # a level-L grid has 2**L + 1 points
     if not (0 <= level <= path.finest_level
-            and np.array_equal(grid, dyadic_grid(path.horizon, level))):
+            and np.array_equal(grid, path.grid(level))):
         raise ValueError("grid must be the path's uniform dyadic grid at a level "
                          f"in 0..{path.finest_level}")
     factors = step_factor(scheme, path.slices(level), coef)

@@ -96,6 +96,8 @@ def test_config_defaults():
     assert cfg.truncation_level == 4 and cfg.trajectory_level == 4
     assert cfg.oracle.kind is OracleKind.EXACT_LINEAR
     assert cfg.epsilon is None and cfg.epsilons is None
+    assert config_from_dict(base_config(oracle=None)).oracle.kind is OracleKind.EXACT_LINEAR
+    assert config_from_dict(base_config(finest_level=20)).finest_level == 20
 
 
 @pytest.mark.parametrize("mangle,match", [
@@ -121,6 +123,8 @@ def test_config_defaults():
     (lambda c: c.update(paths=True), "'paths' must be an integer"),
     (lambda c: c.update(paths=12.5), "'paths' must be an integer"),
     (lambda c: c.update(finest_level="7"), "'finest_level' must be an integer"),
+    (lambda c: c.update(ladder_levels=[], finest_level=21), "'finest_level' must lie in"),
+    (lambda c: c.update(ladder_levels=[], finest_level=-1), "'finest_level' must lie in"),
     (lambda c: c.update(truncation_level=2.5), "'truncation_level' must be an integer"),
     (lambda c: c.update(trajectory_level=[3]), "'trajectory_level' must be an integer"),
     (lambda c: c.update(epsilons=["x"]), "'epsilons' must be a number"),
@@ -505,6 +509,9 @@ def test_cli_nonfinite_model_value(tmp_path, capsys):
     ("ladder_levels", [3.7, 4.2, 5.1]),
     ("b", float("nan")),        # written as the JSON token NaN
     ("y0", float("inf")),       # written as the JSON token Infinity
+    # only a missing or null oracle means the default
+    ("oracle", []), ("oracle", 0), ("oracle", False), ("oracle", ""),
+    ("finest_level", 40),       # refused before a path asks for 2**40 + 1 points
 ])
 def test_cli_malformed_top_level_value(tmp_path, capsys, key, value):
     p = write_cfg(tmp_path, base_config(**{"paths": 5, key: value}))
@@ -512,6 +519,20 @@ def test_cli_malformed_top_level_value(tmp_path, capsys, key, value):
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["directory", "non-utf8"])
+def test_cli_unreadable_config(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "cfg.json"
+    if kind == "directory":
+        cfg_path.mkdir()
+    else:
+        cfg_path.write_bytes(b'{"seed": "\xe9"}')   # a lone Latin-1 byte
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(cfg_path), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config file") and str(cfg_path) in err
+    assert not out.exists()
 
 
 def test_cli_negative_seed_override(tmp_path, capsys):

@@ -286,6 +286,12 @@ def test_model_from_config_power_law_with_eps():
 
 
 ATOMS = {"kind": "atoms", "atoms": [[0.5, 1.0]]}
+
+
+@pytest.mark.parametrize("amp", [None, {}, {"coef": 1, "exponent": 1.0}])
+def test_model_from_config_identity_amplitude(amp):
+    model, _ = model_from_config({"small": ATOMS, "p": amp, "q": amp})
+    assert model.p == model.q == AmplitudeSpec(1.0, 1.0)
 POWER_LAW = {"kind": "power_law", "c": 1.0, "a": 0.5}
 NAN, INF = float("nan"), float("inf")
 BAD_MODELS = [
@@ -311,6 +317,11 @@ BAD_MODELS = [
     ({"small": dict(POWER_LAW, atoms=[])}, "model.small"),
     ({"small": ATOMS, "tail": {"atoms": [], "mass": 1.0}}, "model.tail"),
     ({"small": ATOMS, "tail": {"kind": "power_law", "atoms": []}}, "model.tail"),
+    # amplitudes are {"coef", "exponent"} objects only
+    ({"small": ATOMS, "p": "identity"}, "model.p"),
+    ({"small": ATOMS, "q": {"kind": "identity"}}, "model.q"),
+    ({"small": ATOMS, "p": {"kind": "power", "coef": 2.0}}, "model.p"),
+    ({"small": ATOMS, "q": {"exponent": -1.0}}, "model.q"),
 ]
 
 

@@ -251,6 +251,53 @@ def test_build_path_nudges_duplicate_jump_times(finite_model):
     assert np.all(np.diff(path.event_times) > 0)
 
 
+# -- the event grid's index maps ---------------------------------------------
+
+NUDGE_SCRIPTS = [
+    ([0.5, 10.0], [0.0, 0.0]),        # a jump on the dyadic point 0.5
+    ([0.3, 0.0, 10.0], [0.0] * 4),    # two jumps at one instant
+]
+
+
+def merged_paths(finite_model):
+    """50 random paths at each of the finest levels 0, 3 and 8, then one
+    path per nudge script."""
+    rng = np.random.default_rng(808)
+    for level in (0, 3, 8):
+        for _ in range(50):
+            yield build_path(1.0, level, dense_model(), rng)
+    for exponentials, uniforms in NUDGE_SCRIPTS:
+        yield build_path(1.0, 3, finite_model, ScriptedRng(exponentials, uniforms))
+
+
+def test_merge_index_maps_match_the_searches(finite_model):
+    # the positions come from the merge that builds the grid; searching the
+    # times back is the independent check
+    for path in merged_paths(finite_model):
+        dyad = dyadic_grid(1.0, path.finest_level)
+        assert path.event_times[path.cell_edges].tobytes() == dyad.tobytes()
+        assert path.event_times[path.jump_events].tobytes() == path.jump_times.tobytes()
+        assert np.array_equal(path.jump_cells, dyad.searchsorted(path.jump_times) - 1)
+
+
+def test_slice_between_is_the_pairwise_gap_sum(finite_model):
+    # each batch holds ia = 0, one-gap slices and the whole horizon; every
+    # slice equals np.sum over its gaps, bit for bit
+    rng = np.random.default_rng(809)
+    for path in merged_paths(finite_model):
+        n, w = path.event_times.size, path.w_values
+        ia = rng.integers(0, n - 1, 6)
+        ib = ia + 1 + rng.integers(0, n - 1 - ia)
+        ia = np.concatenate(([0, 0], ia, ia))
+        ib = np.concatenate(([1, n - 1], ia[2:8] + 1, ib))
+        batch = path.slice_between(ia, ib)
+        for k, (a, b) in enumerate(zip(ia, ib)):
+            g = np.arange(a, b)
+            h = path.event_times[g + 1] - path.event_times[g]
+            assert batch.dw[k] == np.sum(path.dw[a:b])
+            assert batch.dz[k] == np.sum((w[g] - w[a]) * h + path.z_locals[g])
+
+
 # -- two-level aggregation identities ----------------------------------------
 
 def test_two_level_coupling_is_exact():
