@@ -28,15 +28,16 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--paths", type=int, default=None, help="override the path count")
+        if name != "simulate":  # simulate runs one path
+            p.add_argument("--paths", type=int, default=None, help="override the path count")
         p.add_argument("--out-dir", default=".", help="output directory (created if needed)")
     return parser
 
 
 def _load_config(args) -> harness.StudyConfig:
     cfg = harness.config_from_json(args.config)
-    overrides = {key: value for key, value in (("seed", args.seed), ("paths", args.paths))
-                 if value is not None}
+    overrides = {key: value for key in ("seed", "paths")
+                 if (value := getattr(args, key, None)) is not None}
     if overrides:
         # parsed again as a whole, so an override is checked like the key it replaces
         cfg = harness.config_from_dict({**cfg.source, **overrides})

@@ -117,19 +117,17 @@ def config_from_dict(obj: dict) -> StudyConfig:
         epsilons = tuple(sorted({finite("epsilons", e) for e in epsilons}, reverse=True))
         require(all(0 < e < 1 for e in epsilons), "epsilons must lie in (0, 1)")
 
-    trunc_level = obj.get("truncation_level")
-    if trunc_level is None and levels:
-        trunc_level = max(levels)
-    if trunc_level is not None:
-        trunc_level = integer("truncation_level", trunc_level)
-        require(0 <= trunc_level <= finest, "truncation_level must not exceed finest_level")
+    def grid_level(key):
+        """A grid level within the path; the finest ladder level by default."""
+        level = obj.get(key)
+        if level is None:
+            level = max(levels, default=None)
+        if level is not None:
+            level = integer(key, level)
+            require(0 <= level <= finest, f"{key} must not exceed finest_level")
+        return level
 
-    traj_level = obj.get("trajectory_level")
-    if traj_level is None and levels:
-        traj_level = max(levels)
-    if traj_level is not None:
-        traj_level = integer("trajectory_level", traj_level)
-        require(0 <= traj_level <= finest, "trajectory_level must not exceed finest_level")
+    trunc_level, traj_level = grid_level("truncation_level"), grid_level("trajectory_level")
 
     i32 = choice("i32_compensator", I32Compensator,
                  obj.get("i32_compensator", DEFAULT_I32.value))
@@ -226,10 +224,6 @@ class ConvergenceReport:
     config_hash: str
     sup_note: str = SUP_NOTE
 
-    @property
-    def rms_error(self) -> np.ndarray:
-        return np.sqrt(self.mean_sup_sq)
-
 
 def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
                level: int) -> np.ndarray:
@@ -239,7 +233,7 @@ def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
     elsewhere), which requires its own level to be at least 4 levels finer and
     within the path."""
     if cfg.oracle.kind is OracleKind.EXACT_LINEAR:
-        return exact_solution(path, path.event_times, coef, cfg.y0)
+        return exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
     require(level + 4 <= cfg.oracle.level <= cfg.finest_level,
             f"oracle.level must be at least 4 levels finer than the evaluated grid "
             f"(level {level}) and at most finest_level ({cfg.finest_level}), "

@@ -151,13 +151,9 @@ class LevyModel:
         return 2.0 * self.small.c * _power_integral(self.eps, 1.0, -1.0 - self.small.a)
 
     @property
-    def tail_mass(self) -> float:
-        return self.tail.mass
-
-    @property
     def active_rate(self) -> float:
         """Total arrival rate when simulated as-is (small + tail)."""
-        return self.small_mass + self.tail_mass
+        return self.small_mass + self.tail.mass
 
     @property
     def residual_l_eps(self) -> float:

@@ -2,44 +2,17 @@
 
 A multiindex is a word over the digit alphabet {0, 1, 2, 3}; each digit names
 one integrator (0: time, 1: Wiener increment, 2: compensated jump measure on
-the unit ball, 3: jump measure on the tail).  This module provides digit
-counting, head/tail truncations, the hierarchical sets that define a scheme of
-a given strong order, their remainder sets, and the binary subscript words
-used when ball integrals are split into an inner ball and a disc.
+the unit ball, 3: jump measure on the tail).  This module provides the
+hierarchical sets that define a scheme of a given strong order and their
+remainder sets.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .common import Region
-
 _ALPHABET = (0, 1, 2, 3)
-
-
-@dataclass(frozen=True)
-class Counts:
-    """Digit statistics of a multiindex.
-
-    length: total number of digits
-    s: count of 0-digits (time integrals)
-    w: count of 1-digits (Wiener integrals)
-    n_compensated: count of 2-digits (compensated ball integrals)
-    n_tail: count of 3-digits (tail integrals)
-    k: n_compensated + n_tail (all jump digits)
-    """
-
-    length: int
-    s: int
-    w: int
-    n_compensated: int
-    n_tail: int
-
-    @property
-    def k(self) -> int:
-        return self.n_compensated + self.n_tail
 
 
 @dataclass(frozen=True, order=True)
@@ -73,42 +46,11 @@ class Multiindex:
     def is_empty(self) -> bool:
         return not self.digits
 
-    def counts(self) -> Counts:
-        s = self.digits.count(0)
-        w = self.digits.count(1)
-        nc = self.digits.count(2)
-        nt = self.digits.count(3)
-        return Counts(length=len(self.digits), s=s, w=w, n_compensated=nc, n_tail=nt)
-
-    def concat(self, other: "Multiindex") -> "Multiindex":
-        return Multiindex(self.digits + other.digits)
-
-    def drop_last(self) -> "Multiindex":
-        """alpha- : remove the final digit.  Undefined on the empty word."""
-        if not self.digits:
-            raise ValueError("cannot drop a digit from the empty multiindex")
-        return Multiindex(self.digits[:-1])
-
     def drop_first(self) -> "Multiindex":
         """-alpha : remove the leading digit.  Undefined on the empty word."""
         if not self.digits:
             raise ValueError("cannot drop a digit from the empty multiindex")
         return Multiindex(self.digits[1:])
-
-    def beta(self) -> "Multiindex":
-        """Subword of jump digits only (2s and 3s), order preserved."""
-        return Multiindex(tuple(d for d in self.digits if d in (2, 3)))
-
-    def ball_at(self, i: int) -> Region:
-        """Region of the i-th jump integrator, counted so that i=1 is the
-        *last* jump digit of the word: digit 2 -> SMALL, digit 3 -> TAIL."""
-        b = self.beta().digits
-        k = len(b)
-        if k == 0:
-            raise ValueError("multiindex has no jump digits")
-        if not 1 <= i <= k:
-            raise ValueError(f"jump position {i} out of range 1..{k}")
-        return Region.SMALL if b[k - i] == 2 else Region.TAIL
 
 
 EMPTY = Multiindex(())
@@ -164,10 +106,10 @@ def in_hierarchical_set(alpha: Multiindex, gamma) -> bool:
     """Membership predicate: length + zero-count <= 2*gamma, or the special
     branch length = zero-count = gamma + 1/2."""
     two_gamma = _as_half_units(gamma)
-    c = alpha.counts()
-    if c.length + c.s <= two_gamma:
+    length, zeros = len(alpha), alpha.digits.count(0)
+    if length + zeros <= two_gamma:
         return True
-    return c.length == c.s and 2 * c.length == two_gamma + 1
+    return length == zeros and 2 * length == two_gamma + 1
 
 
 def hierarchical_set(gamma) -> IndexSet:
@@ -210,11 +152,3 @@ def remainder_set(a: IndexSet) -> IndexSet:
             if cand not in pool:
                 out.append(cand)
     return IndexSet(tuple(out))
-
-
-def subscript_set(alpha: Multiindex) -> tuple[tuple[int, ...], ...]:
-    """All binary words indexing the ball/disc split of the compensated jump
-    integrals of alpha: one bit per 2-digit, so 2**n_compensated words; the
-    empty word alone when alpha has no 2-digits."""
-    n = alpha.counts().n_compensated
-    return tuple(itertools.product((0, 1), repeat=n))

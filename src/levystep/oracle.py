@@ -41,13 +41,19 @@ class OracleConfig:
     def __post_init__(self) -> None:
         if self.kind is OracleKind.FINE_GRID and self.level is None:
             raise ValueError("fine-grid oracle needs a level")
+        if self.kind is OracleKind.EXACT_LINEAR and self.level is not None:
+            raise ValueError("oracle.level applies to the fine_grid oracle only; "
+                             "the exact_linear oracle would ignore it")
 
 
-def exact_solution(path: DrivingPath, eval_times: np.ndarray,
+def exact_solution(path: DrivingPath, events: np.ndarray,
                    coef: LinearCoefficients, y0: float) -> np.ndarray:
-    """The exact solution at the requested event times (right-continuous:
-    the value at a jump time includes that jump)."""
-    idx = path.event_index(eval_times)
+    """The exact solution at the events with the given integer indices
+    (right-continuous: the value at a jump time includes that jump)."""
+    events, n = np.asarray(events), path.event_times.size
+    if not (events.dtype.kind == "i" and events.ndim == 1
+            and np.all((0 <= events) & (events < n))):
+        raise ValueError(f"events must be a 1-D integer event-index array in 0..{n - 1}")
     log_drift = coef.drift - coef.small_jump * coef.p_integral \
         - 0.5 * coef.diffusion**2
     gaps = np.diff(path.event_times)
@@ -58,7 +64,7 @@ def exact_solution(path: DrivingPath, eval_times: np.ndarray,
                                            1.0 + coef.small_jump * coef.p(marks),
                                            1.0 + coef.tail_jump * coef.q(marks))
     values = np.concatenate(([y0], y0 * np.cumprod(mult)))
-    return values[idx]
+    return values[events]
 
 
 def fine_reference(path: DrivingPath, coef: LinearCoefficients, y0: float,

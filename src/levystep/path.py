@@ -160,15 +160,6 @@ class DrivingPath:
 
     # -- lookups -----------------------------------------------------------
 
-    def event_index(self, t):
-        """Exact position of t (a float or an array of them) in the event
-        grid; ValueError if any is absent."""
-        t = np.asarray(t, dtype=np.float64)
-        i = np.minimum(self.event_times.searchsorted(t), self.event_times.size - 1)
-        if (self.event_times[i] != t).any():
-            raise ValueError(f"{t!r} is not an event time of this path")
-        return i if i.ndim else int(i)
-
     def grid_events(self, level: int) -> np.ndarray:
         """Event indices of the 2**level + 1 dyadic points at `level`."""
         if not 0 <= level <= self.finest_level:

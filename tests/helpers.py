@@ -1,9 +1,10 @@
 """Independent oracles used across the test modules.
 
 Everything here recomputes what the package computes, by a different route:
-set membership by exhaustive enumeration, moments by adaptive quadrature, and
-the order-1 integral terms by an event walk over raw gap-level data that never
-uses the package's lookahead bookkeeping or aggregation identities.
+set membership by exhaustive enumeration, event positions by searching their
+times, moments by adaptive quadrature, and the order-1 integral terms by an
+event walk over raw gap-level data that never uses the package's lookahead
+bookkeeping or aggregation identities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import itertools
 import numpy as np
 from scipy import integrate
 
-from levystep import LinearCoefficients, Multiindex, Region, in_hierarchical_set
+from levystep import LinearCoefficients, Multiindex
+from levystep.common import Region
+from levystep.multiindex import in_hierarchical_set
 from levystep.path import Slices
 from levystep.schemes import I32Compensator
 
@@ -33,6 +36,18 @@ def brute_hierarchical(gamma, max_len: int) -> set[Multiindex]:
 def brute_remainder(members: set[Multiindex], max_len: int) -> set[Multiindex]:
     return {a for a in all_words(max_len + 1)
             if a not in members and not a.is_empty and a.drop_first() in members}
+
+
+# -- event lookup by time -----------------------------------------------------
+
+def event_indices(path, times) -> np.ndarray:
+    """Positions of the float `times` in the path's event grid, found by
+    search; raises if any of them is not an event time of the path."""
+    times = np.asarray(times, dtype=np.float64)
+    idx = np.minimum(path.event_times.searchsorted(times), path.event_times.size - 1)
+    if (path.event_times[idx] != times).any():
+        raise ValueError(f"{times!r} holds a time that is not an event of this path")
+    return idx
 
 
 # -- quadrature moments -------------------------------------------------------

@@ -21,7 +21,6 @@ from levystep import (
     build_path,
     hierarchical_set,
     remainder_set,
-    sample_dw_dz,
 )
 from levystep.harness import (
     config_from_dict,
@@ -29,6 +28,7 @@ from levystep.harness import (
     strong_error_study,
     truncation_study,
 )
+from levystep.path import sample_dw_dz
 from levystep.schemes import milstein_terms
 from test_multiindex import A_HALF, A_ONE, B_HALF, B_ONE
 

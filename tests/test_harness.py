@@ -18,7 +18,6 @@ from levystep import (
     build_path,
     config_from_dict,
     config_from_json,
-    exclude_coarsest,
     fit_slope,
     path_rng,
     run_scheme,
@@ -27,6 +26,7 @@ from levystep import (
     truncation_study,
 )
 from levystep import cli, harness
+from levystep.harness import exclude_coarsest
 
 
 def base_config(**over):
@@ -219,7 +219,6 @@ def test_strong_study_shape_and_errors(euler_report):
     assert rep.per_path.shape == (40, 3)
     assert np.all(rep.mean_sup_sq > 0) and np.all(rep.std_err > 0)
     assert np.all(np.diff(rep.mean_sup_sq) < 0)  # finer grid, smaller error
-    assert np.array_equal(rep.rms_error, np.sqrt(rep.mean_sup_sq))
     assert math.isfinite(rep.slope)
     assert rep.slope_ci[0] < rep.slope < rep.slope_ci[1]
     assert rep.target_order == 0.5
@@ -474,6 +473,16 @@ def test_cli_simulate(tmp_path):
     assert len(lines) == 2**4 + 2
 
 
+def test_cli_simulate_has_no_paths_flag(tmp_path):
+    # simulate runs one path, so a path count is a usage error, not ignored
+    p = write_cfg(tmp_path, base_config())
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["simulate", "--paths", "3", "--config", str(p), "--out-dir", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_cli_truncate(tmp_path):
     p = write_cfg(tmp_path, trunc_config(paths=10))
     out = tmp_path / "out"
@@ -573,6 +582,7 @@ STRING_ATOM = {"kind": "atoms", "atoms": [["0.5", 0.6], [-0.4, 0.4]]}
     ("p", {"coef": True}, "model.p.coef"),
     ("epsilon", "0.3", "model.epsilon"),
     ("oracle", {"kind": "fine_grid", "level": 8, "bogus": 1}, "bogus"),
+    ("oracle", {"kind": "exact_linear", "level": 8}, "oracle.level"),
 ])
 def test_cli_strict_numbers_and_sections(tmp_path, capsys, section, value, key):
     cfg = base_config(paths=5, finest_level=8)

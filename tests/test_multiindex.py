@@ -1,13 +1,9 @@
 import pytest
-from hypothesis import given, strategies as st
 
-from levystep import (Multiindex, Region, hierarchical_set, in_hierarchical_set,
-                      remainder_set, subscript_set)
-from levystep.multiindex import EMPTY, IndexSet
+from levystep import Multiindex, hierarchical_set, remainder_set
+from levystep.multiindex import EMPTY, IndexSet, in_hierarchical_set
 
 from helpers import brute_hierarchical, brute_remainder
-
-digits = st.lists(st.integers(0, 3), max_size=8).map(tuple).map(Multiindex)
 
 
 def test_parse_render_roundtrip():
@@ -22,45 +18,10 @@ def test_bad_digit_rejected():
         Multiindex((0, 4))
 
 
-def test_counts_example():
-    c = Multiindex.parse("2013").counts()
-    assert (c.length, c.s, c.w, c.n_compensated, c.n_tail, c.k) == (4, 1, 1, 1, 1, 2)
-
-
 def test_drop_operations():
-    a = Multiindex.parse("2013")
-    assert a.drop_last().render() == "201"
-    assert a.drop_first().render() == "013"
-    with pytest.raises(ValueError):
-        EMPTY.drop_last()
+    assert Multiindex.parse("2013").drop_first().render() == "013"
     with pytest.raises(ValueError):
         EMPTY.drop_first()
-
-
-def test_beta_keeps_jump_digits():
-    assert Multiindex.parse("2013").beta().render() == "23"
-    assert Multiindex.parse("0101").beta() == EMPTY
-
-
-def test_ball_at_positions():
-    # i counts jump integrators so that i=1 is the last jump digit
-    a = Multiindex.parse("213")
-    assert a.ball_at(1) is Region.TAIL
-    assert a.ball_at(2) is Region.SMALL
-    with pytest.raises(ValueError):
-        a.ball_at(3)
-    with pytest.raises(ValueError):
-        Multiindex.parse("010").ball_at(1)
-
-
-@given(digits, digits)
-def test_counts_additive_under_concatenation(a, b):
-    ca, cb, cc = a.counts(), b.counts(), a.concat(b).counts()
-    assert cc.length == ca.length + cb.length
-    assert cc.s == ca.s + cb.s
-    assert cc.w == ca.w + cb.w
-    assert cc.n_compensated == ca.n_compensated + cb.n_compensated
-    assert cc.n_tail == ca.n_tail + cb.n_tail
 
 
 # frozen listings of the order-1/2 and order-1 sets
@@ -136,20 +97,6 @@ def test_bad_gamma_rejected():
     for bad in (0, -1, 0.3, 0.75):
         with pytest.raises(ValueError):
             hierarchical_set(bad)
-
-
-@given(digits)
-def test_subscript_set_size(alpha):
-    words = subscript_set(alpha)
-    n = alpha.counts().n_compensated
-    assert len(words) == 2**n
-    assert len(set(words)) == len(words)
-    assert all(len(wd) == n for wd in words)
-
-
-def test_subscript_set_empty_word():
-    assert subscript_set(Multiindex.parse("010")) == ((),)
-    assert subscript_set(Multiindex.parse("22")) == ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def test_canonical_ordering():

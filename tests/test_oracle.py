@@ -12,7 +12,6 @@ from levystep import (
     LinearCoefficients,
     OracleConfig,
     OracleKind,
-    Region,
     Scheme,
     build_path,
     config_from_dict,
@@ -21,6 +20,9 @@ from levystep import (
     run_scheme,
 )
 from levystep import harness
+from levystep.common import Region
+
+from helpers import event_indices
 
 IDENT = AmplitudeSpec(1.0, 1.0)
 
@@ -44,7 +46,7 @@ def jumpy_path(seed, level=6, small_rate=3.0, tail_rate=1.5):
 def test_pure_drift(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(0))
     coef = coef_with(drift=-0.7, m1=0.0)
-    got = exact_solution(path, path.grid(2), coef, y0=2.0)
+    got = exact_solution(path, path.grid_events(2), coef, y0=2.0)
     want = 2.0 * np.exp(-0.7 * path.grid(2))
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -55,10 +57,10 @@ def test_geometric_brownian_motion(finite_model):
     path = build_path(1.0, 5, finite_model, np.random.default_rng(1))
     coef = coef_with(drift=0.3, diffusion=0.8, m1=0.0)
     times = path.grid(3)
-    idx = [path.event_index(float(t)) for t in times]
+    idx = event_indices(path, times)
     w = path.w_values[idx]
     want = 1.5 * np.exp((0.3 - 0.32) * times + 0.8 * w)
-    assert exact_solution(path, times, coef, y0=1.5) == pytest.approx(want, rel=1e-12)
+    assert exact_solution(path, idx, coef, y0=1.5) == pytest.approx(want, rel=1e-12)
 
 
 def test_jump_factors_match_event_walk():
@@ -83,7 +85,7 @@ def test_jump_factors_match_event_walk():
         manual[float(path.event_times[i])] = y
     eval_times = np.concatenate((path.grid(2), [j.time for j in path.jumps]))
     eval_times = np.sort(eval_times)
-    got = exact_solution(path, eval_times, coef, y0=1.0)
+    got = exact_solution(path, event_indices(path, eval_times), coef, y0=1.0)
     want = np.array([manual[float(t)] for t in eval_times])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -92,29 +94,50 @@ def test_markov_composition():
     # solving to t2 equals solving to t1 and restarting from that value
     path = jumpy_path(8)
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    t1, t2 = 0.5, 1.0
-    full = exact_solution(path, np.array([t1, t2]), coef, 1.0)
-    restarted = exact_solution(path, np.array([t2]), coef, 1.0)
+    e1, e2 = event_indices(path, [0.5, 1.0])
+    full = exact_solution(path, np.array([e1, e2]), coef, 1.0)
+    restarted = exact_solution(path, np.array([e2]), coef, 1.0)
     # ratio Y(t2)/Y(t1) does not depend on the state at t1
-    doubled = exact_solution(path, np.array([t1, t2]), coef, 2.0)
+    doubled = exact_solution(path, np.array([e1, e2]), coef, 2.0)
     assert doubled == pytest.approx(2.0 * full, rel=1e-12)
     assert restarted[0] == pytest.approx(full[1], rel=1e-12)
 
 
 def test_exact_solution_rejects_non_event_times(finite_model):
+    # events are integer positions in the event grid: float times, a 2-D
+    # array and positions outside 0..n_events - 1 are refused
     path = build_path(1.0, 3, finite_model, np.random.default_rng(2))
     coef = coef_with(drift=-0.5)
-    with pytest.raises(ValueError, match="event time"):
-        exact_solution(path, np.array([0.123]), coef, 1.0)
+    n = path.event_times.size
+    for bad in (np.array([0.123]), path.event_times, np.arange(n)[None, :],
+                np.array([0, -1]), np.array([0, n])):
+        with pytest.raises(ValueError, match="event-index array"):
+            exact_solution(path, bad, coef, 1.0)
+    assert exact_solution(path, np.array([0, n - 1]), coef, 1.0).shape == (2,)
+
+
+def test_exact_solution_at_every_event_matches_time_lookup():
+    # the studies ask for every event by its index; the same values as
+    # looking each event time up in the path, bit for bit
+    rng = np.random.default_rng(17)
+    coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
+    for seed in range(20):
+        path = jumpy_path(seed, level=int(rng.integers(0, 7)))
+        n = path.event_times.size
+        searched = event_indices(path, path.event_times)
+        assert np.array_equal(searched, np.arange(n))
+        y0 = float(rng.uniform(0.5, 2.0))
+        assert np.array_equal(exact_solution(path, np.arange(n), coef, y0),
+                              exact_solution(path, searched, coef, y0))
 
 
 def test_truncated_compensator_shift():
     # same noise, two different p_integral values: the exact solutions differ
     # by exp(-small_jump * (m1 - m1') * t) pathwise
     path = jumpy_path(9)
-    t = path.grid(1)
-    a = exact_solution(path, t, coef_with(drift=0.1, small_jump=0.2, m1=0.14), 1.0)
-    b = exact_solution(path, t, coef_with(drift=0.1, small_jump=0.2, m1=0.04), 1.0)
+    t, at = path.grid(1), path.grid_events(1)
+    a = exact_solution(path, at, coef_with(drift=0.1, small_jump=0.2, m1=0.14), 1.0)
+    b = exact_solution(path, at, coef_with(drift=0.1, small_jump=0.2, m1=0.04), 1.0)
     assert a == pytest.approx(b * np.exp(-0.2 * 0.1 * t), rel=1e-12)
 
 
@@ -125,8 +148,7 @@ def test_milstein_approaches_exact():
     # closed form; just require monotone improvement and smallness at the end
     path = jumpy_path(10, level=8)
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    eval_times = path.grid(2)
-    exact = exact_solution(path, eval_times, coef, 1.0)
+    exact = exact_solution(path, path.grid_events(2), coef, 1.0)
     errs = []
     for level in (2, 4, 6, 8):
         traj = run_scheme(Scheme.MILSTEIN, path.grid(level), path, coef, 1.0)
@@ -149,8 +171,7 @@ def test_fine_reference_matches_direct_run():
 def test_fine_reference_error_shrinks_with_level():
     path = jumpy_path(12, level=9)
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    eval_times = path.grid(1)
-    exact = exact_solution(path, eval_times, coef, 1.0)
+    exact = exact_solution(path, path.grid_events(1), coef, 1.0)
     errs = [np.max(np.abs(fine_reference(path, coef, 1.0, level=lv, at_level=1) - exact))
             for lv in (5, 7, 9)]
     assert errs[0] > errs[-1]
@@ -178,11 +199,12 @@ def test_reference_solution_dispatch():
              "b": 0.0, "sigma": 0.0, "F": 0.0, "G": 0.0, "ladder_levels": [1, 2],
              "finest_level": 6, "paths": 2, "seed": 0}
     exact = harness._reference(config_from_dict(study), path, coef, 2)
-    assert np.array_equal(exact, exact_solution(path, path.event_times, coef, 1.0))
+    n = path.event_times.size
+    assert np.array_equal(exact, exact_solution(path, np.arange(n), coef, 1.0))
     cfg = config_from_dict(study | {"oracle": {"kind": "fine_grid", "level": 6}})
     fine = harness._reference(cfg, path, coef, 2)
     at = path.grid_events(2)
-    assert np.array_equal(at, path.event_index(path.grid(2)))
+    assert np.array_equal(at, event_indices(path, path.grid(2)))
     assert np.array_equal(fine[at], fine_reference(path, coef, 1.0, level=6, at_level=2))
     assert np.isnan(np.delete(fine, at)).all()
 
@@ -190,4 +212,6 @@ def test_reference_solution_dispatch():
 def test_oracle_config_validation():
     with pytest.raises(ValueError, match="level"):
         OracleConfig(kind=OracleKind.FINE_GRID)
+    with pytest.raises(ValueError, match="oracle.level"):
+        OracleConfig(kind=OracleKind.EXACT_LINEAR, level=6)
     assert OracleConfig().kind is OracleKind.EXACT_LINEAR

@@ -10,12 +10,12 @@ from levystep import (
     AtomSpec,
     LevyModel,
     PowerLawSpec,
-    Region,
     build_path,
-    dyadic_grid,
-    sample_dw_dz,
-    simulate_events,
 )
+from levystep.common import Region
+from levystep.path import dyadic_grid, sample_dw_dz, simulate_events
+
+from helpers import event_indices
 
 IDENT = AmplitudeSpec(1.0, 1.0)
 
@@ -364,7 +364,7 @@ def test_slice_between_partial_to_jump_time():
     # right endpoint included, left excluded
     assert slc.time[-1] == j.time
     assert np.all((0.0 < slc.time) & (slc.time <= j.time))
-    assert np.array_equal(slc.w, path.w_values[path.event_index(slc.time)])
+    assert np.array_equal(slc.w, path.w_values[event_indices(path, slc.time)])
     rest = path.slice_between(ib, path.grid_events(2)[1])
     assert np.all((j.time < rest.time) & (rest.time <= grid[1]))
 
@@ -442,16 +442,11 @@ def test_with_jumps_rejects_bad_mask(finite_model):
 
 def test_event_index_and_grid_lookups(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(62))
-    assert path.event_index(0.0) == 0
-    assert path.event_index(1.0) == path.event_times.size - 1
-    assert np.array_equal(path.event_index(path.event_times[::-1]),
-                          np.arange(path.event_times.size)[::-1])
-    with pytest.raises(ValueError):
-        path.event_index(0.1234567)
-    with pytest.raises(ValueError):
-        path.event_index(np.array([0.0, 0.1234567]))
-    with pytest.raises(ValueError):
-        path.event_index(1.5)
+    # the event indices of a level's grid points, against a search of their times
+    for level in range(5):
+        assert np.array_equal(path.grid_events(level),
+                              event_indices(path, dyadic_grid(1.0, level)))
+    assert path.grid_events(0).tolist() == [0, path.event_times.size - 1]
     assert np.array_equal(path.grid(2), dyadic_grid(1.0, 2))
     with pytest.raises(ValueError):
         path.grid(5)

@@ -7,27 +7,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import (RawSlice, assert_term_match, random_raw_slice, slice_terms,
-                     walk_terms)
+from helpers import (RawSlice, assert_term_match, event_indices, random_raw_slice,
+                     slice_terms, walk_terms)
 from levystep import (
     AmplitudeSpec,
     AtomSpec,
     LevyModel,
     LinearCoefficients,
-    Region,
     Scheme,
     I32Compensator,
     build_path,
-    dyadic_grid,
-    euler_factor,
     hierarchical_set,
-    milstein_factor,
     milstein_terms,
     moment,
     run_scheme,
-    step_factor,
 )
 from levystep import schemes
+from levystep.common import Region
+from levystep.path import dyadic_grid
+from levystep.schemes import euler_factor, milstein_factor, step_factor
 
 TERM_KEYS = frozenset(
     ["0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32", "33"])
@@ -196,7 +194,7 @@ def test_array_core_matches_event_walk_on_paths(variant):
         path = dense_path(seed, level=6, small_rate=8.0, tail_rate=4.0)
         assert path.jump_small.any() and not path.jump_small.all()
         for level in range(5):
-            edges = path.event_index(dyadic_grid(path.horizon, level))
+            edges = event_indices(path, dyadic_grid(path.horizon, level))
             batches = [(path.slices(level), list(zip(edges[:-1], edges[1:])))]
             lefts = edges[path.jump_cells >> (path.finest_level - level)]
             batches.append((path.slice_between(lefts, path.jump_events),
