@@ -22,9 +22,9 @@ import numpy as np
 from .common import ConfigError, choice, finite, integer, require, section
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
-from .path import DrivingPath, build_path
+from .path import DrivingPath, build_path, stack
 from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
-                      run_scheme, step_factor)
+                      chain, run_scheme, step_factor)
 
 SUP_NOTE = ("strong error sup taken over grid points and jump times; "
             "the scheme is evaluated at interior jump times through "
@@ -244,22 +244,30 @@ def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
     return values
 
 
-def _sup_error_one_path(cfg: StudyConfig, path: DrivingPath,
-                        coef: LinearCoefficients, level: int,
-                        oracle_at_events: np.ndarray):
-    """(sup |err|^2, sup |Y_scheme|^2) for one ladder level on one path."""
-    edges = path.grid_events(level)
-    traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
-    err = np.abs(traj.values - oracle_at_events[edges])
-    if cfg.oracle.kind is OracleKind.EXACT_LINEAR and path.jump_times.size:
-        # evaluate the scheme at interior jump times via partial slices;
-        # the base value is the last grid value at or before the jump
-        cell = path.jump_cells >> (path.finest_level - level)
-        parts = path.slice_between(edges[cell], path.jump_events)
-        y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef)
-        err = np.concatenate((err, np.abs(y_at - oracle_at_events[path.jump_events])))
-    sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
-    return sup * sup, float(np.max(np.abs(traj.values))) ** 2
+def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
+                oracle_at_events: np.ndarray) -> np.ndarray:
+    """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, on one
+    path; the slices of every level go through one evaluator call."""
+    levels, jumps = cfg.ladder_levels, path.jump_events
+    edges = [path.grid_events(lv) for lv in levels]
+    cells = [path.jump_cells >> (path.finest_level - lv) for lv in levels]
+    batches = [path.slices(lv) for lv in levels]
+    partial = cfg.oracle.kind is OracleKind.EXACT_LINEAR and jumps.size > 0
+    if partial:  # from each level's last grid point at or before every jump to it
+        batches.append(path.slice_between(np.concatenate([e[c] for e, c in zip(edges, cells)]),
+                                          np.tile(jumps, len(levels))))
+    batch, bounds = stack(batches)
+    factors = step_factor(cfg.scheme, batch, coef)
+    out = np.empty((2, len(levels)))
+    for k, e in enumerate(edges):
+        values = chain(factors[bounds[k]:bounds[k + 1]], cfg.y0)
+        err = np.abs(values - oracle_at_events[e])
+        if partial:  # the scheme at the jump times
+            y_at = values[cells[k]] * factors[bounds[-2] + k * jumps.size:][:jumps.size]
+            err = np.concatenate((err, np.abs(y_at - oracle_at_events[jumps])))
+        sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
+        out[:, k] = sup * sup, float(np.max(np.abs(values))) ** 2
+    return out
 
 
 def _path_stats(per_path: np.ndarray, key: str, values) -> tuple[np.ndarray, np.ndarray]:
@@ -289,9 +297,7 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
         path = build_path(cfg.horizon, cfg.finest_level, active, rng)
         # every ladder grid is a subset of the finest one
         oracle_vals = _reference(cfg, path, coef, levels[-1])
-        for k, lv in enumerate(levels):
-            per_path[i, k], scheme_sup[i, k] = _sup_error_one_path(
-                cfg, path, coef, lv, oracle_vals)
+        per_path[i], scheme_sup[i] = _sup_errors(cfg, path, coef, oracle_vals)
     mean, se = _path_stats(per_path, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -355,13 +361,12 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     for i in range(cfg.paths):
         rng = path_rng(cfg.seed, i)
         path = build_path(cfg.horizon, cfg.finest_level, active0, rng)
-        grid = path.grid(level)
-        ref = run_scheme(cfg.scheme, grid, path, coef0, cfg.y0)
+        batch = path.slices(level)
+        ref = chain(step_factor(cfg.scheme, batch, coef0), cfg.y0)
         for k, e in enumerate(eps_list):
-            kept = ~path.jump_small | (np.abs(path.jump_marks) > e)
-            filtered = path.with_jumps(kept)
-            traj = run_scheme(cfg.scheme, grid, filtered, coefs[k], cfg.y0)
-            per_path[i, k] = float(np.max(np.abs(traj.values - ref.values))) ** 2
+            kept = batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e))
+            values = chain(step_factor(cfg.scheme, kept, coefs[k]), cfg.y0)
+            per_path[i, k] = float(np.max(np.abs(values - ref))) ** 2
     mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se

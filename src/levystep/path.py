@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,7 +63,8 @@ class JumpEvent:
 
 @dataclass(frozen=True, eq=False)
 class Slices:
-    """A batch of slices of one path, as flat arrays.
+    """A batch of slices, as flat arrays; the slices may come from several
+    levels or several paths (see `stack`).
 
     Per slice k (arrays of length n): the endpoints, their distance, the
     Wiener increment dW and time integral dZ over the slice, and W at both
@@ -85,6 +86,20 @@ class Slices:
     small: np.ndarray     # True for a small-region jump, False for a tail jump
     w: np.ndarray
     slice_id: np.ndarray  # nondecreasing
+
+    def keep_jumps(self, keep: np.ndarray) -> "Slices":
+        """The same slices holding only the jumps where the mask `keep` is set."""
+        return replace(self, time=self.time[keep], mark=self.mark[keep], small=self.small[keep],
+                       w=self.w[keep], slice_id=self.slice_id[keep])
+
+
+def stack(batches) -> tuple[Slices, np.ndarray]:
+    """One batch of the slices of `batches` in order (slice ids offset so they
+    stay nondecreasing), and bounds: batch b is slices bounds[b]:bounds[b + 1]."""
+    bounds = np.cumsum([0] + [b.left.size for b in batches])
+    cat = {f.name: np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(Slices)}
+    cat["slice_id"] += np.repeat(bounds[:-1], [b.slice_id.size for b in batches])
+    return Slices(**cat), bounds
 
 
 def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
@@ -173,7 +188,7 @@ class DrivingPath:
     def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
         """Same noise, only the jumps where the boolean mask `keep` is set
         (the event grid, Wiener data and aggregation arrays are unchanged).
-        Used for truncation coupling."""
+        The truncation study masks a batch instead (`Slices.keep_jumps`)."""
         keep = np.asarray(keep)
         if keep.dtype != np.bool_ or keep.shape != self.jump_times.shape:
             raise ValueError(f"keep must be a boolean mask of shape {self.jump_times.shape}")

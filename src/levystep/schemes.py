@@ -8,8 +8,8 @@ A stepper consumes a `Slices` batch (it never samples noise itself) and
 returns one result per slice, computed with whole-array operations.  Both
 steppers are linear in Y, so each step is a multiplicative factor;
 `euler_factor` / `milstein_factor` compute the factors of a batch,
-`step_factor` picks one by scheme and `run_scheme` chains the factors of a
-ladder level into a trajectory.
+`step_factor` picks one by scheme, `chain` turns the factors of consecutive
+slices into values and `run_scheme` does both for a ladder level.
 
 Conventions for the Milstein double sums (jumps of the slice are indexed in
 time order; `small n` / `tail n` means the outer sum runs over that region's
@@ -144,7 +144,8 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     # the leads pair each jump's p (or q) with the p-sum (or q-sum) strictly
     # before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
     leads = (padded[[0, 1, 0, 1], :, 1:] * run[[0, 1, 1, 0], :, :-1]).cumsum(axis=2)
-    return np.concatenate((run[:, :, -1], leads[:, :, -1]))
+    # 0.0 + gives a -0.0 lead the +0.0 a sum from 0.0 has, whatever the padding
+    return np.concatenate((run[:, :, -1], 0.0 + leads[:, :, -1]))
 
 
 def _term_rows(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
@@ -220,7 +221,9 @@ def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
             and np.array_equal(grid, path.grid(level))):
         raise ValueError("grid must be the path's uniform dyadic grid at a level "
                          f"in 0..{path.finest_level}")
-    factors = step_factor(scheme, path.slices(level), coef)
-    # the running product y0 * f0 * f1 * ..., formed left to right
-    values = np.cumprod(np.concatenate(([y0], factors)))
-    return Trajectory(times=grid, values=values)
+    return Trajectory(times=grid, values=chain(step_factor(scheme, path.slices(level), coef), y0))
+
+
+def chain(factors: np.ndarray, y0: float) -> np.ndarray:
+    """y0, y0 * f0, y0 * f0 * f1, ... over consecutive slices, left to right."""
+    return np.cumprod(np.concatenate(([y0], factors)))

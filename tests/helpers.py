@@ -2,9 +2,10 @@
 
 Everything here recomputes what the package computes, by a different route:
 set membership by exhaustive enumeration, event positions by searching their
-times, moments by adaptive quadrature, and the order-1 integral terms by an
+times, moments by adaptive quadrature, the order-1 integral terms by an
 event walk over raw gap-level data that never uses the package's lookahead
-bookkeeping or aggregation identities.
+bookkeeping or aggregation identities, and a path's sup errors one ladder
+level at a time instead of in one batch.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from scipy import integrate
 from levystep import LinearCoefficients, Multiindex
 from levystep.common import Region
 from levystep.multiindex import in_hierarchical_set
+from levystep.oracle import OracleKind
 from levystep.path import Slices
-from levystep.schemes import I32Compensator
+from levystep.schemes import I32Compensator, run_scheme, step_factor
 
 
 # -- brute-force index sets ---------------------------------------------------
@@ -48,6 +50,25 @@ def event_indices(path, times) -> np.ndarray:
     if (path.event_times[idx] != times).any():
         raise ValueError(f"{times!r} holds a time that is not an event of this path")
     return idx
+
+
+# -- sup errors one ladder level at a time ------------------------------------
+
+def sup_error_one_level(cfg, path, coef, level: int, oracle_at_events) -> tuple[float, float]:
+    """(sup |err|^2, sup |Y_scheme|^2) for one ladder level on one path: the
+    level's trajectory by run_scheme, then, under the exact oracle, a second
+    batch of partial slices from the level's grid to every interior jump."""
+    edges = path.grid_events(level)
+    traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
+    err = np.abs(traj.values - oracle_at_events[edges])
+    if cfg.oracle.kind is OracleKind.EXACT_LINEAR and path.jump_times.size:
+        # the base value is the last grid value at or before the jump
+        cell = path.jump_cells >> (path.finest_level - level)
+        parts = path.slice_between(edges[cell], path.jump_events)
+        y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef)
+        err = np.concatenate((err, np.abs(y_at - oracle_at_events[path.jump_events])))
+    sup = float(np.max(err))
+    return sup * sup, float(np.max(np.abs(traj.values))) ** 2
 
 
 # -- quadrature moments -------------------------------------------------------

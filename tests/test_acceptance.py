@@ -28,7 +28,7 @@ from levystep.harness import (
     strong_error_study,
     truncation_study,
 )
-from levystep.path import sample_dw_dz
+from levystep.path import sample_dw_dz, stack
 from levystep.schemes import milstein_terms
 from test_multiindex import A_HALF, A_ONE, B_HALF, B_ONE
 
@@ -228,20 +228,29 @@ def test_criterion_7_truncation_rate(a, seed):
 
 def test_criterion_8_martingale_centering():
     # Monte-Carlo mean of the compensated small-jump term over 1e5
-    # single-interval paths within 3 standard errors of zero; under 30 s
+    # single-interval paths within 3 standard errors of zero; under 30 s.
+    # Every path draws on its own stream; the slices of 1000 paths at a time
+    # are stacked into one batch and evaluated together
     t0 = time.perf_counter()
     model, coef = ref_model_objects()
-    n = 100_000
+    n, chunk = 100_000, 1000
     vals = np.empty(n)
-    for i in range(n):
-        path = build_path(1.0, 0, model, path_rng(42, i))
-        vals[i] = milstein_terms(1.0, path.slices(0), coef)["2"][0]
+    for start in range(0, n, chunk):
+        paths = [build_path(1.0, 0, model, path_rng(42, i)) for i in range(start, start + chunk)]
+        batch, _ = stack([path.slices(0) for path in paths])
+        vals[start:start + chunk] = milstein_terms(1.0, batch, coef)["2"]
+        if start == 0:
+            first = paths
     mean = float(vals.mean())
     se = float(vals.std(ddof=1)) / math.sqrt(n)
     elapsed = time.perf_counter() - t0
-    ok = abs(mean) <= 3.0 * se and elapsed < 30.0
+    # the first chunk, one path per evaluation, bit for bit
+    alone = np.array([milstein_terms(1.0, path.slices(0), coef)["2"][0] for path in first])
+    same = alone.tobytes() == vals[:chunk].tobytes()
+    ok = abs(mean) <= 3.0 * se and elapsed < 30.0 and same
     assert _report(8, ok, f"mean I2 {mean:.2e}, {abs(mean) / se:.2f} s.e. from 0 "
-                   f"(< 3), {elapsed:.1f}s (< 30s)")
+                   f"(< 3), {elapsed:.1f}s (< 30s), first {chunk} paths alone "
+                   f"{'equal' if same else 'DIFFER'}")
 
 
 def test_criterion_9_second_moment_stability(euler_study, milstein_study):

@@ -28,6 +28,8 @@ from levystep import (
 from levystep import cli, harness
 from levystep.harness import exclude_coarsest
 
+from helpers import sup_error_one_level
+
 
 def base_config(**over):
     cfg = {
@@ -250,6 +252,49 @@ def test_strong_study_fine_grid_oracle():
         with pytest.raises(ConfigError, match="oracle.level .* 4 levels finer"):
             strong_error_study(config_from_dict(base_config(
                 finest_level=8, oracle={"kind": "fine_grid", "level": level})))
+
+
+# (model, finest_level, ladder): the README atoms, no jumps at all, and rates
+# high enough that finest cells hold several jumps
+CROSS_CHECK_MODELS = {
+    "atoms": (README_MODEL, 8, [2, 3, 4]),
+    "jumpless": ({"small": {"kind": "atoms", "atoms": []},
+                  "tail": {"kind": "atoms", "atoms": []}}, 6, [1, 2]),
+    "jump-heavy": ({"small": {"kind": "atoms", "atoms": [[0.5, 120.0], [-0.4, 80.0]]},
+                    "tail": {"kind": "atoms", "atoms": [[1.5, 20.0], [-2.0, 20.0]]}},
+                   6, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("model_name", sorted(CROSS_CHECK_MODELS))
+@pytest.mark.parametrize("scheme", ["euler", "milstein"])
+@pytest.mark.parametrize("i32", [c.value for c in I32Compensator])
+@pytest.mark.parametrize("oracle", ["exact_linear", "fine_grid"])
+def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme, i32, oracle):
+    # the study evaluates all levels and partial slices of a path in one
+    # batch; one run_scheme per level plus one partial batch per level must
+    # give the same per-path numbers bit for bit
+    model, finest, ladder = CROSS_CHECK_MODELS[model_name]
+    cfg = config_from_dict(base_config(
+        model=model, finest_level=finest, ladder_levels=ladder, paths=30, scheme=scheme,
+        i32_compensator=i32, oracle={"kind": oracle} | (
+            {"level": finest} if oracle == "fine_grid" else {})))
+    rep = strong_error_study(cfg)
+    active = activate(cfg.model, cfg.epsilon)
+    coef = cfg.coefficients_for(active)
+    rows, most_in_a_cell = [], 0
+    for i in range(cfg.paths):
+        path = build_path(cfg.horizon, finest, active, path_rng(cfg.seed, i))
+        most_in_a_cell = max(most_in_a_cell, np.bincount(path.jump_cells, minlength=1).max())
+        oracle_vals = harness._reference(cfg, path, coef, ladder[-1])
+        rows.append([sup_error_one_level(cfg, path, coef, lv, oracle_vals) for lv in ladder])
+    rows = np.array(rows)
+    assert rep.per_path.tobytes() == np.ascontiguousarray(rows[:, :, 0]).tobytes()
+    assert rep.scheme_sup_sq.tobytes() == rows[:, :, 1].mean(axis=0).tobytes()
+    if model_name == "jumpless":
+        assert most_in_a_cell == 0
+    elif model_name == "jump-heavy":
+        assert most_in_a_cell >= 3
 
 
 def test_strong_study_needs_two_levels():

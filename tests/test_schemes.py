@@ -24,7 +24,7 @@ from levystep import (
 )
 from levystep import schemes
 from levystep.common import Region
-from levystep.path import dyadic_grid
+from levystep.path import dyadic_grid, stack
 from levystep.schemes import euler_factor, milstein_factor, step_factor
 
 TERM_KEYS = frozenset(
@@ -235,6 +235,31 @@ def test_step_factor_dispatch(finite_coef, rng):
         coef = replace(finite_coef, i32=variant)
         assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, coef),
                               milstein_factor(slc, coef))
+
+
+@pytest.mark.parametrize("level", [0, 3])
+def test_stacked_batches_evaluate_as_their_parts(level):
+    # the slices of 64 paths (about a third of them jumpless), stacked in
+    # chunks of 1, 7 or 64: every chunking gives the same factors and terms
+    # bit for bit, each part keeps its own jumps, and slice ids stay sorted
+    coef = mixed_coef()
+    batches = [dense_path(300 + i, 4, 0.2 + 4.0 * (i % 3), 0.1 + 2.0 * (i % 3)).slices(level)
+               for i in range(64)]
+    per_size = []
+    for size in (1, 7, 64):
+        rows = []
+        for start in range(0, 64, size):
+            parts = batches[start:start + size]
+            batch, bounds = stack(parts)
+            assert np.all(np.diff(batch.slice_id) >= 0)
+            assert bounds.tolist() == np.cumsum([0] + [p.left.size for p in parts]).tolist()
+            assert np.array_equal(
+                np.bincount(batch.slice_id, minlength=bounds[-1]),
+                np.concatenate([np.bincount(p.slice_id, minlength=p.left.size) for p in parts]))
+            rows.append(np.vstack((milstein_factor(batch, coef), euler_factor(batch, coef),
+                                   *milstein_terms(1.0, batch, coef).values())))
+        per_size.append(np.concatenate(rows, axis=1).tobytes())
+    assert per_size[0] == per_size[1] == per_size[2]
 
 
 # -- trajectories ---------------------------------------------------------------
