@@ -116,9 +116,10 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     i33_lead, i32_lead, i23_lead (see the module docstring).
 
     Every sum is formed from 0.0 left to right in time order, as a walk of
-    the slice forms it: jump j goes to row slice_id[j], column (its rank in
-    the slice) + 1 of a zero-padded matrix whose cumulative sums along the
-    row are the running sums, and whose last column holds the totals.
+    the slice forms it: jump j goes to the row of its slice (only slices
+    holding jumps get one), column (its rank in the slice) + 1 of a
+    zero-padded matrix whose cumulative sums along the row are the running
+    sums, and whose last column holds the totals.
     """
     n, sid, small = slices.left.size, slices.slice_id, slices.small
     if not sid.size:
@@ -137,15 +138,18 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
         # sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time
         (np.array((wincr, w_to_end, since))[:, None] * pq).reshape(6, -1),
         amps * to_end))                                     # i22_hold, i32_hold_*
+    held, row = np.unique(sid, return_inverse=True)
     col = np.arange(1, sid.size + 1) - sid.searchsorted(sid)
-    padded = np.zeros((per_jump.shape[0], n, int(col.max()) + 1))
-    padded[:, sid, col] = per_jump
+    padded = np.zeros((per_jump.shape[0], held.size, int(col.max()) + 1))
+    padded[:, row, col] = per_jump
     run = padded.cumsum(axis=2)
     # the leads pair each jump's p (or q) with the p-sum (or q-sum) strictly
     # before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
     leads = (padded[[0, 1, 0, 1], :, 1:] * run[[0, 1, 1, 0], :, :-1]).cumsum(axis=2)
+    out = np.zeros((15, n))
     # 0.0 + gives a -0.0 lead the +0.0 a sum from 0.0 has, whatever the padding
-    return np.concatenate((run[:, :, -1], 0.0 + leads[:, :, -1]))
+    out[:, held] = np.concatenate((run[:, :, -1], 0.0 + leads[:, :, -1]))
+    return out
 
 
 def _term_rows(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
