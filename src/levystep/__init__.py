@@ -5,7 +5,7 @@ from .common import ConfigError, DivergentIntegralError
 from .levy import (AmplitudeSpec, AtomSpec, LevyModel, PowerLawSpec, activate,
                    model_from_config, moment, truncate)
 from .multiindex import Multiindex, hierarchical_set, remainder_set
-from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
+from .oracle import exact_solution
 from .path import DrivingPath, build_path
 from .schemes import (I32Compensator, LinearCoefficients, Scheme, milstein_terms,
                       run_scheme)
@@ -24,7 +24,7 @@ __all__ = [
     # multiindex
     "Multiindex", "hierarchical_set", "remainder_set",
     # oracle
-    "OracleConfig", "OracleKind", "exact_solution", "fine_reference",
+    "exact_solution",
     # path
     "DrivingPath", "build_path",
     # schemes

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .common import ConfigError, choice, finite, integer, require, section
+from .common import ConfigError, choice, finite, integer, require
 from .levy import LevyModel, activate, model_from_config, truncate
-from .oracle import OracleConfig, OracleKind, exact_solution, fine_reference
+from .oracle import exact_solution
 from .path import DrivingPath, build_path, stack
 from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
                       chain, run_scheme, step_factor)
@@ -35,11 +35,13 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 # -- configuration -----------------------------------------------------------
 
 _MAX_FINEST_LEVEL = 20  # 2**20 cells, about 100 MB of arrays a path; checked before any allocation
+# expected events a path (grid points plus jumps), checked before any path is
+# drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused
+_MAX_EXPECTED_EVENTS = 2**23
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
              "ladder_levels", "finest_level", "paths", "seed", "epsilons",
-             "truncation_level", "trajectory_level", "i32_compensator",
-             "oracle"}
+             "truncation_level", "trajectory_level", "i32_compensator"}
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,6 @@ class StudyConfig:
     truncation_level: int | None = None
     trajectory_level: int | None = None
     i32_compensator: I32Compensator = DEFAULT_I32
-    oracle: OracleConfig = field(default_factory=OracleConfig)
     source: dict = field(default_factory=dict, compare=False)
 
     def config_hash(self) -> str:
@@ -115,7 +116,20 @@ def config_from_dict(obj: dict) -> StudyConfig:
         require(isinstance(epsilons, (list, tuple)) and epsilons,
                 "epsilons must be a nonempty list")
         epsilons = tuple(sorted({finite("epsilons", e) for e in epsilons}, reverse=True))
-        require(all(0 < e < 1 for e in epsilons), "epsilons must lie in (0, 1)")
+        require(all(0 < e < 1 for e in epsilons) and epsilons[-1] / 4 > 0,
+                "epsilons must lie in (0, 1), with min(epsilons)/4 a positive float")
+
+    def require_events_within_budget(active, keys):
+        events = 2**finest + active.active_rate * horizon
+        require(events <= _MAX_EXPECTED_EVENTS,
+                f"about {events:.3g} expected events a path (2**finest_level + jump "
+                f"rate * T) exceed the bound {_MAX_EXPECTED_EVENTS}; lower {keys}")
+
+    if model.is_finite_activity or eps is not None:
+        require_events_within_budget(activate(model, eps), "'T' or 'finest_level'")
+    if epsilons is not None:  # the truncation study's reference model
+        require_events_within_budget(truncate(model, epsilons[-1] / 4),
+                                     "'T' or 'finest_level', or raise min('epsilons')")
 
     def grid_level(key):
         """A grid level within the path; the finest ladder level by default."""
@@ -132,17 +146,6 @@ def config_from_dict(obj: dict) -> StudyConfig:
     i32 = choice("i32_compensator", I32Compensator,
                  obj.get("i32_compensator", DEFAULT_I32.value))
 
-    oracle_obj = obj.get("oracle")  # only a missing or null oracle means the default
-    oracle_obj = section("oracle", {} if oracle_obj is None else oracle_obj, {"kind", "level"})
-    kind = choice("oracle kind", OracleKind,
-                  oracle_obj.get("kind", OracleKind.EXACT_LINEAR.value))
-    level = oracle_obj.get("level")
-    try:
-        oracle = OracleConfig(kind=kind,
-                              level=None if level is None else integer("oracle.level", level))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
     return StudyConfig(
         model=model, epsilon=eps,
         drift=num("b"), diffusion=num("sigma"),
@@ -150,7 +153,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
         y0=num("y0", 1.0), horizon=horizon, scheme=scheme,
         ladder_levels=levels, finest_level=finest, paths=paths, seed=seed,
         epsilons=epsilons, truncation_level=trunc_level,
-        trajectory_level=traj_level, i32_compensator=i32, oracle=oracle,
+        trajectory_level=traj_level, i32_compensator=i32,
         source=obj,
     )
 
@@ -225,34 +228,15 @@ class ConvergenceReport:
     sup_note: str = SUP_NOTE
 
 
-def _reference(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
-               level: int) -> np.ndarray:
-    """The study's oracle at every event time of `path`, for schemes run on
-    grids no finer than `level`.  The exact solution is taken at every event;
-    the fine-grid reference only at the level-`level` grid points (NaN
-    elsewhere), which requires its own level to be at least 4 levels finer and
-    within the path."""
-    if cfg.oracle.kind is OracleKind.EXACT_LINEAR:
-        return exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
-    require(level + 4 <= cfg.oracle.level <= cfg.finest_level,
-            f"oracle.level must be at least 4 levels finer than the evaluated grid "
-            f"(level {level}) and at most finest_level ({cfg.finest_level}), "
-            f"got {cfg.oracle.level}")
-    values = np.full(path.event_times.size, np.nan)
-    values[path.grid_events(level)] = fine_reference(path, coef, cfg.y0,
-                                                     cfg.oracle.level, level)
-    return values
-
-
 def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
-                oracle_at_events: np.ndarray) -> np.ndarray:
+                exact_at_events: np.ndarray) -> np.ndarray:
     """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, on one
     path; the slices of every level go through one evaluator call."""
     levels, jumps = cfg.ladder_levels, path.jump_events
     edges = [path.grid_events(lv) for lv in levels]
     cells = [path.jump_cells >> (path.finest_level - lv) for lv in levels]
     batches = [path.slices(lv) for lv in levels]
-    partial = cfg.oracle.kind is OracleKind.EXACT_LINEAR and jumps.size > 0
+    partial = jumps.size > 0
     if partial:  # from each level's last grid point at or before every jump to it
         batches.append(path.slice_between(np.concatenate([e[c] for e, c in zip(edges, cells)]),
                                           np.tile(jumps, len(levels))))
@@ -261,10 +245,10 @@ def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
     out = np.empty((2, len(levels)))
     for k, e in enumerate(edges):
         values = chain(factors[bounds[k]:bounds[k + 1]], cfg.y0)
-        err = np.abs(values - oracle_at_events[e])
+        err = np.abs(values - exact_at_events[e])
         if partial:  # the scheme at the jump times
             y_at = values[cells[k]] * factors[bounds[-2] + k * jumps.size:][:jumps.size]
-            err = np.concatenate((err, np.abs(y_at - oracle_at_events[jumps])))
+            err = np.concatenate((err, np.abs(y_at - exact_at_events[jumps])))
         sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
         out[:, k] = sup * sup, float(np.max(np.abs(values))) ** 2
     return out
@@ -295,9 +279,8 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     for i in range(cfg.paths):
         rng = path_rng(cfg.seed, i)
         path = build_path(cfg.horizon, cfg.finest_level, active, rng)
-        # every ladder grid is a subset of the finest one
-        oracle_vals = _reference(cfg, path, coef, levels[-1])
-        per_path[i], scheme_sup[i] = _sup_errors(cfg, path, coef, oracle_vals)
+        exact = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
+        per_path[i], scheme_sup[i] = _sup_errors(cfg, path, coef, exact)
     mean, se = _path_stats(per_path, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -309,8 +292,6 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
         slope=slope, slope_se=slope_se, slope_ci=(slope - half, slope + half),
         excluded_coarsest=excluded, target_order=cfg.scheme.strong_order,
         paths=cfg.paths, seed=cfg.seed, config_hash=cfg.config_hash(),
-        sup_note=SUP_NOTE if cfg.oracle.kind is OracleKind.EXACT_LINEAR
-        else "strong error sup taken over grid points (fine-grid reference)",
     )
 
 
@@ -381,7 +362,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
 # -- single-trajectory run (CLI `simulate`) -----------------------------------
 
 def simulate_trajectory(cfg: StudyConfig):
-    """One coupled (scheme, oracle) trajectory on the trajectory_level grid."""
+    """One coupled (scheme, exact solution) trajectory on the trajectory_level grid."""
     require(cfg.trajectory_level is not None,
             "simulate needs 'trajectory_level' (or ladder_levels)")
     active = activate(cfg.model, cfg.epsilon)
@@ -389,7 +370,7 @@ def simulate_trajectory(cfg: StudyConfig):
     rng = path_rng(cfg.seed, 0)
     path = build_path(cfg.horizon, cfg.finest_level, active, rng)
     level = cfg.trajectory_level
-    oracle_vals = _reference(cfg, path, coef, level)[path.grid_events(level)]
+    oracle_vals = exact_solution(path, path.grid_events(level), coef, cfg.y0)
     traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
     bad = ~(np.isfinite(traj.values) & np.isfinite(oracle_vals))
     if bad.any():

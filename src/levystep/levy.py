@@ -133,10 +133,15 @@ class LevyModel:
         for x, _ in self.tail.atoms:
             if abs(x) < 1:
                 raise ValueError(f"tail atom {x} inside the unit ball")
-        # The schemes need p square-integrable near 0; atoms are always fine,
-        # the density needs 2e > a.
-        if not math.isfinite(_band_moment(self, 2, 0.0, 1.0)):
-            raise ValueError("p is not square-integrable over the small region")
+        # The schemes need p square-integrable near 0 (atoms are always fine,
+        # the density needs 2e > a) and its squares within the float range.
+        try:
+            p_sq = _band_moment(self, 2, 0.0, 1.0)
+        except OverflowError:  # a Python-float square beyond the float range
+            p_sq = math.inf
+        if not math.isfinite(p_sq):
+            raise ValueError("model.p is not square-integrable over the small region, "
+                             "or its square overflows")
 
     @property
     def is_finite_activity(self) -> bool:
@@ -208,7 +213,10 @@ def _power_integral(lo: float, hi: float, m: float) -> float:
         return math.inf
     if m == -1.0:
         return math.log(hi / lo)
-    return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+    try:
+        return (hi ** (m + 1) - lo ** (m + 1)) / (m + 1)
+    except OverflowError:  # lo ** (m + 1) beyond the float range, m + 1 < 0
+        return math.inf
 
 
 def moment(model: LevyModel, power: int, lo: float = 0.0, hi: float = 1.0) -> float:

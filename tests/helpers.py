@@ -18,7 +18,6 @@ from scipy import integrate
 from levystep import LinearCoefficients, Multiindex
 from levystep.common import Region
 from levystep.multiindex import in_hierarchical_set
-from levystep.oracle import OracleKind
 from levystep.path import Slices
 from levystep.schemes import I32Compensator, run_scheme, step_factor
 
@@ -54,19 +53,19 @@ def event_indices(path, times) -> np.ndarray:
 
 # -- sup errors one ladder level at a time ------------------------------------
 
-def sup_error_one_level(cfg, path, coef, level: int, oracle_at_events) -> tuple[float, float]:
+def sup_error_one_level(cfg, path, coef, level: int, exact_at_events) -> tuple[float, float]:
     """(sup |err|^2, sup |Y_scheme|^2) for one ladder level on one path: the
-    level's trajectory by run_scheme, then, under the exact oracle, a second
-    batch of partial slices from the level's grid to every interior jump."""
+    level's trajectory by run_scheme, then a second batch of partial slices
+    from the level's grid to every interior jump."""
     edges = path.grid_events(level)
     traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
-    err = np.abs(traj.values - oracle_at_events[edges])
-    if cfg.oracle.kind is OracleKind.EXACT_LINEAR and path.jump_times.size:
+    err = np.abs(traj.values - exact_at_events[edges])
+    if path.jump_times.size:
         # the base value is the last grid value at or before the jump
         cell = path.jump_cells >> (path.finest_level - level)
         parts = path.slice_between(edges[cell], path.jump_events)
         y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef)
-        err = np.concatenate((err, np.abs(y_at - oracle_at_events[path.jump_events])))
+        err = np.concatenate((err, np.abs(y_at - exact_at_events[path.jump_events])))
     sup = float(np.max(err))
     return sup * sup, float(np.max(np.abs(traj.values))) ** 2
 

@@ -7,20 +7,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from levystep import (
     ConfigError,
     I32Compensator,
-    OracleKind,
     Scheme,
+    StudyConfig,
     TruncationReport,
     activate,
     build_path,
     config_from_dict,
     config_from_json,
+    exact_solution,
     fit_slope,
     path_rng,
-    run_scheme,
     simulate_trajectory,
     strong_error_study,
     truncation_study,
@@ -96,9 +97,7 @@ def test_config_defaults():
     assert cfg.horizon == 1.0 and cfg.y0 == 1.0
     assert cfg.ladder_levels == (2, 3, 4)
     assert cfg.truncation_level == 4 and cfg.trajectory_level == 4
-    assert cfg.oracle.kind is OracleKind.EXACT_LINEAR
     assert cfg.epsilon is None and cfg.epsilons is None
-    assert config_from_dict(base_config(oracle=None)).oracle.kind is OracleKind.EXACT_LINEAR
     assert config_from_dict(base_config(finest_level=20)).finest_level == 20
 
 
@@ -117,11 +116,14 @@ def test_config_defaults():
     (lambda c: c.update(paths=1), "at least 2"),
     (lambda c: c.update(epsilons=[]), "nonempty"),
     (lambda c: c.update(epsilons=[1.5]), "lie in"),
+    (lambda c: c.update(epsilons=[0.5, 5e-324]), r"min\(epsilons\)/4 a positive float"),
+    # a rate that overflows the float range
+    (lambda c: c.update(model={"small": {"kind": "power_law", "c": 1.0, "a": 1.9},
+                               "epsilon": 1e-300}), "expected events a path"),
     (lambda c: c.update(truncation_level=9), "finest_level"),
     (lambda c: c.update(trajectory_level=9), "finest_level"),
     (lambda c: c.update(i32_compensator="median"), "i32_compensator"),
-    (lambda c: c.update(oracle={"kind": "psychic"}), "oracle kind"),
-    (lambda c: c.update(oracle={"kind": "fine_grid"}), "level"),
+    (lambda c: c.update(oracle={"kind": "exact_linear"}), r"unknown config keys: \['oracle'\]"),
     (lambda c: c.update(paths=True), "'paths' must be an integer"),
     (lambda c: c.update(paths=12.5), "'paths' must be an integer"),
     (lambda c: c.update(finest_level="7"), "'finest_level' must be an integer"),
@@ -139,6 +141,40 @@ def test_config_rejections(mangle, match):
     mangle(cfg)
     with pytest.raises(ConfigError, match=match):
         config_from_dict(cfg)
+
+
+# JSON-shaped values: scalars (ints beyond the float range, inf and nan
+# included) nested in short lists and objects
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**1100, 2**1100)
+    | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+# where a value goes: every top-level key, and every model, model.small and model.p key
+FUZZ_KEYS = ([(key,) for key in sorted(harness._TOP_KEYS)]
+             + [("model", key) for key in ("small", "tail", "p", "q", "epsilon")]
+             + [("model", "small", key) for key in ("kind", "atoms", "c", "a")]
+             + [("model", "p", key) for key in ("coef", "exponent")])
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(power_law=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(FUZZ_KEYS), JSON_VALUES), min_size=1, max_size=3))
+@example(power_law=True, edits=[(("model", "p", "coef"), 1e200)])
+def test_config_parser_fuzz(power_law, edits):
+    # a parsed config or a ConfigError (exit 2), never another exception
+    cfg = json.loads(json.dumps(trunc_config() if power_law else base_config()))
+    for keys, value in edits:
+        target = cfg
+        for key in keys[:-1]:  # an earlier edit may have replaced a section
+            target = target.get(key) if isinstance(target, dict) else None
+        if isinstance(target, dict):
+            target[keys[-1]] = value
+    try:
+        assert isinstance(config_from_dict(cfg), StudyConfig)
+    except ConfigError:
+        pass
 
 
 def test_config_accepts_integral_floats():
@@ -242,18 +278,6 @@ def test_milstein_beats_euler_on_shared_paths(euler_report):
     assert np.all(rep.mean_sup_sq < euler_report.mean_sup_sq)
 
 
-def test_strong_study_fine_grid_oracle():
-    cfg = config_from_dict(base_config(
-        finest_level=8, oracle={"kind": "fine_grid", "level": 8}))
-    rep = strong_error_study(cfg)
-    assert np.all(rep.mean_sup_sq > 0)
-    assert "fine-grid" in rep.sup_note
-    for level in (6, 9):   # too close to the ladder; beyond finest_level
-        with pytest.raises(ConfigError, match="oracle.level .* 4 levels finer"):
-            strong_error_study(config_from_dict(base_config(
-                finest_level=8, oracle={"kind": "fine_grid", "level": level})))
-
-
 # (model, finest_level, ladder): the README atoms, no jumps at all, and rates
 # high enough that finest cells hold several jumps
 CROSS_CHECK_MODELS = {
@@ -269,16 +293,14 @@ CROSS_CHECK_MODELS = {
 @pytest.mark.parametrize("model_name", sorted(CROSS_CHECK_MODELS))
 @pytest.mark.parametrize("scheme", ["euler", "milstein"])
 @pytest.mark.parametrize("i32", [c.value for c in I32Compensator])
-@pytest.mark.parametrize("oracle", ["exact_linear", "fine_grid"])
-def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme, i32, oracle):
+def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme, i32):
     # the study evaluates all levels and partial slices of a path in one
     # batch; one run_scheme per level plus one partial batch per level must
     # give the same per-path numbers bit for bit
     model, finest, ladder = CROSS_CHECK_MODELS[model_name]
     cfg = config_from_dict(base_config(
         model=model, finest_level=finest, ladder_levels=ladder, paths=30, scheme=scheme,
-        i32_compensator=i32, oracle={"kind": oracle} | (
-            {"level": finest} if oracle == "fine_grid" else {})))
+        i32_compensator=i32))
     rep = strong_error_study(cfg)
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
@@ -286,8 +308,8 @@ def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme, i32, o
     for i in range(cfg.paths):
         path = build_path(cfg.horizon, finest, active, path_rng(cfg.seed, i))
         most_in_a_cell = max(most_in_a_cell, np.bincount(path.jump_cells, minlength=1).max())
-        oracle_vals = harness._reference(cfg, path, coef, ladder[-1])
-        rows.append([sup_error_one_level(cfg, path, coef, lv, oracle_vals) for lv in ladder])
+        exact = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
+        rows.append([sup_error_one_level(cfg, path, coef, lv, exact) for lv in ladder])
     rows = np.array(rows)
     assert rep.per_path.tobytes() == np.ascontiguousarray(rows[:, :, 0]).tobytes()
     assert rep.scheme_sup_sq.tobytes() == rows[:, :, 1].mean(axis=0).tobytes()
@@ -367,31 +389,6 @@ def test_simulate_trajectory_shapes():
     assert traj.times.size == 2**4 + 1 == oracle_vals.size
     assert traj.values[0] == 1.0 and oracle_vals[0] == 1.0
     assert np.all(np.isfinite(oracle_vals))
-
-
-def test_simulate_trajectory_fine_grid_oracle():
-    cfg = config_from_dict(base_config(
-        trajectory_level=3, oracle={"kind": "fine_grid", "level": 7}))
-    traj, oracle_vals = simulate_trajectory(cfg)
-    assert traj.times.size == 9 == oracle_vals.size
-
-
-def test_simulate_fine_grid_oracle_follows_the_i32_convention():
-    # the reference is the order-1 scheme at the oracle level with the
-    # configured I32 convention, as the convergence study uses it
-    cfg = config_from_dict(base_config(
-        scheme="milstein", trajectory_level=3, i32_compensator="small_running_sum",
-        oracle={"kind": "fine_grid", "level": 7}))
-    _, oracle_vals = simulate_trajectory(cfg)
-    active = activate(cfg.model, cfg.epsilon)
-    coef = cfg.coefficients_for(active)
-    assert coef.i32 is I32Compensator.SMALL_RUNNING_SUM
-    path = build_path(cfg.horizon, cfg.finest_level, active, path_rng(cfg.seed, 0))
-    ref = run_scheme(Scheme.MILSTEIN, path.grid(7), path, coef, cfg.y0)
-    assert np.array_equal(oracle_vals, ref.values[::16])
-    default = run_scheme(Scheme.MILSTEIN, path.grid(7), path,
-                         replace(coef, i32=I32Compensator.TAIL_RUNNING_SUM), cfg.y0)
-    assert not np.array_equal(oracle_vals, default.values[::16])
 
 
 def test_simulate_trajectory_needs_level():
@@ -556,6 +553,35 @@ def test_cli_nonfinite_model_value(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+# a = 1.2 truncated at min(epsilons)/4 = 2.5e-10: ~5.6e11 jumps a path
+HEAVY_TRUNCATE = README_TRUNCATE | {
+    "model": README_TRUNCATE["model"] | {"small": {"kind": "power_law", "c": 1.0, "a": 1.2}},
+    "epsilons": [0.5, 1e-9]}
+
+
+@pytest.mark.parametrize("command,cfg,key", [
+    ("truncate", HEAVY_TRUNCATE, "'epsilons'"),
+    ("converge", README_CONVERGE | {"T": 1e9}, "'T'"),
+], ids=["epsilons", "T"])
+def test_cli_refuses_paths_beyond_the_event_budget(tmp_path, capsys, command, cfg, key):
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(harness._MAX_EXPECTED_EVENTS) in err
+    assert not (out / "report.json").exists()
+
+
+def test_event_budget_holds_the_documented_configs_4x_inside(monkeypatch):
+    # the README configs, the finest level allowed and the heaviest test
+    # model still parse under a quarter of the bound
+    monkeypatch.setattr(harness, "_MAX_EXPECTED_EVENTS", harness._MAX_EXPECTED_EVENTS // 4)
+    heavy_model, _, _ = CROSS_CHECK_MODELS["jump-heavy"]
+    for cfg in (README_CONVERGE, README_TRUNCATE, base_config(finest_level=20),
+                base_config(model=heavy_model, finest_level=20)):
+        config_from_dict(cfg)
+
+
 @pytest.mark.parametrize("key,value", [
     ("paths", "abc"),
     ("seed", -1),
@@ -563,8 +589,9 @@ def test_cli_nonfinite_model_value(tmp_path, capsys):
     ("ladder_levels", [3.7, 4.2, 5.1]),
     ("b", float("nan")),        # written as the JSON token NaN
     ("y0", float("inf")),       # written as the JSON token Infinity
-    # only a missing or null oracle means the default
+    # the closed form is the one reference: any oracle key is unknown
     ("oracle", []), ("oracle", 0), ("oracle", False), ("oracle", ""),
+    ("oracle", {"kind": "exact_linear"}), ("oracle", None),
     ("finest_level", 40),       # refused before a path asks for 2**40 + 1 points
 ])
 def test_cli_malformed_top_level_value(tmp_path, capsys, key, value):
@@ -609,15 +636,6 @@ def test_cli_truncate_rejects_model_epsilon(tmp_path, capsys):
     assert not (out / "truncation.csv").exists()
 
 
-def test_cli_simulate_rejects_close_fine_grid_oracle(tmp_path, capsys):
-    p = write_cfg(tmp_path, base_config(trajectory_level=4,
-                                        oracle={"kind": "fine_grid", "level": 7}))
-    out = tmp_path / "out"
-    assert cli.main(["simulate", "--config", str(p), "--out-dir", str(out)]) == 2
-    assert "oracle.level" in capsys.readouterr().err
-    assert not (out / "trajectory.csv").exists()
-
-
 STRING_ATOM = {"kind": "atoms", "atoms": [["0.5", 0.6], [-0.4, 0.4]]}
 
 
@@ -626,15 +644,11 @@ STRING_ATOM = {"kind": "atoms", "atoms": [["0.5", 0.6], [-0.4, 0.4]]}
     ("p", {"coef": "1.0"}, "model.p.coef"),
     ("p", {"coef": True}, "model.p.coef"),
     ("epsilon", "0.3", "model.epsilon"),
-    ("oracle", {"kind": "fine_grid", "level": 8, "bogus": 1}, "bogus"),
-    ("oracle", {"kind": "exact_linear", "level": 8}, "oracle.level"),
+    ("p", {"coef": 1e200}, "model.p"),   # its squares leave the float range
 ])
 def test_cli_strict_numbers_and_sections(tmp_path, capsys, section, value, key):
     cfg = base_config(paths=5, finest_level=8)
-    if section == "oracle":
-        cfg["oracle"] = value
-    else:
-        cfg["model"][section] = value
+    cfg["model"][section] = value
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
@@ -670,7 +684,7 @@ def test_cli_outputs_match_pinned_files(tmp_path):
     # each directory holds a config and the files the CLI wrote for it when
     # it was recorded; the command is the directory name up to the first '-'
     runs = sorted(d for d in CLI_DATA.iterdir() if d.is_dir())
-    assert len(runs) == 6
+    assert len(runs) == 5
     for run in runs:
         out = tmp_path / run.name
         command = run.name.split("-")[0]

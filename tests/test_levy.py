@@ -40,6 +40,11 @@ def test_non_square_integrable_p_rejected():
     # p(x) = sign(x)|x|^0.25 against a = 1.2: 2e = 0.5 < a, not integrable
     with pytest.raises(ValueError):
         power_model(a=1.2, p=AmplitudeSpec(1.0, 0.25))
+    # squares beyond the float range, on a power law and on atoms
+    with pytest.raises(ValueError, match="model.p"):
+        power_model(p=AmplitudeSpec(1e200))
+    with pytest.raises(ValueError, match="model.p"):
+        LevyModel(small=AtomSpec(((0.5, 1.0),)), tail=AtomSpec(()), p=AmplitudeSpec(1e200))
 
 
 def test_activity_flags(finite_model):

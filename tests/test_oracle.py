@@ -1,4 +1,4 @@
-"""The closed-form reference solution and the fine-grid fallback."""
+"""The closed-form reference solution."""
 
 import math
 
@@ -10,16 +10,14 @@ from levystep import (
     AtomSpec,
     LevyModel,
     LinearCoefficients,
-    OracleConfig,
-    OracleKind,
     Scheme,
     build_path,
     config_from_dict,
     exact_solution,
-    fine_reference,
+    path_rng,
     run_scheme,
+    simulate_trajectory,
 )
-from levystep import harness
 from levystep.common import Region
 
 from helpers import event_indices
@@ -158,60 +156,20 @@ def test_milstein_approaches_exact():
     assert errs[-1] < 0.05 * max(1.0, np.max(np.abs(exact)))
 
 
-# -- fine-grid fallback ----------------------------------------------------------
+# -- the studies' reference ------------------------------------------------------
 
-def test_fine_reference_matches_direct_run():
-    path = jumpy_path(11, level=7)
-    coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    got = fine_reference(path, coef, 1.0, level=7, at_level=2)
-    traj = run_scheme(Scheme.MILSTEIN, path.grid(7), path, coef, 1.0)
-    assert np.array_equal(got, traj.values[:: 2**5])
-
-
-def test_fine_reference_error_shrinks_with_level():
-    path = jumpy_path(12, level=9)
-    coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    exact = exact_solution(path, path.grid_events(1), coef, 1.0)
-    errs = [np.max(np.abs(fine_reference(path, coef, 1.0, level=lv, at_level=1) - exact))
-            for lv in (5, 7, 9)]
-    assert errs[0] > errs[-1]
-
-
-def test_fine_reference_margin_validation():
-    path = jumpy_path(13, level=6)
-    coef = coef_with(drift=-0.5)
-    # one integer rule: at_level + 4 <= level <= finest_level, at_level >= 0
-    for level, at_level in ((6, 4), (6, 3), (7, 2), (3, -1)):
-        with pytest.raises(ValueError, match="4 dyadic levels finer, within the path"):
-            fine_reference(path, coef, 1.0, level=level, at_level=at_level)
-    assert fine_reference(path, coef, 1.0, level=6, at_level=2).size == 2**2 + 1
-    assert fine_reference(path, coef, 1.0, level=4, at_level=0).size == 2
-
-
-# -- dispatch ---------------------------------------------------------------------
-
-def test_reference_solution_dispatch():
-    # the studies' one oracle route: the exact solution at every event time,
-    # or the fine-grid reference at the evaluated grid points (NaN elsewhere)
-    path = jumpy_path(14, level=6)
-    coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    study = {"model": {"small": {"kind": "atoms", "atoms": [[0.5, 1.0]]}},
-             "b": 0.0, "sigma": 0.0, "F": 0.0, "G": 0.0, "ladder_levels": [1, 2],
+def test_simulate_reads_the_exact_solution_at_its_grid():
+    # the one reference route of `simulate`: the closed form at the event
+    # indices of the trajectory level's grid points, on the path of stream 0
+    study = {"model": {"small": {"kind": "atoms", "atoms": [[0.5, 3.0], [-0.4, 2.0]]},
+                       "tail": {"kind": "atoms", "atoms": [[1.5, 1.5]]}},
+             "b": -0.5, "sigma": 0.3, "F": 0.2, "G": 0.1, "ladder_levels": [1, 2],
              "finest_level": 6, "paths": 2, "seed": 0}
-    exact = harness._reference(config_from_dict(study), path, coef, 2)
-    n = path.event_times.size
-    assert np.array_equal(exact, exact_solution(path, np.arange(n), coef, 1.0))
-    cfg = config_from_dict(study | {"oracle": {"kind": "fine_grid", "level": 6}})
-    fine = harness._reference(cfg, path, coef, 2)
+    cfg = config_from_dict(study)
+    _, oracle_vals = simulate_trajectory(cfg)
+    path = build_path(1.0, 6, cfg.model, path_rng(0, 0))
+    assert path.jump_times.size > 0
     at = path.grid_events(2)
     assert np.array_equal(at, event_indices(path, path.grid(2)))
-    assert np.array_equal(fine[at], fine_reference(path, coef, 1.0, level=6, at_level=2))
-    assert np.isnan(np.delete(fine, at)).all()
-
-
-def test_oracle_config_validation():
-    with pytest.raises(ValueError, match="level"):
-        OracleConfig(kind=OracleKind.FINE_GRID)
-    with pytest.raises(ValueError, match="oracle.level"):
-        OracleConfig(kind=OracleKind.EXACT_LINEAR, level=6)
-    assert OracleConfig().kind is OracleKind.EXACT_LINEAR
+    want = exact_solution(path, at, cfg.coefficients_for(cfg.model), 1.0)
+    assert np.array_equal(oracle_vals, want)

@@ -14,7 +14,7 @@ PUBLIC = frozenset("""
     AmplitudeSpec AtomSpec LevyModel PowerLawSpec activate model_from_config
     moment truncate
     Multiindex hierarchical_set remainder_set
-    OracleConfig OracleKind exact_solution fine_reference
+    exact_solution
     DrivingPath build_path
     I32Compensator LinearCoefficients Scheme milstein_terms run_scheme
     ConvergenceReport StudyConfig TruncationReport config_from_dict
@@ -30,7 +30,7 @@ def test_star_import_exports_exactly_the_public_names():
     assert len(set(levystep.__all__)) == len(levystep.__all__)
     assert set(namespace) == set(levystep.__all__) == PUBLIC
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 31
 
 
 def test_every_public_attribute_is_exported():
