@@ -126,7 +126,8 @@ def config_from_dict(obj: dict) -> StudyConfig:
                 f"rate * T) exceed the bound {_MAX_EXPECTED_EVENTS}; lower {keys}")
 
     if model.is_finite_activity or eps is not None:
-        require_events_within_budget(activate(model, eps), "'T' or 'finest_level'")
+        require_events_within_budget(activate(model, eps), "'T' or 'finest_level'" + (
+            ", or raise 'model.epsilon'" if eps is not None else ""))
     if epsilons is not None:  # the truncation study's reference model
         require_events_within_budget(truncate(model, epsilons[-1] / 4),
                                      "'T' or 'finest_level', or raise min('epsilons')")

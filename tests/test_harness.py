@@ -151,11 +151,12 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                  max_size=3),
     max_leaves=6)
-# where a value goes: every top-level key, and every model, model.small and model.p key
+# where a value goes: every top-level key, and every key of model and its sections
 FUZZ_KEYS = ([(key,) for key in sorted(harness._TOP_KEYS)]
              + [("model", key) for key in ("small", "tail", "p", "q", "epsilon")]
-             + [("model", "small", key) for key in ("kind", "atoms", "c", "a")]
-             + [("model", "p", key) for key in ("coef", "exponent")])
+             + [("model", region, key) for region in ("small", "tail")
+                for key in ("kind", "atoms", "c", "a")]
+             + [("model", amp, key) for amp in ("p", "q") for key in ("coef", "exponent")])
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -287,6 +288,9 @@ CROSS_CHECK_MODELS = {
     "jump-heavy": ({"small": {"kind": "atoms", "atoms": [[0.5, 120.0], [-0.4, 80.0]]},
                     "tail": {"kind": "atoms", "atoms": [[1.5, 20.0], [-2.0, 20.0]]}},
                    6, [1, 2]),
+    # continuous small marks: a = 1.2 truncated at 0.05, ~60 jumps a path
+    "power-law": (README_MODEL | {"small": {"kind": "power_law", "c": 1.0, "a": 1.2},
+                                  "epsilon": 0.05}, 8, [2, 3, 4]),
 }
 
 
@@ -317,6 +321,8 @@ def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme, i32):
         assert most_in_a_cell == 0
     elif model_name == "jump-heavy":
         assert most_in_a_cell >= 3
+    elif model_name == "power-law":
+        assert most_in_a_cell >= 1
 
 
 def test_strong_study_needs_two_levels():
@@ -559,17 +565,26 @@ HEAVY_TRUNCATE = README_TRUNCATE | {
     "epsilons": [0.5, 1e-9]}
 
 
+# a = 1.2 truncated at model.epsilon = 1e-7: ~4e8 jumps a path
+HEAVY_CONVERGE = README_CONVERGE | {
+    "model": README_MODEL | {"small": {"kind": "power_law", "c": 1.0, "a": 1.2},
+                             "epsilon": 1e-7}}
+
+
 @pytest.mark.parametrize("command,cfg,key", [
     ("truncate", HEAVY_TRUNCATE, "'epsilons'"),
     ("converge", README_CONVERGE | {"T": 1e9}, "'T'"),
-], ids=["epsilons", "T"])
+    ("simulate", README_CONVERGE | {"T": 1e9}, "'T'"),
+    ("truncate", README_TRUNCATE | {"T": 1e9}, "'T'"),
+    ("converge", HEAVY_CONVERGE, "'model.epsilon'"),
+], ids=["epsilons", "T", "simulate-T", "truncate-T", "model.epsilon"])
 def test_cli_refuses_paths_beyond_the_event_budget(tmp_path, capsys, command, cfg, key):
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err and str(harness._MAX_EXPECTED_EVENTS) in err
-    assert not (out / "report.json").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_event_budget_holds_the_documented_configs_4x_inside(monkeypatch):
@@ -634,6 +649,34 @@ def test_cli_truncate_rejects_model_epsilon(tmp_path, capsys):
     assert "model.epsilon" in capsys.readouterr().err
     assert not (out / "report.json").exists()
     assert not (out / "truncation.csv").exists()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("converge", README_CONVERGE), ("simulate", README_CONVERGE), ("truncate", README_TRUNCATE),
+])
+def test_cli_every_command_refuses_an_oracle_key(tmp_path, capsys, command, cfg):
+    # the closed form is the one reference, so no command reads an oracle section
+    p = write_cfg(tmp_path, cfg | {"oracle": {"kind": "exact_linear"}})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    assert "unknown config keys: ['oracle']" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("converge", README_CONVERGE), ("simulate", README_CONVERGE), ("truncate", README_TRUNCATE),
+])
+def test_cli_overflowing_amplitude_exits_2(tmp_path, capsys, command, cfg):
+    # p's square moment leaves the float range on atoms (converge, simulate)
+    # and on a power law (truncate): a config error naming model.p, not an
+    # OverflowError
+    cfg = cfg | {"model": cfg["model"] | {"p": {"coef": 1e200, "exponent": 1.0}}}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "model.p" in err and "overflows" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 STRING_ATOM = {"kind": "atoms", "atoms": [["0.5", 0.6], [-0.4, 0.4]]}

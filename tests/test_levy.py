@@ -47,6 +47,13 @@ def test_non_square_integrable_p_rejected():
         LevyModel(small=AtomSpec(((0.5, 1.0),)), tail=AtomSpec(()), p=AmplitudeSpec(1e200))
 
 
+def test_rate_at_a_tiny_radius_is_infinite():
+    # the rate beyond 1e-300 of a = 1.9 is ~1e570: inf, not an OverflowError
+    model = power_model(a=1.9)
+    assert truncate(model, 1e-300).active_rate == math.inf
+    assert math.isfinite(truncate(model, 1e-3).active_rate)
+
+
 def test_activity_flags(finite_model):
     assert finite_model.is_finite_activity
     assert finite_model.active_rate == pytest.approx(1.5)
