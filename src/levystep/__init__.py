@@ -7,8 +7,7 @@ from .levy import (AmplitudeSpec, AtomSpec, LevyModel, PowerLawSpec, activate,
 from .multiindex import Multiindex, hierarchical_set, remainder_set
 from .oracle import exact_solution
 from .path import DrivingPath, build_path
-from .schemes import (I32Compensator, LinearCoefficients, Scheme, milstein_terms,
-                      run_scheme)
+from .schemes import LinearCoefficients, Scheme, milstein_terms, run_scheme
 from .harness import (ConvergenceReport, StudyConfig, TruncationReport,
                       config_from_dict, config_from_json, fit_slope, path_rng,
                       simulate_trajectory, strong_error_study, truncation_study)
@@ -28,8 +27,7 @@ __all__ = [
     # path
     "DrivingPath", "build_path",
     # schemes
-    "I32Compensator", "LinearCoefficients", "Scheme", "milstein_terms",
-    "run_scheme",
+    "LinearCoefficients", "Scheme", "milstein_terms", "run_scheme",
     # harness
     "ConvergenceReport", "StudyConfig", "TruncationReport", "config_from_dict",
     "config_from_json", "fit_slope", "path_rng", "simulate_trajectory",

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +23,7 @@ from .common import ConfigError, choice, finite, integer, require
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import exact_solution
 from .path import DrivingPath, build_path, stack
-from .schemes import (DEFAULT_I32, I32Compensator, LinearCoefficients, Scheme,
-                      chain, run_scheme, step_factor)
+from .schemes import LinearCoefficients, Scheme, chain, run_scheme, step_factor
 
 SUP_NOTE = ("strong error sup taken over grid points and jump times; "
             "the scheme is evaluated at interior jump times through "
@@ -38,10 +37,13 @@ _MAX_FINEST_LEVEL = 20  # 2**20 cells, about 100 MB of arrays a path; checked be
 # expected events a path (grid points plus jumps), checked before any path is
 # drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused
 _MAX_EXPECTED_EVENTS = 2**23
+# per-path results a study holds (paths times ladder levels or epsilons), checked
+# before any allocation; 32 MiB an array of them
+_MAX_PATH_RESULTS = 2**22
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
              "ladder_levels", "finest_level", "paths", "seed", "epsilons",
-             "truncation_level", "trajectory_level", "i32_compensator"}
+             "truncation_level", "trajectory_level"}
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,6 @@ class StudyConfig:
     epsilons: tuple[float, ...] | None = None
     truncation_level: int | None = None
     trajectory_level: int | None = None
-    i32_compensator: I32Compensator = DEFAULT_I32
     source: dict = field(default_factory=dict, compare=False)
 
     def config_hash(self) -> str:
@@ -70,10 +71,8 @@ class StudyConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def coefficients_for(self, active_model) -> LinearCoefficients:
-        return replace(LinearCoefficients.for_model(self.drift, self.diffusion,
-                                                    self.small_jump, self.tail_jump,
-                                                    active_model),
-                       i32=self.i32_compensator)
+        return LinearCoefficients.for_model(self.drift, self.diffusion, self.small_jump,
+                                            self.tail_jump, active_model)
 
 
 def config_from_dict(obj: dict) -> StudyConfig:
@@ -118,6 +117,10 @@ def config_from_dict(obj: dict) -> StudyConfig:
         epsilons = tuple(sorted({finite("epsilons", e) for e in epsilons}, reverse=True))
         require(all(0 < e < 1 for e in epsilons) and epsilons[-1] / 4 > 0,
                 "epsilons must lie in (0, 1), with min(epsilons)/4 a positive float")
+    columns = max(1, len(levels), len(epsilons or ()))
+    require(paths * columns <= _MAX_PATH_RESULTS,
+            f"config key 'paths' times {columns} (results a path, one per ladder level or "
+            f"epsilon) exceeds the bound {_MAX_PATH_RESULTS}; lower 'paths'")
 
     def require_events_within_budget(active, keys):
         events = 2**finest + active.active_rate * horizon
@@ -144,9 +147,6 @@ def config_from_dict(obj: dict) -> StudyConfig:
 
     trunc_level, traj_level = grid_level("truncation_level"), grid_level("trajectory_level")
 
-    i32 = choice("i32_compensator", I32Compensator,
-                 obj.get("i32_compensator", DEFAULT_I32.value))
-
     return StudyConfig(
         model=model, epsilon=eps,
         drift=num("b"), diffusion=num("sigma"),
@@ -154,7 +154,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
         y0=num("y0", 1.0), horizon=horizon, scheme=scheme,
         ladder_levels=levels, finest_level=finest, paths=paths, seed=seed,
         epsilons=epsilons, truncation_level=trunc_level,
-        trajectory_level=traj_level, i32_compensator=i32,
+        trajectory_level=traj_level,
         source=obj,
     )
 
@@ -251,8 +251,17 @@ def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
             y_at = values[cells[k]] * factors[bounds[-2] + k * jumps.size:][:jumps.size]
             err = np.concatenate((err, np.abs(y_at - exact_at_events[jumps])))
         sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
-        out[:, k] = sup * sup, float(np.max(np.abs(values))) ** 2
+        out[:, k] = sup * sup, _square(float(np.max(np.abs(values))))
     return out
+
+
+def _square(x: float) -> float:
+    """x ** 2, or inf where that leaves the float range (`**` rounds through
+    C pow, which differs from x * x in the last bit for some x)."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
 
 def _path_stats(per_path: np.ndarray, key: str, values) -> tuple[np.ndarray, np.ndarray]:
@@ -348,7 +357,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
         for k, e in enumerate(eps_list):
             kept = batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e))
             values = chain(step_factor(cfg.scheme, kept, coefs[k]), cfg.y0)
-            per_path[i, k] = float(np.max(np.abs(values - ref))) ** 2
+            per_path[i, k] = _square(float(np.max(np.abs(values - ref))))
     mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se

@@ -30,12 +30,8 @@ to the sum over small jumps of p * (W(b) - W(t_n)), and against time to the
 sum of p * (b - t_n); likewise for the tail q-sum.  The leads pair each jump
 with the running sums strictly before it.  All sums are formed left to right
 in time order.
-`I32Compensator` selects between two published conventions for the I32
-time-compensator; TAIL_RUNNING_SUM integrates the running tail q-sum over
-time and is the one consistent with the term's iterated-integral definition,
-SMALL_RUNNING_SUM accumulates q over small-region marks instead and is kept
-for comparison.  The choice is part of the scheme's coefficients: it rides on
-`LinearCoefficients.i32`.
+The I32 time-compensator integrates the running tail q-sum over time, as the
+term's iterated-integral definition has it.
 """
 
 from __future__ import annotations
@@ -60,13 +56,6 @@ class Scheme(enum.Enum):
         return 0.5 if self is Scheme.EULER else 1.0
 
 
-class I32Compensator(enum.Enum):
-    TAIL_RUNNING_SUM = "tail_running_sum"
-    SMALL_RUNNING_SUM = "small_running_sum"
-
-
-DEFAULT_I32 = I32Compensator.TAIL_RUNNING_SUM
-
 TERM_KEYS = ("0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32", "33")
 
 
@@ -83,7 +72,6 @@ class LinearCoefficients:
     p: Callable[[np.ndarray], np.ndarray]   # applied to whole arrays of marks
     q: Callable[[np.ndarray], np.ndarray]
     p_integral: float      # integral of p over the active small region
-    i32: I32Compensator = DEFAULT_I32  # the I32 time-compensator convention
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.p_integral):
@@ -112,8 +100,8 @@ def euler_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
 def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     """Per slice, the sums over its jumps that the order-1 terms need, one
     row each: sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead,
-    i22_time, i23_time, i22_hold, i32_hold_tail, i32_hold_small, i22_lead,
-    i33_lead, i32_lead, i23_lead (see the module docstring).
+    i22_time, i23_time, i22_hold, i32_hold, i22_lead, i33_lead, i32_lead,
+    i23_lead (see the module docstring).
 
     Every sum is formed from 0.0 left to right in time order, as a walk of
     the slice forms it: jump j goes to the row of its slice (only slices
@@ -123,12 +111,10 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     """
     n, sid, small = slices.left.size, slices.slice_id, slices.small
     if not sid.size:
-        return np.zeros((15, n))
-    q_mark = coef.q(slices.mark)
-    # p at small jumps, q at tail jumps, q at small jumps; zero elsewhere
-    amps = np.where(np.array((small, ~small, small)),
-                    np.array((coef.p(slices.mark), q_mark, q_mark)), 0.0)
-    pq = amps[:2]
+        return np.zeros((14, n))
+    # p at small jumps, q at tail jumps; zero elsewhere
+    pq = np.where(np.array((small, ~small)),
+                  np.array((coef.p(slices.mark), coef.q(slices.mark))), 0.0)
     at = np.array((slices.time, slices.w))
     ends = np.array((slices.left, slices.w_left, slices.right, slices.w_right))[:, sid]
     since, wincr = at - ends[:2]        # from the slice's left end to the jump
@@ -137,7 +123,7 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
         pq,                                                 # sum_p, sum_q
         # sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time
         (np.array((wincr, w_to_end, since))[:, None] * pq).reshape(6, -1),
-        amps * to_end))                                     # i22_hold, i32_hold_*
+        pq * to_end))                                       # i22_hold, i32_hold
     held, row = np.unique(sid, return_inverse=True)
     col = np.arange(1, sid.size + 1) - sid.searchsorted(sid)
     padded = np.zeros((per_jump.shape[0], held.size, int(col.max()) + 1))
@@ -146,7 +132,7 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     # the leads pair each jump's p (or q) with the p-sum (or q-sum) strictly
     # before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
     leads = (padded[[0, 1, 0, 1], :, 1:] * run[[0, 1, 1, 0], :, :-1]).cumsum(axis=2)
-    out = np.zeros((15, n))
+    out = np.zeros((14, n))
     # 0.0 + gives a -0.0 lead the +0.0 a sum from 0.0 has, whatever the padding
     out[:, held] = np.concatenate((run[:, :, -1], 0.0 + leads[:, :, -1]))
     return out
@@ -159,13 +145,11 @@ def _term_rows(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     m1 = coef.p_integral
     delta, dw, dz = slices.delta, slices.dw, slices.dz
     (sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
-     i22_hold, i32_hold_tail, i32_hold_small, i22_lead, i33_lead, i32_lead,
-     i23_lead) = _jump_sums(slices, coef)
-    i32_comp = i32_hold_tail if coef.i32 is I32Compensator.TAIL_RUNNING_SUM else i32_hold_small
+     i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead) = _jump_sums(slices, coef)
     # six terms are (a jump sum) - m1 * (its compensator); 22 has two more parts
     t2, t12, t21, t22, t23, t32 = (
         np.array((sum_p, sum_p_wincr, i21_lead, i22_lead, i23_lead, i32_lead))
-        - m1 * np.array((delta, dz, delta * dw - dz, i22_time, i23_time, i32_comp)))
+        - m1 * np.array((delta, dz, delta * dw - dz, i22_time, i23_time, i32_hold)))
     scale = np.array([b, s, cf, cg, 0.5 * s * s, cf * s, cg * s, cf * s, cg * s,
                       cf * cf, cf * cg, cf * cg, cg * cg])
     return scale[:, None] * np.array((

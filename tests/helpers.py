@@ -19,7 +19,7 @@ from levystep import LinearCoefficients, Multiindex
 from levystep.common import Region
 from levystep.multiindex import in_hierarchical_set
 from levystep.path import Slices
-from levystep.schemes import I32Compensator, run_scheme, step_factor
+from levystep.schemes import run_scheme, step_factor
 
 
 # -- brute-force index sets ---------------------------------------------------
@@ -178,14 +178,12 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients) -> dict:
     # counted but integrates over no time)
     jp = [0.0] * (n_g + 1)
     jq = [0.0] * (n_g + 1)
-    jq_small = [0.0] * (n_g + 1)
     for i in range(1, n_g + 1):
-        jp[i], jq[i], jq_small[i] = jp[i - 1], jq[i - 1], jq_small[i - 1]
+        jp[i], jq[i] = jp[i - 1], jq[i - 1]
         if i <= len(jumps):
             _, mark, reg = jumps[i - 1]
             if reg is Region.SMALL:
                 jp[i] += coef.p(mark)
-                jq_small[i] += coef.q(mark)
             elif reg is Region.TAIL:
                 jq[i] += coef.q(mark)
 
@@ -196,7 +194,6 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients) -> dict:
     dz = sum((w[i] - w[0]) * h[i] + zlocs[i] for i in range(n_g))
     int_jp_ds = sum(jp[i] * h[i] for i in range(n_g))
     int_jq_ds = sum(jq[i] * h[i] for i in range(n_g))
-    int_jqs_ds = sum(jq_small[i] * h[i] for i in range(n_g))
     int_jp_dw = sum(jp[i] * dws[i] for i in range(n_g))
     int_jq_dw = sum(jq[i] * dws[i] for i in range(n_g))
 
@@ -216,8 +213,6 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients) -> dict:
         elif r is Region.TAIL:
             i33 += jq[i] * coef.q(m)
             i23 += coef.q(m) * (jp[i] - m1 * (t - tau))
-
-    i32_comp = int_jq_ds if coef.i32 is I32Compensator.TAIL_RUNNING_SUM else int_jqs_ds
     return {
         "0": b * y * delta,
         "1": s * y * dw_tot,
@@ -230,7 +225,7 @@ def walk_terms(y: float, raw: RawSlice, coef: LinearCoefficients) -> dict:
         "31": G * s * y * int_jq_dw,
         "22": F * F * y * (i22 - m1 * (int_jp_ds - 0.5 * m1 * delta * delta)),
         "23": F * G * y * i23,
-        "32": F * G * y * (i32_lead - m1 * i32_comp),
+        "32": F * G * y * (i32_lead - m1 * int_jq_ds),
         "33": G * G * y * i33,
     }
 

@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from levystep import (
     ConfigError,
-    I32Compensator,
     Scheme,
     StudyConfig,
     TruncationReport,
@@ -122,7 +121,8 @@ def test_config_defaults():
                                "epsilon": 1e-300}), "expected events a path"),
     (lambda c: c.update(truncation_level=9), "finest_level"),
     (lambda c: c.update(trajectory_level=9), "finest_level"),
-    (lambda c: c.update(i32_compensator="median"), "i32_compensator"),
+    (lambda c: c.update(i32_compensator="tail_running_sum"),
+     r"unknown config keys: \['i32_compensator'\]"),
     (lambda c: c.update(oracle={"kind": "exact_linear"}), r"unknown config keys: \['oracle'\]"),
     (lambda c: c.update(paths=True), "'paths' must be an integer"),
     (lambda c: c.update(paths=12.5), "'paths' must be an integer"),
@@ -296,15 +296,13 @@ CROSS_CHECK_MODELS = {
 
 @pytest.mark.parametrize("model_name", sorted(CROSS_CHECK_MODELS))
 @pytest.mark.parametrize("scheme", ["euler", "milstein"])
-@pytest.mark.parametrize("i32", [c.value for c in I32Compensator])
-def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme, i32):
+def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme):
     # the study evaluates all levels and partial slices of a path in one
     # batch; one run_scheme per level plus one partial batch per level must
     # give the same per-path numbers bit for bit
     model, finest, ladder = CROSS_CHECK_MODELS[model_name]
     cfg = config_from_dict(base_config(
-        model=model, finest_level=finest, ladder_levels=ladder, paths=30, scheme=scheme,
-        i32_compensator=i32))
+        model=model, finest_level=finest, ladder_levels=ladder, paths=30, scheme=scheme))
     rep = strong_error_study(cfg)
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
@@ -587,6 +585,20 @@ def test_cli_refuses_paths_beyond_the_event_budget(tmp_path, capsys, command, cf
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command,cfg,flags", [
+    ("converge", README_CONVERGE | {"paths": 1e12}, []),    # would ask np.empty for 43.7 TiB
+    ("truncate", README_TRUNCATE | {"paths": 1e12}, []),
+    ("converge", README_CONVERGE, ["--paths", str(10**12)]),
+], ids=["converge", "truncate", "converge-override"])
+def test_cli_refuses_paths_beyond_the_result_bound(tmp_path, capsys, command, cfg, flags):
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "'paths'" in err and str(harness._MAX_PATH_RESULTS) in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_event_budget_holds_the_documented_configs_4x_inside(monkeypatch):
     # the README configs, the finest level allowed and the heaviest test
     # model still parse under a quarter of the bound
@@ -651,15 +663,20 @@ def test_cli_truncate_rejects_model_epsilon(tmp_path, capsys):
     assert not (out / "truncation.csv").exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    # the closed form is the one reference, so no command reads an oracle section
+    ("oracle", {"kind": "exact_linear"}),
+    # the tail running sum is the one I32 time-compensator, even when named
+    ("i32_compensator", "tail_running_sum"),
+], ids=["oracle", "i32_compensator"])
 @pytest.mark.parametrize("command,cfg", [
     ("converge", README_CONVERGE), ("simulate", README_CONVERGE), ("truncate", README_TRUNCATE),
 ])
-def test_cli_every_command_refuses_an_oracle_key(tmp_path, capsys, command, cfg):
-    # the closed form is the one reference, so no command reads an oracle section
-    p = write_cfg(tmp_path, cfg | {"oracle": {"kind": "exact_linear"}})
+def test_cli_every_command_refuses_a_removed_key(tmp_path, capsys, command, cfg, key, value):
+    p = write_cfg(tmp_path, cfg | {key: value})
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
-    assert "unknown config keys: ['oracle']" in capsys.readouterr().err
+    assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -710,7 +727,12 @@ OVERFLOW = README_CONVERGE | {"b": 1e300, "ladder_levels": [3, 4, 5], "finest_le
     ("converge", OVERFLOW, "path 0 at level 3"),
     ("truncate", OVERFLOW | {"model": README_TRUNCATE["model"], "epsilons": [0.5, 0.25],
                              "truncation_level": 4}, "path 0 at epsilon 0.5"),
-], ids=["simulate", "converge", "truncate"])
+    # sups whose squares overflow: a tail jump scales the scheme by ~1e199
+    # (path 1 holds the first one), or y0 is 1e300
+    ("converge", README_CONVERGE | {"model": README_MODEL | {"q": {"coef": 1e200}}},
+     "path 1 at level 3"),
+    ("truncate", README_TRUNCATE | {"y0": 1e300}, "path 0 at epsilon 0.5"),
+], ids=["simulate", "converge", "truncate", "converge-sup-square", "truncate-sup-square"])
 def test_cli_nonfinite_result_exits_1_and_writes_nothing(tmp_path, capsys, command, cfg,
                                                          where):
     p = write_cfg(tmp_path, cfg)
@@ -727,7 +749,7 @@ def test_cli_outputs_match_pinned_files(tmp_path):
     # each directory holds a config and the files the CLI wrote for it when
     # it was recorded; the command is the directory name up to the first '-'
     runs = sorted(d for d in CLI_DATA.iterdir() if d.is_dir())
-    assert len(runs) == 5
+    assert len(runs) == 4
     for run in runs:
         out = tmp_path / run.name
         command = run.name.split("-")[0]

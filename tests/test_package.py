@@ -16,7 +16,7 @@ PUBLIC = frozenset("""
     Multiindex hierarchical_set remainder_set
     exact_solution
     DrivingPath build_path
-    I32Compensator LinearCoefficients Scheme milstein_terms run_scheme
+    LinearCoefficients Scheme milstein_terms run_scheme
     ConvergenceReport StudyConfig TruncationReport config_from_dict
     config_from_json fit_slope path_rng simulate_trajectory
     strong_error_study truncation_study
@@ -30,7 +30,7 @@ def test_star_import_exports_exactly_the_public_names():
     assert len(set(levystep.__all__)) == len(levystep.__all__)
     assert set(namespace) == set(levystep.__all__) == PUBLIC
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
-    assert len(PUBLIC) == 31
+    assert len(PUBLIC) == 30
 
 
 def test_every_public_attribute_is_exported():

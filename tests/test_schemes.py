@@ -2,7 +2,6 @@
 event-walk oracle, and trajectory assembly over shared driving paths."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from levystep import (
     LevyModel,
     LinearCoefficients,
     Scheme,
-    I32Compensator,
     build_path,
     hierarchical_set,
     milstein_terms,
@@ -31,13 +29,13 @@ TERM_KEYS = frozenset(
     ["0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32", "33"])
 
 
-def mixed_coef(i32=I32Compensator.TAIL_RUNNING_SUM):
+def mixed_coef():
     # p != q and both nonlinear enough to catch orientation swaps in the
     # cross terms; the moments are free parameters for synthetic slices
     return LinearCoefficients(
         drift=-0.4, diffusion=0.6, small_jump=0.5, tail_jump=0.3,
         p=lambda x: 1.3 * x + 0.2 * x * x, q=lambda x: 0.7 * x,
-        p_integral=0.25, i32=i32)
+        p_integral=0.25)
 
 
 def bare_slice(delta=0.5, delta_w=0.2, w_left=0.0):
@@ -112,16 +110,9 @@ def test_milstein_frozen_example(finite_coef):
         "21": -0.005076, "31": 0.0,
         "22": -0.001302, "23": 0.0, "32": 0.0, "33": 0.0,
     }
-    assert finite_coef.i32 is I32Compensator.TAIL_RUNNING_SUM
     got = slice_terms(milstein_terms(1.0, slc, finite_coef))
     for key, val in want.items():
         assert got[key] == pytest.approx(val, rel=1e-12, abs=1e-15), key
-    # the alternative compensator charges the hold time after the small jump
-    alt = slice_terms(milstein_terms(
-        1.0, slc, replace(finite_coef, i32=I32Compensator.SMALL_RUNNING_SUM)))
-    assert alt["32"] == pytest.approx(-0.00042, rel=1e-12)
-    assert {k: v for k, v in alt.items() if k != "32"} == \
-        {k: v for k, v in got.items() if k != "32"}
 
 
 def test_milstein_without_jumps_reduces_to_classical():
@@ -171,11 +162,10 @@ def test_milstein_terms_linear_in_y(finite_coef, rng):
 
 # -- the event-walk oracle -----------------------------------------------------
 
-@pytest.mark.parametrize("variant", list(I32Compensator))
-def test_terms_match_event_walk(variant):
+def test_terms_match_event_walk():
     # 500 random slices with up to 6 jumps of both regions; every term must
     # agree with the gap-walking evaluator to 1e-12
-    coef = mixed_coef(variant)
+    coef = mixed_coef()
     rng = np.random.default_rng(314159)
     for _ in range(500):
         raw = random_raw_slice(rng)
@@ -184,11 +174,10 @@ def test_terms_match_event_walk(variant):
         assert_term_match(got, walk_terms(y, raw, coef))
 
 
-@pytest.mark.parametrize("variant", list(I32Compensator))
-def test_array_core_matches_event_walk_on_paths(variant):
+def test_array_core_matches_event_walk_on_paths():
     # every slice of levels 0..4 and every partial slice (grid point to jump
     # time) of dense real paths, against the walk over the path's own gaps
-    coef = mixed_coef(variant)
+    coef = mixed_coef()
     y = 1.3
     for seed in (7, 8, 9):
         path = dense_path(seed, level=6, small_rate=8.0, tail_rate=4.0)
@@ -213,28 +202,12 @@ def test_array_core_matches_event_walk_on_paths(variant):
                    and (~path.jump_small[half == h]).any() for h in (0, 1))
 
 
-def test_i32_variants_differ_on_mixed_slices():
-    # tail jump before a small jump: the two compensator conventions charge
-    # different hold times, so the term must differ when m1 != 0
-    raw = RawSlice(left=0.0, delta=1.0,
-                   jump_data=[(0.25, 1.5, Region.TAIL), (0.6, 0.4, Region.SMALL)],
-                   dws=[0.1, -0.05, 0.2], zlocs=[0.01, 0.0, -0.02], w_left=0.3)
-    slc = raw.to_slice()
-    a = slice_terms(milstein_terms(1.0, slc, mixed_coef(I32Compensator.TAIL_RUNNING_SUM)))
-    b = slice_terms(milstein_terms(1.0, slc, mixed_coef(I32Compensator.SMALL_RUNNING_SUM)))
-    assert a["32"] != b["32"]
-    assert {k: v for k, v in a.items() if k != "32"} == \
-        {k: v for k, v in b.items() if k != "32"}
-
-
 def test_step_factor_dispatch(finite_coef, rng):
     slc = random_raw_slice(rng).to_slice()
     assert np.array_equal(step_factor(Scheme.EULER, slc, finite_coef),
                           euler_factor(slc, finite_coef))
-    for variant in I32Compensator:
-        coef = replace(finite_coef, i32=variant)
-        assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, coef),
-                              milstein_factor(slc, coef))
+    assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, finite_coef),
+                          milstein_factor(slc, finite_coef))
 
 
 @pytest.mark.parametrize("level", [0, 3])
