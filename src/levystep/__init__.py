@@ -4,7 +4,7 @@ process and a (possibly infinite-activity) Poisson jump measure."""
 from .common import ConfigError, DivergentIntegralError
 from .levy import (AmplitudeSpec, AtomSpec, LevyModel, PowerLawSpec, activate,
                    model_from_config, moment, truncate)
-from .multiindex import Multiindex, hierarchical_set, remainder_set
+from .multiindex import hierarchical_set, remainder_set
 from .oracle import exact_solution
 from .path import DrivingPath, build_path
 from .schemes import LinearCoefficients, Scheme, milstein_terms, run_scheme
@@ -21,7 +21,7 @@ __all__ = [
     "AmplitudeSpec", "AtomSpec", "LevyModel", "PowerLawSpec", "activate",
     "model_from_config", "moment", "truncate",
     # multiindex
-    "Multiindex", "hierarchical_set", "remainder_set",
+    "hierarchical_set", "remainder_set",
     # oracle
     "exact_solution",
     # path

@@ -105,7 +105,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
                 "finest_level must be at least two levels finer than the ladder")
 
     paths = integer("paths", obj.get("paths", 0))
-    require(paths >= 2, "paths must be at least 2")
+    require(paths >= 1, "config key 'paths' must be at least 1")
     require("seed" in obj, "config key 'seed' is required")
     seed = integer("seed", obj["seed"])
     require(seed >= 0, f"config key 'seed' must be nonnegative, got {seed}")
@@ -235,21 +235,20 @@ def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
     path; the slices of every level go through one evaluator call."""
     levels, jumps = cfg.ladder_levels, path.jump_events
     edges = [path.grid_events(lv) for lv in levels]
-    cells = [path.jump_cells >> (path.finest_level - lv) for lv in levels]
     batches = [path.slices(lv) for lv in levels]
-    partial = jumps.size > 0
-    if partial:  # from each level's last grid point at or before every jump to it
-        batches.append(path.slice_between(np.concatenate([e[c] for e, c in zip(edges, cells)]),
-                                          np.tile(jumps, len(levels))))
+    cells = [b.slice_id for b in batches]  # the level's slice holding each jump
+    # from each level's last grid point at or before every jump to it
+    batches.append(path.slice_between(np.concatenate([e[c] for e, c in zip(edges, cells)]),
+                                      np.tile(jumps, len(levels))))
     batch, bounds = stack(batches)
     factors = step_factor(cfg.scheme, batch, coef)
+    at_jumps = factors[bounds[-2]:].reshape(len(levels), jumps.size)
     out = np.empty((2, len(levels)))
     for k, e in enumerate(edges):
         values = chain(factors[bounds[k]:bounds[k + 1]], cfg.y0)
-        err = np.abs(values - exact_at_events[e])
-        if partial:  # the scheme at the jump times
-            y_at = values[cells[k]] * factors[bounds[-2] + k * jumps.size:][:jumps.size]
-            err = np.concatenate((err, np.abs(y_at - exact_at_events[jumps])))
+        y_at = values[cells[k]] * at_jumps[k]  # the scheme at the jump times
+        err = np.concatenate((np.abs(values - exact_at_events[e]),
+                              np.abs(y_at - exact_at_events[jumps])))
         sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
         out[:, k] = sup * sup, _square(float(np.max(np.abs(values))))
     return out
@@ -280,17 +279,19 @@ def _path_stats(per_path: np.ndarray, key: str, values) -> tuple[np.ndarray, np.
 
 def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     require(len(cfg.ladder_levels) >= 2, "a convergence study needs at least two ladder levels")
+    require(cfg.paths >= 2, "a convergence study needs config key 'paths' at least 2")
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
     levels = cfg.ladder_levels
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
     per_path = np.empty((cfg.paths, len(levels)))
     scheme_sup = np.empty_like(per_path)
-    for i in range(cfg.paths):
-        rng = path_rng(cfg.seed, i)
-        path = build_path(cfg.horizon, cfg.finest_level, active, rng)
-        exact = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
-        per_path[i], scheme_sup[i] = _sup_errors(cfg, path, coef, exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
+        for i in range(cfg.paths):
+            rng = path_rng(cfg.seed, i)
+            path = build_path(cfg.horizon, cfg.finest_level, active, rng)
+            exact = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
+            per_path[i], scheme_sup[i] = _sup_errors(cfg, path, coef, exact)
     mean, se = _path_stats(per_path, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -335,6 +336,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     """
     require(cfg.epsilons is not None, "a truncation study needs an 'epsilons' list")
     require(len(cfg.epsilons) >= 2, "a truncation study needs at least two distinct epsilons")
+    require(cfg.paths >= 2, "a truncation study needs config key 'paths' at least 2")
     require(cfg.truncation_level is not None,
             "a truncation study needs 'truncation_level' (or ladder_levels)")
     require(cfg.epsilon is None,
@@ -349,15 +351,16 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     coefs = [cfg.coefficients_for(truncate(base, float(e))) for e in eps_list]
 
     per_path = np.empty((cfg.paths, eps_list.size))
-    for i in range(cfg.paths):
-        rng = path_rng(cfg.seed, i)
-        path = build_path(cfg.horizon, cfg.finest_level, active0, rng)
-        batch = path.slices(level)
-        ref = chain(step_factor(cfg.scheme, batch, coef0), cfg.y0)
-        for k, e in enumerate(eps_list):
-            kept = batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e))
-            values = chain(step_factor(cfg.scheme, kept, coefs[k]), cfg.y0)
-            per_path[i, k] = _square(float(np.max(np.abs(values - ref))))
+    with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
+        for i in range(cfg.paths):
+            rng = path_rng(cfg.seed, i)
+            path = build_path(cfg.horizon, cfg.finest_level, active0, rng)
+            batch = path.slices(level)
+            ref = chain(step_factor(cfg.scheme, batch, coef0), cfg.y0)
+            for k, e in enumerate(eps_list):
+                kept = batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e))
+                values = chain(step_factor(cfg.scheme, kept, coefs[k]), cfg.y0)
+                per_path[i, k] = _square(float(np.max(np.abs(values - ref))))
     mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se
@@ -380,8 +383,9 @@ def simulate_trajectory(cfg: StudyConfig):
     rng = path_rng(cfg.seed, 0)
     path = build_path(cfg.horizon, cfg.finest_level, active, rng)
     level = cfg.trajectory_level
-    oracle_vals = exact_solution(path, path.grid_events(level), coef, cfg.y0)
-    traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
+    with np.errstate(over="ignore", invalid="ignore"):  # `bad` names the time
+        oracle_vals = exact_solution(path, path.grid_events(level), coef, cfg.y0)
+        traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
     bad = ~(np.isfinite(traj.values) & np.isfinite(oracle_vals))
     if bad.any():
         raise RuntimeError(f"nonfinite result on path 0 at time {traj.times[bad.argmax()]}")

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 from scipy import integrate
 
-from levystep import LinearCoefficients, Multiindex
+from levystep import LinearCoefficients
 from levystep.common import Region
 from levystep.multiindex import in_hierarchical_set
 from levystep.path import Slices
@@ -26,17 +26,17 @@ from levystep.schemes import run_scheme, step_factor
 
 def all_words(max_len: int):
     for length in range(max_len + 1):
-        for digits in itertools.product(range(4), repeat=length):
-            yield Multiindex(digits)
+        for digits in itertools.product("0123", repeat=length):
+            yield "".join(digits)
 
 
-def brute_hierarchical(gamma, max_len: int) -> set[Multiindex]:
+def brute_hierarchical(gamma, max_len: int) -> set[str]:
     return {a for a in all_words(max_len) if in_hierarchical_set(a, gamma)}
 
 
-def brute_remainder(members: set[Multiindex], max_len: int) -> set[Multiindex]:
+def brute_remainder(members: set[str], max_len: int) -> set[str]:
     return {a for a in all_words(max_len + 1)
-            if a not in members and not a.is_empty and a.drop_first() in members}
+            if a not in members and a and a[1:] in members}
 
 
 # -- event lookup by time -----------------------------------------------------

@@ -112,7 +112,7 @@ def test_config_defaults():
     (lambda c: c.update(ladder_levels=[2, 2, 3]), "increasing"),
     (lambda c: c.update(ladder_levels=[-1, 2]), "nonnegative"),
     (lambda c: c.update(finest_level=5), "two levels finer"),
-    (lambda c: c.update(paths=1), "at least 2"),
+    (lambda c: c.update(paths=0), "'paths' must be at least 1"),
     (lambda c: c.update(epsilons=[]), "nonempty"),
     (lambda c: c.update(epsilons=[1.5]), "lie in"),
     (lambda c: c.update(epsilons=[0.5, 5e-324]), r"min\(epsilons\)/4 a positive float"),
@@ -542,9 +542,15 @@ def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["converge", "--config", str(tmp_path / "nope.json")]) == 2
     bad = write_cfg(tmp_path, base_config(scheme="heun"), "bad.json")
     assert cli.main(["converge", "--config", str(bad)]) == 2
-    p = write_cfg(tmp_path, base_config())
-    assert cli.main(["converge", "--config", str(p), "--paths", "1"]) == 2
     capsys.readouterr()  # drain stderr
+    # one path parses (simulate reads none), but a study needs two
+    out = tmp_path / "out"
+    for command, cfg in (("converge", base_config()), ("truncate", trunc_config())):
+        p = write_cfg(tmp_path, cfg)
+        assert cli.main([command, "--config", str(p), "--out-dir", str(out),
+                         "--paths", "1"]) == 2
+        assert "'paths' at least 2" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_cli_nonfinite_model_value(tmp_path, capsys):
@@ -721,7 +727,6 @@ OVERFLOW = README_CONVERGE | {"b": 1e300, "ladder_levels": [3, 4, 5], "finest_le
                               "paths": 5}
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command,cfg,where", [
     ("simulate", OVERFLOW, "path 0 at time "),
     ("converge", OVERFLOW, "path 0 at level 3"),
@@ -738,7 +743,10 @@ def test_cli_nonfinite_result_exits_1_and_writes_nothing(tmp_path, capsys, comma
     p = write_cfg(tmp_path, cfg)
     out = tmp_path / "out"
     assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 1
-    assert f"nonfinite result on {where}" in capsys.readouterr().err
+    # the one error line, with no numpy warning ahead of it
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: nonfinite result on {where}")
+    assert err.endswith("\n") and err.count("\n") == 1
     assert list(out.iterdir()) == []
 
 
@@ -759,6 +767,15 @@ def test_cli_outputs_match_pinned_files(tmp_path):
         assert sorted(f.name for f in out.iterdir()) == pinned, run.name
         for name in pinned:
             assert (out / name).read_bytes() == (run / name).read_bytes(), (run.name, name)
+
+
+def test_cli_simulate_reads_no_path_count(tmp_path):
+    # simulate runs path 0 only: a one-path config writes the pinned trajectory
+    run = CLI_DATA / "simulate-exact"
+    p = write_cfg(tmp_path, json.loads((run / "config.json").read_text()) | {"paths": 1})
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(p), "--out-dir", str(out)]) == 0
+    assert (out / "trajectory.csv").read_bytes() == (run / "trajectory.csv").read_bytes()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -13,7 +13,7 @@ PUBLIC = frozenset("""
     ConfigError DivergentIntegralError
     AmplitudeSpec AtomSpec LevyModel PowerLawSpec activate model_from_config
     moment truncate
-    Multiindex hierarchical_set remainder_set
+    hierarchical_set remainder_set
     exact_solution
     DrivingPath build_path
     LinearCoefficients Scheme milstein_terms run_scheme
@@ -30,7 +30,7 @@ def test_star_import_exports_exactly_the_public_names():
     assert len(set(levystep.__all__)) == len(levystep.__all__)
     assert set(namespace) == set(levystep.__all__) == PUBLIC
     assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
-    assert len(PUBLIC) == 30
+    assert len(PUBLIC) == 29
 
 
 def test_every_public_attribute_is_exported():
