@@ -4,16 +4,17 @@
     levystep converge --config cfg.json [--paths M] [--seed S] [--out-dir D]
     levystep truncate --config cfg.json [--paths M] [--seed S] [--out-dir D]
 
-Exit codes: 0 success, 2 configuration error (bad flags, missing or invalid
-config), 1 runtime failure.
+Exit codes: 0 success, 2 configuration error (bad flags, a missing or invalid
+config, an --out-dir that is not a directory), 1 runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
-from .common import ConfigError
+from .common import ConfigError, require
 from . import harness
 
 
@@ -48,14 +49,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        out = harness.ensure_out_dir(args.out_dir)
+        out = Path(args.out_dir)
+        # refused before a long run; created only once the run has succeeded
+        require(out.is_dir() or not out.exists(), f"--out-dir {out} is not a directory")
         if args.command == "simulate":
             traj, oracle_vals = harness.simulate_trajectory(cfg)
+            harness.ensure_out_dir(out)
             harness.write_trajectory_csv(traj.times, traj.values, oracle_vals,
                                          out / "trajectory.csv")
             print(f"wrote {out / 'trajectory.csv'}")
         elif args.command == "converge":
             report = harness.strong_error_study(cfg)
+            harness.ensure_out_dir(out)
             harness.write_errors_csv(report, out / "errors.csv")
             harness.write_report_json(report, out / "report.json")
             print(f"slope {report.slope:.4f} "
@@ -64,6 +69,7 @@ def main(argv=None) -> int:
                   f"{out / 'report.json'}")
         else:
             report = harness.truncation_study(cfg)
+            harness.ensure_out_dir(out)
             harness.write_truncation_csv(report, out / "truncation.csv")
             harness.write_report_json(report, out / "report.json")
             print(f"slope {report.slope:.4f} "

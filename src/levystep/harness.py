@@ -14,8 +14,10 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -227,12 +229,14 @@ class ConvergenceReport:
     seed: int
     config_hash: str
     sup_note: str = SUP_NOTE
+    kind: ClassVar[str] = "strong_convergence"
 
 
-def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients,
-                exact_at_events: np.ndarray) -> np.ndarray:
+def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients) -> np.ndarray:
     """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, on one
-    path; the slices of every level go through one evaluator call."""
+    path against the exact solution at its events; the slices of every level
+    go through one evaluator call."""
+    exact_at_events = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
     levels, jumps = cfg.ladder_levels, path.jump_events
     edges = [path.grid_events(lv) for lv in levels]
     batches = [path.slices(lv) for lv in levels]
@@ -263,43 +267,53 @@ def _square(x: float) -> float:
         return math.inf
 
 
+def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], row) -> np.ndarray:
+    """The Monte-Carlo loop of both studies: row i of the (paths, *shape)
+    result is `row(path)` on path i, built at the finest level from the
+    path's own stream, so a path's row does not depend on the path count."""
+    require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
+    out = np.empty((cfg.paths, *shape))
+    with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
+        for i in range(cfg.paths):
+            out[i] = row(build_path(cfg.horizon, cfg.finest_level, model, path_rng(cfg.seed, i)))
+    return out
+
+
 def _path_stats(per_path: np.ndarray, key: str, values) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error over paths (rows), one column per `key` value;
-    raises, naming path and column, on a nonfinite result or a zero mean."""
+    """Mean and standard error over paths (axis 0) of every per-path value,
+    the last axis a column per `key` value; raises, naming the path or the
+    column, on a nonfinite value, mean or standard error, or a zero mean."""
     bad = np.argwhere(~np.isfinite(per_path))
     if bad.size:
-        i, k = bad[0]
-        raise RuntimeError(f"nonfinite result on path {i} at {key} {values[k]}")
-    mean = per_path.mean(axis=0)
+        raise RuntimeError(f"nonfinite result on path {bad[0][0]} at {key} {values[bad[0][-1]]}")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = per_path.mean(axis=0)
+        se = per_path.std(axis=0, ddof=1) / math.sqrt(per_path.shape[0])
+    bad = np.argwhere(~(np.isfinite(mean) & np.isfinite(se)))
+    if bad.size:
+        raise RuntimeError(f"nonfinite mean or standard error over paths at {key} "
+                           f"{values[bad[0][-1]]}")
     if np.any(mean <= 0):
         raise RuntimeError(f"degenerate study: zero mean over paths at {key} "
-                           f"{values[int(np.argmax(mean <= 0))]}")
-    return mean, per_path.std(axis=0, ddof=1) / math.sqrt(per_path.shape[0])
+                           f"{values[np.argwhere(mean <= 0)[0][-1]]}")
+    return mean, se
 
 
 def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     require(len(cfg.ladder_levels) >= 2, "a convergence study needs at least two ladder levels")
-    require(cfg.paths >= 2, "a convergence study needs config key 'paths' at least 2")
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
     levels = cfg.ladder_levels
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
-    per_path = np.empty((cfg.paths, len(levels)))
-    scheme_sup = np.empty_like(per_path)
-    with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
-        for i in range(cfg.paths):
-            rng = path_rng(cfg.seed, i)
-            path = build_path(cfg.horizon, cfg.finest_level, active, rng)
-            exact = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
-            per_path[i], scheme_sup[i] = _sup_errors(cfg, path, coef, exact)
-    mean, se = _path_stats(per_path, "level", levels)
+    rows = _per_path(cfg, active, (2, len(levels)), lambda path: _sup_errors(cfg, path, coef))
+    (mean, scheme_sup), (se, _) = _path_stats(rows, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
     slope, slope_se = fit_slope(np.log(deltas[keep]), 0.5 * np.log(mean[keep]))
     half = 1.96 * slope_se
     return ConvergenceReport(
         scheme=cfg.scheme, levels=levels, deltas=deltas, mean_sup_sq=mean,
-        std_err=se, per_path=per_path, scheme_sup_sq=scheme_sup.mean(axis=0),
+        std_err=se, per_path=rows[:, 0], scheme_sup_sq=scheme_sup,
         slope=slope, slope_se=slope_se, slope_ci=(slope - half, slope + half),
         excluded_coarsest=excluded, target_order=cfg.scheme.strong_order,
         paths=cfg.paths, seed=cfg.seed, config_hash=cfg.config_hash(),
@@ -324,6 +338,7 @@ class TruncationReport:
     seed: int
     config_hash: str
     sup_note: str = TRUNC_SUP_NOTE
+    kind: ClassVar[str] = "truncation"
 
 
 def truncation_study(cfg: StudyConfig) -> TruncationReport:
@@ -336,7 +351,6 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     """
     require(cfg.epsilons is not None, "a truncation study needs an 'epsilons' list")
     require(len(cfg.epsilons) >= 2, "a truncation study needs at least two distinct epsilons")
-    require(cfg.paths >= 2, "a truncation study needs config key 'paths' at least 2")
     require(cfg.truncation_level is not None,
             "a truncation study needs 'truncation_level' (or ladder_levels)")
     require(cfg.epsilon is None,
@@ -345,22 +359,18 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     eps_list = np.array(cfg.epsilons)  # descending
     eps0 = float(eps_list.min()) / 4.0
     level = cfg.truncation_level
-    base = cfg.model
-    active0 = truncate(base, eps0)
+    active0 = truncate(cfg.model, eps0)
     coef0 = cfg.coefficients_for(active0)
-    coefs = [cfg.coefficients_for(truncate(base, float(e))) for e in eps_list]
+    coefs = [cfg.coefficients_for(truncate(cfg.model, float(e))) for e in eps_list]
 
-    per_path = np.empty((cfg.paths, eps_list.size))
-    with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
-        for i in range(cfg.paths):
-            rng = path_rng(cfg.seed, i)
-            path = build_path(cfg.horizon, cfg.finest_level, active0, rng)
-            batch = path.slices(level)
-            ref = chain(step_factor(cfg.scheme, batch, coef0), cfg.y0)
-            for k, e in enumerate(eps_list):
-                kept = batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e))
-                values = chain(step_factor(cfg.scheme, kept, coefs[k]), cfg.y0)
-                per_path[i, k] = _square(float(np.max(np.abs(values - ref))))
+    def sup_diffs(path: DrivingPath) -> list[float]:
+        batch = path.slices(level)
+        ref = chain(step_factor(cfg.scheme, batch, coef0), cfg.y0)
+        kept = (batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e)) for e in eps_list)
+        return [_square(float(np.max(np.abs(chain(step_factor(cfg.scheme, b, c), cfg.y0) - ref))))
+                for b, c in zip(kept, coefs)]
+
+    per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs)
     mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se
@@ -380,8 +390,7 @@ def simulate_trajectory(cfg: StudyConfig):
             "simulate needs 'trajectory_level' (or ladder_levels)")
     active = activate(cfg.model, cfg.epsilon)
     coef = cfg.coefficients_for(active)
-    rng = path_rng(cfg.seed, 0)
-    path = build_path(cfg.horizon, cfg.finest_level, active, rng)
+    path = build_path(cfg.horizon, cfg.finest_level, active, path_rng(cfg.seed, 0))
     level = cfg.trajectory_level
     with np.errstate(over="ignore", invalid="ignore"):  # `bad` names the time
         oracle_vals = exact_solution(path, path.grid_events(level), coef, cfg.y0)
@@ -394,68 +403,43 @@ def simulate_trajectory(cfg: StudyConfig):
 
 # -- output writers -----------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
+def _write_csv(out_path, header, rows) -> None:
+    """The header, then each row's values as round-trip floats; a count prints as itself."""
+    with open(out_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{float(v):.17g}" for v in row] for row in rows)
 
 
 def write_errors_csv(report: ConvergenceReport, out_path) -> None:
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["delta", "mean_sup_sq_error", "std_err", "paths"])
-        for d, m, s in zip(report.deltas, report.mean_sup_sq, report.std_err):
-            w.writerow([_fmt(d), _fmt(m), _fmt(s), report.paths])
+    _write_csv(out_path, ["delta", "mean_sup_sq_error", "std_err", "paths"],
+               zip(report.deltas, report.mean_sup_sq, report.std_err, repeat(report.paths)))
 
 
 def write_truncation_csv(report: TruncationReport, out_path) -> None:
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "mean_sup_sq_diff", "std_err", "paths"])
-        for e, m, s in zip(report.epsilons, report.mean_sup_sq, report.std_err):
-            w.writerow([_fmt(e), _fmt(m), _fmt(s), report.paths])
+    _write_csv(out_path, ["epsilon", "mean_sup_sq_diff", "std_err", "paths"],
+               zip(report.epsilons, report.mean_sup_sq, report.std_err, repeat(report.paths)))
 
 
 def write_trajectory_csv(times, y_scheme, y_oracle, out_path) -> None:
-    with open(out_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time", "y_scheme", "y_oracle"])
-        for t, a, b in zip(times, y_scheme, y_oracle):
-            w.writerow([_fmt(t), _fmt(a), _fmt(b)])
+    _write_csv(out_path, ["time", "y_scheme", "y_oracle"], zip(times, y_scheme, y_oracle))
 
 
-def _json_num(v: float):
-    return None if (isinstance(v, float) and math.isnan(v)) else v
+def _json_value(v):
+    if isinstance(v, Scheme):
+        return v.value
+    return np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v
 
 
 def report_dict(report: ConvergenceReport | TruncationReport) -> dict:
-    common = {
-        "scheme": report.scheme.value,
-        "slope": _json_num(report.slope),
-        "slope_se": _json_num(report.slope_se),
-        "slope_ci": [_json_num(v) for v in report.slope_ci],
-        "paths": report.paths,
-        "seed": report.seed,
-        "config_hash": report.config_hash,
-        "sup_note": report.sup_note,
-        "mean_sup_sq": [float(v) for v in report.mean_sup_sq],
-        "std_err": [float(v) for v in report.std_err],
-    }
-    if isinstance(report, ConvergenceReport):
-        common.update({
-            "kind": "strong_convergence",
-            "deltas": [float(d) for d in report.deltas],
-            "levels": list(report.levels),
-            "target_order": report.target_order,
-            "excluded_coarsest": report.excluded_coarsest,
-            "scheme_sup_sq": [float(v) for v in report.scheme_sup_sq],
-        })
-    else:
-        common.update({
-            "kind": "truncation",
-            "epsilons": [float(e) for e in report.epsilons],
-            "eps_reference": report.eps_reference,
-            "level": report.level,
-        })
-    return common
+    """Every field of the report but `per_path`, plus its `kind`.  A slope
+    fit left undefined (NaN: too few points for a standard error) is written
+    as null; a NaN anywhere else stays, and the JSON writer refuses it."""
+    doc = {f.name: _json_value(getattr(report, f.name))
+           for f in fields(report) if f.name != "per_path"}
+    for key in ("slope", "slope_se", "slope_ci"):
+        doc[key] = np.where(np.isnan(doc[key]), None, doc[key]).tolist()
+    return doc | {"kind": report.kind}
 
 
 def write_report_json(report, out_path) -> None:

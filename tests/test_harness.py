@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +359,18 @@ def test_truncation_study_deterministic(trunc_report):
     assert np.array_equal(again.per_path, trunc_report.per_path)
 
 
+@pytest.mark.parametrize("study,cfg", [
+    (strong_error_study, README_CONVERGE | {"scheme": "euler"}),
+    (strong_error_study, README_CONVERGE | {"scheme": "milstein"}),
+    (truncation_study, README_TRUNCATE),
+], ids=["converge-euler", "converge-milstein", "truncate"])
+def test_per_path_results_do_not_depend_on_the_path_count(study, cfg):
+    # path i draws from its own stream, so a longer run only appends rows
+    few = study(config_from_dict(cfg | {"paths": 10})).per_path
+    more = study(config_from_dict(cfg | {"paths": 25})).per_path
+    assert few.tobytes() == more[:10].tobytes()
+
+
 def test_truncation_study_needs_epsilons():
     with pytest.raises(ConfigError, match="epsilons"):
         truncation_study(config_from_dict(base_config()))
@@ -457,11 +469,22 @@ def test_report_json_nan_becomes_null(tmp_path):
 
 
 def test_report_json_refuses_nonfinite_values(tmp_path, euler_report):
-    rep = replace(euler_report, mean_sup_sq=np.array([1.0, math.inf, 2.0]))
+    # only an undefined slope fit is written as null: a NaN mean is a failure
     out = tmp_path / "r.json"
-    with pytest.raises(ValueError):
-        harness.write_report_json(rep, out)
-    assert not out.exists()
+    for bad in (math.inf, math.nan):
+        rep = replace(euler_report, mean_sup_sq=np.array([1.0, bad, 2.0]))
+        with pytest.raises(ValueError):
+            harness.write_report_json(rep, out)
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("report", ["euler_report", "trunc_report"])
+def test_report_json_holds_every_field_but_per_path(tmp_path, request, report):
+    rep = request.getfixturevalue(report)
+    out = tmp_path / "report.json"
+    harness.write_report_json(rep, out)
+    doc = json.loads(out.read_text())
+    assert set(doc) == {f.name for f in fields(rep)} - {"per_path"} | {"kind"}
 
 
 def test_report_json_truncation(tmp_path, trunc_report):
@@ -550,7 +573,18 @@ def test_cli_config_errors(tmp_path, capsys):
         assert cli.main([command, "--config", str(p), "--out-dir", str(out),
                          "--paths", "1"]) == 2
         assert "'paths' at least 2" in capsys.readouterr().err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["converge", "truncate", "simulate"])
+def test_cli_refuses_an_out_dir_that_is_a_file(tmp_path, capsys, command):
+    # refused before the run, not after it
+    p = write_cfg(tmp_path, trunc_config(paths=5))
+    out = tmp_path / "out"
+    out.write_text("kept")
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    assert "--out-dir" in capsys.readouterr().err
+    assert out.read_text() == "kept"
 
 
 def test_cli_nonfinite_model_value(tmp_path, capsys):
@@ -737,7 +771,10 @@ OVERFLOW = README_CONVERGE | {"b": 1e300, "ladder_levels": [3, 4, 5], "finest_le
     ("converge", README_CONVERGE | {"model": README_MODEL | {"q": {"coef": 1e200}}},
      "path 1 at level 3"),
     ("truncate", README_TRUNCATE | {"y0": 1e300}, "path 0 at epsilon 0.5"),
-], ids=["simulate", "converge", "truncate", "converge-sup-square", "truncate-sup-square"])
+    # every per-path sup error is finite (~1e300), but their spread overflows
+    ("converge", README_CONVERGE | {"y0": 1e150}, "level 3"),
+], ids=["simulate", "converge", "truncate", "converge-sup-square", "truncate-sup-square",
+        "converge-std-err"])
 def test_cli_nonfinite_result_exits_1_and_writes_nothing(tmp_path, capsys, command, cfg,
                                                          where):
     p = write_cfg(tmp_path, cfg)
@@ -745,9 +782,9 @@ def test_cli_nonfinite_result_exits_1_and_writes_nothing(tmp_path, capsys, comma
     assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 1
     # the one error line, with no numpy warning ahead of it
     err = capsys.readouterr().err
-    assert err.startswith(f"error: nonfinite result on {where}")
+    assert err.startswith("error: nonfinite ") and where in err
     assert err.endswith("\n") and err.count("\n") == 1
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 CLI_DATA = Path(__file__).parent / "data" / "cli"
