@@ -5,7 +5,9 @@ built at the finest level and each step-size ladder entry (or each truncation
 level) is evaluated on slices of that same path against the same reference,
 so the reported error is pure discretization (or truncation) error with no
 resampling noise.  Per-path RNG streams derive from (master seed, path index)
-through numpy's SeedSequence.
+through numpy's SeedSequence.  Paths are evaluated a chunk at a time, joined
+into one array structure, and every per-slice and per-path value is formed
+as it would be for the path alone.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .common import ConfigError, choice, finite, integer, require
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import exact_solution
-from .path import DrivingPath, build_path, stack
+from .path import DrivingPath, build_path, join, stack
 from .schemes import LinearCoefficients, Scheme, chain, run_scheme, step_factor
 
 SUP_NOTE = ("strong error sup taken over grid points and jump times; "
@@ -42,6 +44,14 @@ _MAX_EXPECTED_EVENTS = 2**23
 # per-path results a study holds (paths times ladder levels or epsilons), checked
 # before any allocation; 32 MiB an array of them
 _MAX_PATH_RESULTS = 2**22
+# a chunk of paths evaluated together closes once its paths' finest-level
+# cells reach _CHUNK_CELLS (8 paths at finest level 10; a path of level 13 or
+# more is a chunk alone) or the squares of their jump counts reach
+# _CHUNK_JUMP_PAIRS (the partial slices of a convergence path with J jumps
+# hold up to J (J + 1) / 2 of them a ladder level), so that a chunk's arrays
+# stay within a few MB
+_CHUNK_CELLS = 2**13
+_CHUNK_JUMP_PAIRS = 2**16
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
              "ladder_levels", "finest_level", "paths", "seed", "epsilons",
@@ -232,50 +242,69 @@ class ConvergenceReport:
     kind: ClassVar[str] = "strong_convergence"
 
 
-def _sup_errors(cfg: StudyConfig, path: DrivingPath, coef: LinearCoefficients) -> np.ndarray:
-    """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, on one
-    path against the exact solution at its events; the slices of every level
-    go through one evaluator call."""
-    exact_at_events = exact_solution(path, np.arange(path.event_times.size), coef, cfg.y0)
-    levels, jumps = cfg.ladder_levels, path.jump_events
-    edges = [path.grid_events(lv) for lv in levels]
-    batches = [path.slices(lv) for lv in levels]
-    cells = [b.slice_id for b in batches]  # the level's slice holding each jump
-    # from each level's last grid point at or before every jump to it
-    batches.append(path.slice_between(np.concatenate([e[c] for e, c in zip(edges, cells)]),
-                                      np.tile(jumps, len(levels))))
-    batch, bounds = stack(batches)
+def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
+                paths: list[DrivingPath], chunk: DrivingPath) -> np.ndarray:
+    """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, of
+    each path of the chunk against the exact solution at its events; the
+    slices of every level and the partial slices from each level's grid to
+    every jump go through one evaluator call."""
+    exact = np.concatenate([exact_solution(p, np.arange(p.event_times.size), coef, cfg.y0)
+                            for p in paths])
+    levels, jumps = cfg.ladder_levels, chunk.jump_events
+    owner = chunk.jump_cells >> cfg.finest_level  # the path of each jump
+    edges = [chunk.grid_events(lv) for lv in levels]  # (paths, 2**lv + 1) each
+    # the flat position in an edges-shaped array of the last grid point at or
+    # before each jump: its cell in the chunk's slices, one more per earlier path
+    at_cell = [(chunk.jump_cells >> (cfg.finest_level - lv)) + owner for lv in levels]
+    partial = chunk.slice_between(np.concatenate([e.ravel()[c] for e, c in zip(edges, at_cell)]),
+                                  np.tile(jumps, len(levels)))
+    batch, bounds = stack([chunk.slices(lv) for lv in levels] + [partial])
     factors = step_factor(cfg.scheme, batch, coef)
     at_jumps = factors[bounds[-2]:].reshape(len(levels), jumps.size)
-    out = np.empty((2, len(levels)))
-    for k, e in enumerate(edges):
-        values = chain(factors[bounds[k]:bounds[k + 1]], cfg.y0)
-        y_at = values[cells[k]] * at_jumps[k]  # the scheme at the jump times
-        err = np.concatenate((np.abs(values - exact_at_events[e]),
-                              np.abs(y_at - exact_at_events[jumps])))
-        sup = float(np.max(err))  # np.max, unlike max(), keeps a NaN
-        out[:, k] = sup * sup, _square(float(np.max(np.abs(values))))
+    out = np.empty((len(paths), 2, len(levels)))
+    for k, (e, c) in enumerate(zip(edges, at_cell)):
+        values = chain(factors[bounds[k]:bounds[k + 1]].reshape(len(paths), -1), cfg.y0)
+        sup = np.abs(values - exact[e]).max(axis=1)
+        y_at = values.ravel()[c] * at_jumps[k]  # the scheme at the jump times
+        np.maximum.at(sup, owner, np.abs(y_at - exact[jumps]))  # unlike fmax, keeps a NaN
+        out[:, 0, k] = sup * sup
+        out[:, 1, k] = _squares(np.abs(values).max(axis=1))
     return out
 
 
-def _square(x: float) -> float:
-    """x ** 2, or inf where that leaves the float range (`**` rounds through
-    C pow, which differs from x * x in the last bit for some x)."""
-    try:
-        return x ** 2
-    except OverflowError:
-        return math.inf
+def _squares(x: np.ndarray) -> list[float]:
+    """v ** 2 for each value v, or inf where that leaves the float range (`**`
+    rounds through C pow, which differs from v * v in the last bit for some v)."""
+    squares = []
+    for v in x.tolist():
+        try:
+            squares.append(v ** 2)
+        except OverflowError:
+            squares.append(math.inf)
+    return squares
 
 
-def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], row) -> np.ndarray:
-    """The Monte-Carlo loop of both studies: row i of the (paths, *shape)
-    result is `row(path)` on path i, built at the finest level from the
-    path's own stream, so a path's row does not depend on the path count."""
+def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) -> np.ndarray:
+    """The Monte-Carlo loop of both studies: path i is built at the finest
+    level from its own stream, and a chunk of paths at a time is evaluated
+    by one `rows(paths, join(paths))` call, whose (len(paths), *shape)
+    result holds each path's row as the path alone would give it.  So a
+    path's row depends on neither the path count nor the chunking."""
     require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
     out = np.empty((cfg.paths, *shape))
+    paths, pairs = [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
         for i in range(cfg.paths):
-            out[i] = row(build_path(cfg.horizon, cfg.finest_level, model, path_rng(cfg.seed, i)))
+            try:
+                path = build_path(cfg.horizon, cfg.finest_level, model, path_rng(cfg.seed, i))
+            except RuntimeError as exc:
+                raise RuntimeError(f"path {i}: {exc}") from exc
+            paths.append(path)
+            pairs += path.jump_times.size ** 2
+            if (len(paths) << cfg.finest_level >= _CHUNK_CELLS or pairs >= _CHUNK_JUMP_PAIRS
+                    or i == cfg.paths - 1):
+                out[i + 1 - len(paths):i + 1] = rows(paths, join(paths))
+                paths, pairs = [], 0
     return out
 
 
@@ -305,7 +334,8 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     coef = cfg.coefficients_for(active)
     levels = cfg.ladder_levels
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
-    rows = _per_path(cfg, active, (2, len(levels)), lambda path: _sup_errors(cfg, path, coef))
+    rows = _per_path(cfg, active, (2, len(levels)),
+                     lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk))
     (mean, scheme_sup), (se, _) = _path_stats(rows, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -363,12 +393,16 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     coef0 = cfg.coefficients_for(active0)
     coefs = [cfg.coefficients_for(truncate(cfg.model, float(e))) for e in eps_list]
 
-    def sup_diffs(path: DrivingPath) -> list[float]:
-        batch = path.slices(level)
-        ref = chain(step_factor(cfg.scheme, batch, coef0), cfg.y0)
+    def sup_diffs(paths, chunk: DrivingPath) -> np.ndarray:
+        batch = chunk.slices(level)
+
+        def values(b, c):  # a row per path
+            return chain(step_factor(cfg.scheme, b, c).reshape(len(paths), -1), cfg.y0)
+
+        ref = values(batch, coef0)
         kept = (batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e)) for e in eps_list)
-        return [_square(float(np.max(np.abs(chain(step_factor(cfg.scheme, b, c), cfg.y0) - ref))))
-                for b, c in zip(kept, coefs)]
+        return np.transpose([_squares(np.abs(values(b, c) - ref).max(axis=1))
+                             for b, c in zip(kept, coefs)])
 
     per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs)
     mean, se = _path_stats(per_path, "epsilon", eps_list)

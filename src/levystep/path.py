@@ -18,6 +18,9 @@ Slice quantities follow by exact identities:
 Per-level (dW, dZ) arrays are assembled bottom-up by pairwise aggregation over
 the finest dyadic cells, so combining the two children of a dyadic interval
 reproduces the parent bit-for-bit.
+
+Several paths of one horizon and finest level can be joined end to end into
+one chunk (`join`), whose slices are those of its paths in path order.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ from .levy import LevyModel
 logger = logging.getLogger(__name__)
 
 _SQRT3 = math.sqrt(3.0)
+# arrivals one path may draw: twice the expected events a config may ask for
+# (harness._MAX_EXPECTED_EVENTS), about 2900 standard deviations of the
+# Poisson count above the largest mean the configs allow
+_MAX_JUMPS = 2**24
+_ZERO = np.zeros(1)
 
 
 def sample_dw_dz(deltas: np.ndarray, rng: np.random.Generator
@@ -110,7 +118,8 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
     Arrivals are a Poisson stream at the model's total active rate; each mark
     is drawn from the normalized restriction of the measure to the region
     chosen proportionally to its mass.  Raises if the rate is infinite (an
-    untruncated infinite-activity model cannot be simulated).
+    untruncated infinite-activity model cannot be simulated), and stops with
+    a RuntimeError at arrival _MAX_JUMPS + 1.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -126,6 +135,8 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
         small_frac = model.small_mass / rate
         t = rng.exponential(1.0 / rate)
         while t < horizon:
+            if len(times) == _MAX_JUMPS:
+                raise RuntimeError(f"more than {_MAX_JUMPS} jumps drawn on one path")
             is_small = rng.random() < small_frac
             marks.append(model.sample_small_mark(rng) if is_small
                          else model.sample_tail_mark(rng))
@@ -149,20 +160,27 @@ def dyadic_grid(horizon: float, level: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DrivingPath:
+    """The noise of one path, or of a chunk of paths joined by `join` (the
+    shapes in brackets are a chunk's)."""
+
     horizon: float
     finest_level: int
     event_times: np.ndarray   # (n_events,)
-    dw: np.ndarray            # (n_events - 1,) per-gap Wiener increments
-    z_locals: np.ndarray      # (n_events - 1,) per-gap local time integrals
+    # per-gap Wiener increments and local time integrals, gap g following
+    # event g: (n_events - 1,), or (n_events,) with a zero at each path's last event
+    dw: np.ndarray
+    z_locals: np.ndarray
     w_values: np.ndarray      # (n_events,) cumulative Wiener path, W(0) = 0
-    jump_times: np.ndarray    # (n_jumps,) increasing
+    jump_times: np.ndarray    # (n_jumps,) increasing [within a path]
     jump_marks: np.ndarray    # (n_jumps,)
     jump_small: np.ndarray    # (n_jumps,) bool: small region (else tail)
     jump_events: np.ndarray   # (n_jumps,) event index of each jump time
-    jump_cells: np.ndarray    # (n_jumps,) finest dyadic cell holding each jump
-    cell_edges: np.ndarray    # (2**finest_level + 1,) event index of each dyadic point
-    level_dw: tuple[np.ndarray, ...]  # per level 0..finest: interval dW
-    level_dz: tuple[np.ndarray, ...]  # per level 0..finest: interval dZ
+    # (n_jumps,) finest dyadic cell holding each jump [+ path * 2**finest_level]
+    jump_cells: np.ndarray
+    # (2**finest_level + 1,) [(paths, 2**finest_level + 1)] event index of each dyadic point
+    cell_edges: np.ndarray
+    level_dw: tuple[np.ndarray, ...]  # per level 0..finest: interval dW [path by path]
+    level_dz: tuple[np.ndarray, ...]  # per level 0..finest: interval dZ [path by path]
 
     @property
     def jumps(self) -> tuple[JumpEvent, ...]:
@@ -176,10 +194,11 @@ class DrivingPath:
     # -- lookups -----------------------------------------------------------
 
     def grid_events(self, level: int) -> np.ndarray:
-        """Event indices of the 2**level + 1 dyadic points at `level`."""
+        """Event indices of the 2**level + 1 dyadic points at `level` (a row
+        a path for a chunk)."""
         if not 0 <= level <= self.finest_level:
             raise ValueError(f"level {level} outside 0..{self.finest_level}")
-        return self.cell_edges[::1 << (self.finest_level - level)]
+        return self.cell_edges[..., ::1 << (self.finest_level - level)]
 
     def grid(self, level: int) -> np.ndarray:
         # bit-equal to dyadic_grid(horizon, level) by the merge in build_path
@@ -199,16 +218,18 @@ class DrivingPath:
     # -- slicing -----------------------------------------------------------
 
     def slices(self, level: int) -> Slices:
-        """The 2**level slices of the uniform dyadic grid at `level`."""
+        """The 2**level slices of the uniform dyadic grid at `level` (of each
+        path of a chunk in turn: slice path * 2**level + k is its slice k)."""
         edges = self.grid_events(level)
-        return self._batch(edges[:-1], edges[1:], self.level_dw[level],
+        return self._batch(edges[..., :-1].ravel(), edges[..., 1:].ravel(), self.level_dw[level],
                            self.level_dz[level], slice(None),
                            self.jump_cells >> (self.finest_level - level))
 
     def slice_between(self, ia, ib) -> Slices:
         """One slice from event ia[k] to event ib[k] for every k (signed
         integer event indices with 0 <= ia < ib < n_events, typically a grid
-        point and an interior jump); aggregates gap data directly."""
+        point and an interior jump, both on one path of a chunk); aggregates
+        gap data directly."""
         ia, ib, n = np.atleast_1d(ia), np.atleast_1d(ib), self.event_times.size
         if not (ia.dtype.kind == ib.dtype.kind == "i" and ia.ndim == 1
                 and ia.shape == ib.shape and np.all((0 <= ia) & (ia < ib) & (ib < n))):
@@ -240,6 +261,36 @@ class DrivingPath:
                       time=self.jump_times[held], mark=self.jump_marks[held],
                       small=self.jump_small[held],
                       w=self.w_values[self.jump_events[held]], slice_id=slice_id)
+
+
+def join(paths) -> DrivingPath:
+    """The paths, of one horizon and finest level, end to end as one chunk:
+    each array the paths' arrays in turn, event indices and finest cells
+    offset to the chunk, and every path's gap data padded with a zero at its
+    last event, so that gap g still follows event g.  A slice of a chunk
+    never spans two paths: at a path's first event, `slice_between` reads
+    the pad slot behind it as zero."""
+    finest = paths[0].finest_level
+    sizes = np.array([p.event_times.size for p in paths])
+    offsets = np.cumsum(sizes) - sizes
+    jumps = [p.jump_events.size for p in paths]
+
+    def cat(name):
+        return np.concatenate([getattr(p, name) for p in paths])
+
+    def padded(name):
+        return np.concatenate([a for p in paths for a in (getattr(p, name), _ZERO)])
+
+    return DrivingPath(
+        horizon=paths[0].horizon, finest_level=finest,
+        event_times=cat("event_times"), dw=padded("dw"), z_locals=padded("z_locals"),
+        w_values=cat("w_values"), jump_times=cat("jump_times"),
+        jump_marks=cat("jump_marks"), jump_small=cat("jump_small"),
+        jump_events=cat("jump_events") + np.repeat(offsets, jumps),
+        jump_cells=cat("jump_cells") + np.repeat(np.arange(len(paths)) << finest, jumps),
+        cell_edges=np.stack([p.cell_edges for p in paths]) + offsets[:, None],
+        level_dw=tuple(map(np.concatenate, zip(*(p.level_dw for p in paths)))),
+        level_dz=tuple(map(np.concatenate, zip(*(p.level_dz for p in paths)))))
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -104,10 +104,9 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     i23_lead (see the module docstring).
 
     Every sum is formed from 0.0 left to right in time order, as a walk of
-    the slice forms it: jump j goes to the row of its slice (only slices
-    holding jumps get one), column (its rank in the slice) + 1 of a
-    zero-padded matrix whose cumulative sums along the row are the running
-    sums, and whose last column holds the totals.
+    the slice forms it: the slices holding jumps advance their running sums
+    together, one jump rank at a time, so the work and memory go with the
+    jumps the slices hold, whatever the largest count in the batch.
     """
     n, sid, small = slices.left.size, slices.slice_id, slices.small
     if not sid.size:
@@ -124,22 +123,26 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
         # sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time
         (np.array((wincr, w_to_end, since))[:, None] * pq).reshape(6, -1),
         pq * to_end))                                       # i22_hold, i32_hold
-    held, row = np.unique(sid, return_inverse=True)
-    col = np.arange(1, sid.size + 1) - sid.searchsorted(sid)
-    padded = np.zeros((per_jump.shape[0], held.size, int(col.max()) + 1))
-    padded[:, row, col] = per_jump
-    run = padded.cumsum(axis=2)
-    # the leads pair each jump's p (or q) with the p-sum (or q-sum) strictly
-    # before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
-    leads = (padded[[0, 1, 0, 1], :, 1:] * run[[0, 1, 1, 0], :, :-1]).cumsum(axis=2)
+    held, first, count = np.unique(sid, return_index=True, return_counts=True)
+    # by decreasing jump count, so the slices holding a jump of rank r are a prefix
+    order = np.argsort(-count, kind="stable")
+    held, first, count = held[order], first[order], count[order]
+    run = np.zeros((per_jump.shape[0], held.size))
+    leads = np.zeros((4, held.size))
+    for rank, m in enumerate(np.searchsorted(-count, -np.arange(count[0]), "left").tolist()):
+        x = per_jump[:, first[:m] + rank]
+        # the leads pair each jump's p (or q) with the p-sum (or q-sum)
+        # strictly before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
+        leads[:, :m] += x[[0, 1, 0, 1]] * run[[0, 1, 1, 0], :m]
+        run[:, :m] += x
     out = np.zeros((14, n))
-    # 0.0 + gives a -0.0 lead the +0.0 a sum from 0.0 has, whatever the padding
-    out[:, held] = np.concatenate((run[:, :, -1], 0.0 + leads[:, :, -1]))
+    out[:, held] = np.concatenate((run, leads))
     return out
 
 
-def _term_rows(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
-    """The thirteen terms at y = 1, one row per key of TERM_KEYS."""
+def _scaled_terms(slices: Slices, coef: LinearCoefficients):
+    """The thirteen terms at y = 1, one array over the slices at a time, in
+    TERM_KEYS order."""
     b, s = coef.drift, coef.diffusion
     cf, cg = coef.small_jump, coef.tail_jump
     m1 = coef.p_integral
@@ -147,25 +150,20 @@ def _term_rows(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     (sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
      i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead) = _jump_sums(slices, coef)
     # six terms are (a jump sum) - m1 * (its compensator); 22 has two more parts
-    t2, t12, t21, t22, t23, t32 = (
-        np.array((sum_p, sum_p_wincr, i21_lead, i22_lead, i23_lead, i32_lead))
-        - m1 * np.array((delta, dz, delta * dw - dz, i22_time, i23_time, i32_hold)))
-    scale = np.array([b, s, cf, cg, 0.5 * s * s, cf * s, cg * s, cf * s, cg * s,
-                      cf * cf, cf * cg, cf * cg, cg * cg])
-    return scale[:, None] * np.array((
-        delta,                                                        # 0
-        dw,                                                           # 1
-        t2,                                                           # 2
-        sum_q,                                                        # 3
-        dw * dw - delta,                                              # 11
-        t12,                                                          # 12
-        sum_q_wincr,                                                  # 13
-        t21,                                                          # 21
-        i31_lead,                                                     # 31
-        t22 - m1 * i22_hold + 0.5 * m1 * m1 * delta * delta,          # 22
-        t23,                                                          # 23
-        t32,                                                          # 32
-        i33_lead))                                                    # 33
+    yield b * delta                                                     # 0
+    yield s * dw                                                        # 1
+    yield cf * (sum_p - m1 * delta)                                     # 2
+    yield cg * sum_q                                                    # 3
+    yield 0.5 * s * s * (dw * dw - delta)                               # 11
+    yield cf * s * (sum_p_wincr - m1 * dz)                              # 12
+    yield cg * s * sum_q_wincr                                          # 13
+    yield cf * s * (i21_lead - m1 * (delta * dw - dz))                  # 21
+    yield cg * s * i31_lead                                             # 31
+    yield cf * cf * (i22_lead - m1 * i22_time - m1 * i22_hold
+                     + 0.5 * m1 * m1 * delta * delta)                   # 22
+    yield cf * cg * (i23_lead - m1 * i23_time)                          # 23
+    yield cf * cg * (i32_lead - m1 * i32_hold)                          # 32
+    yield cg * cg * i33_lead                                            # 33
 
 
 def milstein_terms(y: float, slices: Slices,
@@ -177,12 +175,15 @@ def milstein_terms(y: float, slices: Slices,
     summing the values and adding y gives the Milstein update from state y.
     Empty jump sums contribute zero.
     """
-    return dict(zip(TERM_KEYS, y * _term_rows(slices, coef)))
+    return {key: y * term for key, term in zip(TERM_KEYS, _scaled_terms(slices, coef))}
 
 
 def milstein_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
-    # the terms added in key order, left to right
-    return 1.0 + np.cumsum(_term_rows(slices, coef), axis=0)[-1]
+    terms = _scaled_terms(slices, coef)
+    total = next(terms)
+    for term in terms:  # added in key order, left to right, one term live at a time
+        total += term
+    return 1.0 + total
 
 
 @dataclass(frozen=True)
@@ -213,5 +214,9 @@ def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
 
 
 def chain(factors: np.ndarray, y0: float) -> np.ndarray:
-    """y0, y0 * f0, y0 * f0 * f1, ... over consecutive slices, left to right."""
-    return np.cumprod(np.concatenate(([y0], factors)))
+    """y0, y0 * f0, y0 * f0 * f1, ... over consecutive slices, left to right
+    along the last axis (a row of factors per path, for a chunk)."""
+    values = np.empty((*factors.shape[:-1], factors.shape[-1] + 1))
+    values[..., 0] = y0
+    values[..., 1:] = factors
+    return np.multiply.accumulate(values, axis=-1, out=values)

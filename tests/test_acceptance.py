@@ -28,7 +28,7 @@ from levystep.harness import (
     strong_error_study,
     truncation_study,
 )
-from levystep.path import sample_dw_dz, stack
+from levystep.path import join, sample_dw_dz
 from levystep.schemes import milstein_terms
 from test_multiindex import A_HALF, A_ONE, B_HALF, B_ONE, render
 
@@ -229,16 +229,15 @@ def test_criterion_7_truncation_rate(a, seed):
 def test_criterion_8_martingale_centering():
     # Monte-Carlo mean of the compensated small-jump term over 1e5
     # single-interval paths within 3 standard errors of zero; under 30 s.
-    # Every path draws on its own stream; the slices of 1000 paths at a time
-    # are stacked into one batch and evaluated together
+    # Every path draws on its own stream; 1000 paths at a time are joined
+    # into one chunk, whose level-0 slices are evaluated together
     t0 = time.perf_counter()
     model, coef = ref_model_objects()
     n, chunk = 100_000, 1000
     vals = np.empty(n)
     for start in range(0, n, chunk):
         paths = [build_path(1.0, 0, model, path_rng(42, i)) for i in range(start, start + chunk)]
-        batch, _ = stack([path.slices(0) for path in paths])
-        vals[start:start + chunk] = milstein_terms(1.0, batch, coef)["2"]
+        vals[start:start + chunk] = milstein_terms(1.0, join(paths).slices(0), coef)["2"]
         if start == 0:
             first = paths
     mean = float(vals.mean())

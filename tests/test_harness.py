@@ -26,6 +26,7 @@ from levystep import (
     truncation_study,
 )
 from levystep import cli, harness
+from levystep import path as path_mod
 from levystep.harness import exclude_coarsest
 
 from helpers import sup_error_one_level
@@ -369,6 +370,49 @@ def test_per_path_results_do_not_depend_on_the_path_count(study, cfg):
     few = study(config_from_dict(cfg | {"paths": 10})).per_path
     more = study(config_from_dict(cfg | {"paths": 25})).per_path
     assert few.tobytes() == more[:10].tobytes()
+
+
+@pytest.mark.parametrize("study,cfg", [
+    *((strong_error_study, base_config(model=model, finest_level=finest, ladder_levels=ladder,
+                                       scheme=scheme, seed=9))
+      for name in ("jumpless", "jump-heavy", "power-law")
+      for model, finest, ladder in [CROSS_CHECK_MODELS[name]]
+      for scheme in ("euler", "milstein")),
+    (truncation_study, README_TRUNCATE),
+], ids=[f"converge-{name}-{scheme}" for name in ("jumpless", "jump-heavy", "power-law")
+        for scheme in ("euler", "milstein")] + ["truncate"])
+def test_per_path_results_do_not_depend_on_the_chunking(monkeypatch, study, cfg):
+    # 70 paths in chunks of 1, 7 or 64 (the last chunk short), then in the
+    # chunks the default budgets close; a 64-path chunk of the jump-heavy
+    # model would hold ~1.4e6 partial-slice jumps (~0.5 GB), the load the
+    # jump-pair budget exists to cap, so its largest forced chunk is 7 paths
+    real_join, sizes = harness.join, []
+    monkeypatch.setattr(harness, "join", lambda paths: sizes.append(len(paths)) or real_join(paths))
+    monkeypatch.setattr(harness, "_CHUNK_JUMP_PAIRS", math.inf)
+    per_chunking = []
+    for size in (1, 7) if cfg["model"] is CROSS_CHECK_MODELS["jump-heavy"][0] else (1, 7, 64):
+        monkeypatch.setattr(harness, "_CHUNK_CELLS", size << cfg["finest_level"])
+        sizes.clear()
+        per_chunking.append(study(config_from_dict(cfg | {"paths": 70})))
+        assert sizes == [size] * (70 // size) + [70 % size] * (70 % size > 0)
+    monkeypatch.undo()
+    per_chunking.append(study(config_from_dict(cfg | {"paths": 70})))
+    assert len({rep.per_path.tobytes() + getattr(rep, "scheme_sup_sq", np.empty(0)).tobytes()
+                for rep in per_chunking}) == 1
+
+
+def test_a_chunk_closes_at_either_budget(monkeypatch):
+    # jump-heavy paths (~240 jumps) at finest level 6: the cell budget would
+    # take 128 paths, the jump-pair budget closes each chunk first
+    real_join, chunks = harness.join, []
+    monkeypatch.setattr(harness, "join", lambda paths: chunks.append(paths) or real_join(paths))
+    model, finest, ladder = CROSS_CHECK_MODELS["jump-heavy"]
+    strong_error_study(config_from_dict(base_config(
+        model=model, finest_level=finest, ladder_levels=ladder, scheme="milstein", paths=12)))
+    pairs = [[p.jump_times.size ** 2 for p in paths] for paths in chunks]
+    assert sum(map(len, chunks)) == 12 and len(chunks) > 1
+    assert all(sum(c[:-1]) < harness._CHUNK_JUMP_PAIRS <= sum(c) for c in pairs[:-1])
+    assert sum(pairs[-1][:-1]) < harness._CHUNK_JUMP_PAIRS
 
 
 def test_truncation_study_needs_epsilons():
@@ -754,6 +798,21 @@ def test_cli_strict_numbers_and_sections(tmp_path, capsys, section, value, key):
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command,cfg,cap,path", [
+    ("converge", README_CONVERGE, 2, 9),    # path 9 draws 4 jumps, the first beyond 2
+    ("truncate", README_TRUNCATE, 20, 1),   # path 1 draws 24, path 0 only 10
+])
+def test_cli_jump_cap_exits_1_naming_the_path(tmp_path, capsys, monkeypatch,
+                                              command, cfg, cap, path):
+    monkeypatch.setattr(path_mod, "_MAX_JUMPS", cap)
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: path {path}: more than {cap} jumps drawn on one path\n"
+    assert not out.exists()
 
 
 # a drift so large that the scheme and the oracle overflow on every path

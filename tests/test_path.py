@@ -13,7 +13,8 @@ from levystep import (
     build_path,
 )
 from levystep.common import Region
-from levystep.path import dyadic_grid, sample_dw_dz, simulate_events
+from levystep import path as path_mod
+from levystep.path import dyadic_grid, join, sample_dw_dz, simulate_events, stack
 
 from helpers import event_indices
 
@@ -388,6 +389,43 @@ def test_slice_between_batch_matches_single_slices():
         assert np.array_equal(batch.mark[mine], one.mark)
         assert np.array_equal(batch.small[mine], one.small)
     assert np.all(np.diff(batch.slice_id) >= 0)
+
+
+def test_a_joined_chunk_slices_as_its_paths():
+    # paths of every jump density, a jumpless one included: a chunk's level
+    # slices are its paths' slices in turn, and its partial slices (from
+    # each path's first event, where the pad of the path before sits, or
+    # from a grid point) are the ones each path gives alone, bit for bit
+    paths = [build_path(1.0, 5, dense_model(0.2 + 30.0 * (i % 3), 0.1 + 10.0 * (i % 3)),
+                        np.random.default_rng(70 + i)) for i in range(7)]
+    assert min(p.jump_times.size for p in paths) == 0 < max(p.jump_times.size for p in paths)
+    chunk = join(paths)
+    offsets = np.cumsum([0] + [p.event_times.size for p in paths])
+    for level in (0, 2, 5):
+        assert np.array_equal(chunk.grid_events(level),
+                              [p.grid_events(level) + o for p, o in zip(paths, offsets)])
+        alone, _ = stack([p.slices(level) for p in paths])
+        together = chunk.slices(level)
+        for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right",
+                     "time", "mark", "small", "w", "slice_id"):
+            assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
+    parts = [(np.concatenate(([0], p.grid_events(2)[p.jump_cells >> 3])),
+              np.concatenate(([p.event_times.size - 1], p.jump_events))) for p in paths]
+    alone, _ = stack([p.slice_between(ia, ib) for p, (ia, ib) in zip(paths, parts)])
+    together = chunk.slice_between(*(np.concatenate([e + o for e, o in zip(ends, offsets)])
+                                     for ends in zip(*parts)))
+    for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right",
+                 "time", "mark", "small", "w", "slice_id"):
+        assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
+
+
+def test_simulate_events_stops_at_the_jump_cap(monkeypatch):
+    # a stream of 7 arrivals against a cap of 5 stops; one of exactly 5 is kept
+    monkeypatch.setattr(path_mod, "_MAX_JUMPS", 5)
+    with pytest.raises(RuntimeError, match="more than 5 jumps drawn on one path"):
+        simulate_events(1.0, dense_model(), np.random.default_rng(2))
+    times, _, _ = simulate_events(1.0, dense_model(), np.random.default_rng(5))
+    assert times.size == 5
 
 
 def test_slice_between_additivity():

@@ -235,6 +235,22 @@ def test_stacked_batches_evaluate_as_their_parts(level):
     assert per_size[0] == per_size[1] == per_size[2]
 
 
+def test_milstein_factor_is_one_plus_the_running_sum_of_the_terms():
+    # jump-heavy slices (up to dozens of jumps) stacked with jumpless ones:
+    # the factor is 1.0 + ((term 0 + term 1) + ...) in key order, bit for bit
+    coef = mixed_coef()
+    for level in (0, 2, 4):
+        batch, _ = stack([dense_path(500 + i, 4, 0.2 + 60.0 * (i % 3), 0.1 + 20.0 * (i % 3))
+                          .slices(level) for i in range(9)])
+        held = np.bincount(batch.slice_id, minlength=batch.left.size)
+        assert held.min() == 0 and held.max() >= 3
+        terms = milstein_terms(1.0, batch, coef)
+        total = terms[schemes.TERM_KEYS[0]]
+        for key in schemes.TERM_KEYS[1:]:
+            total = total + terms[key]
+        assert milstein_factor(batch, coef).tobytes() == (1.0 + total).tobytes()
+
+
 # -- trajectories ---------------------------------------------------------------
 
 def dense_path(seed, level=6, small_rate=4.0, tail_rate=2.0):
