@@ -37,13 +37,20 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 
 # -- configuration -----------------------------------------------------------
 
-_MAX_FINEST_LEVEL = 20  # 2**20 cells, about 100 MB of arrays a path; checked before any allocation
+# 2**20 cells, checked before any allocation: a path built at level 20 holds
+# about 57 MiB of arrays and peaks at about 81 MiB while it is built
+_MAX_FINEST_LEVEL = 20
 # expected events a path (grid points plus jumps), checked before any path is
 # drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused
 _MAX_EXPECTED_EVENTS = 2**23
 # per-path results a study holds (paths times ladder levels or epsilons), checked
 # before any allocation; 32 MiB an array of them
 _MAX_PATH_RESULTS = 2**22
+# jump entries a convergence path's partial slices are expected to hold,
+# checked before any path is drawn: a cell of n jumps gives partial slices
+# holding n (n + 1) / 2 of them a ladder level, ~280 B each when evaluated
+# (about 1.2 GB at the bound)
+_MAX_PARTIAL_ENTRIES = 2**22
 # a chunk of paths evaluated together closes once its paths' finest-level
 # cells reach _CHUNK_CELLS (8 paths at finest level 10; a path of level 13 or
 # more is a chunk alone) or the squares of their jump counts reach
@@ -331,8 +338,16 @@ def _path_stats(per_path: np.ndarray, key: str, values) -> tuple[np.ndarray, np.
 def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     require(len(cfg.ladder_levels) >= 2, "a convergence study needs at least two ladder levels")
     active = activate(cfg.model, cfg.epsilon)
-    coef = cfg.coefficients_for(active)
     levels = cfg.ladder_levels
+    # n ~ Poisson(m) jumps in a cell give E[n (n + 1) / 2] = m**2 / 2 + m entries,
+    # and level L has 2**L cells of m = rate * T / 2**L
+    mu = active.active_rate * cfg.horizon
+    entries = sum(mu * mu / 2**(lv + 1) + mu for lv in levels)
+    require(entries <= _MAX_PARTIAL_ENTRIES,
+            f"about {entries:.3g} expected jump entries in a path's partial slices (the sum "
+            f"over ladder levels L of (rate * T)**2 / 2**(L + 1) + rate * T) exceed the bound "
+            f"{_MAX_PARTIAL_ENTRIES}; lower 'T', 'ladder_levels' or the jump rate of 'model'")
+    coef = cfg.coefficients_for(active)
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
     rows = _per_path(cfg, active, (2, len(levels)),
                      lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk))

@@ -15,9 +15,9 @@ Slice quantities follow by exact identities:
     dZ over [a, b]  = integral of (W_s - W_a) ds
                     = sum over gaps of (W_gap_left - W_a) * h_gap + z_local
 
-Per-level (dW, dZ) arrays are assembled bottom-up by pairwise aggregation over
-the finest dyadic cells, so combining the two children of a dyadic interval
-reproduces the parent bit-for-bit.
+A path stores (dW, dZ) over its finest dyadic cells only; its first slicing
+aggregates them pairwise up the levels, so combining the two children of a
+dyadic interval reproduces the parent bit-for-bit.
 
 Several paths of one horizon and finest level can be joined end to end into
 one chunk (`join`), whose slices are those of its paths in path order.
@@ -28,6 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -179,8 +180,8 @@ class DrivingPath:
     jump_cells: np.ndarray
     # (2**finest_level + 1,) [(paths, 2**finest_level + 1)] event index of each dyadic point
     cell_edges: np.ndarray
-    level_dw: tuple[np.ndarray, ...]  # per level 0..finest: interval dW [path by path]
-    level_dz: tuple[np.ndarray, ...]  # per level 0..finest: interval dZ [path by path]
+    cell_dw: np.ndarray       # (2**finest_level,) [path by path] dW over each finest cell
+    cell_dz: np.ndarray       # (2**finest_level,) [path by path] dZ over each finest cell
 
     @property
     def jumps(self) -> tuple[JumpEvent, ...]:
@@ -206,7 +207,7 @@ class DrivingPath:
 
     def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
         """Same noise, only the jumps where the boolean mask `keep` is set
-        (the event grid, Wiener data and aggregation arrays are unchanged).
+        (the event grid, Wiener data and cell aggregates are unchanged).
         The truncation study masks a batch instead (`Slices.keep_jumps`)."""
         keep = np.asarray(keep)
         if keep.dtype != np.bool_ or keep.shape != self.jump_times.shape:
@@ -217,13 +218,22 @@ class DrivingPath:
 
     # -- slicing -----------------------------------------------------------
 
+    @cached_property
+    def _levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per level 0..finest, (dW, dZ) over its dyadic intervals [path by path]."""
+        levels = [(self.cell_dw, self.cell_dz)]
+        for child_level in range(self.finest_level, 0, -1):
+            cdw, cdz = levels[-1]
+            levels.append((cdw[0::2] + cdw[1::2], cdz[0::2] + cdz[1::2]
+                           + cdw[0::2] * (self.horizon / float(2**child_level))))
+        return levels[::-1]
+
     def slices(self, level: int) -> Slices:
         """The 2**level slices of the uniform dyadic grid at `level` (of each
         path of a chunk in turn: slice path * 2**level + k is its slice k)."""
         edges = self.grid_events(level)
-        return self._batch(edges[..., :-1].ravel(), edges[..., 1:].ravel(), self.level_dw[level],
-                           self.level_dz[level], slice(None),
-                           self.jump_cells >> (self.finest_level - level))
+        return self._batch(edges[..., :-1].ravel(), edges[..., 1:].ravel(), *self._levels[level],
+                           slice(None), self.jump_cells >> (self.finest_level - level))
 
     def slice_between(self, ia, ib) -> Slices:
         """One slice from event ia[k] to event ib[k] for every k (signed
@@ -289,8 +299,7 @@ def join(paths) -> DrivingPath:
         jump_events=cat("jump_events") + np.repeat(offsets, jumps),
         jump_cells=cat("jump_cells") + np.repeat(np.arange(len(paths)) << finest, jumps),
         cell_edges=np.stack([p.cell_edges for p in paths]) + offsets[:, None],
-        level_dw=tuple(map(np.concatenate, zip(*(p.level_dw for p in paths)))),
-        level_dz=tuple(map(np.concatenate, zip(*(p.level_dz for p in paths)))))
+        cell_dw=cat("cell_dw"), cell_dz=cat("cell_dz"))
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -356,21 +365,11 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     cell_edges, jump_events = position[:dyad.size], position[dyad.size:]
     # jump j has j earlier jumps and its cell + 1 dyadic points before it
     jump_cells = jump_events - np.arange(jump_events.size) - 1
-
-    # per finest-cell aggregates, then pairwise aggregation up the levels
     starts = cell_edges[:-1]
     w_cell_left = np.repeat(w_values[starts], cell_edges[1:] - starts)
-    contrib = (w_values[:-1] - w_cell_left) * gaps + z_locals
-    level_dw = [np.add.reduceat(dw, starts)]
-    level_dz = [np.add.reduceat(contrib, starts)]
-    for child_level in range(finest_level, 0, -1):
-        cdw, cdz = level_dw[-1], level_dz[-1]
-        level_dw.append(cdw[0::2] + cdw[1::2])
-        level_dz.append(cdz[0::2] + cdz[1::2] + cdw[0::2] * (horizon / float(2**child_level)))
-    return DrivingPath(horizon=horizon, finest_level=finest_level,
-                       event_times=event_times, dw=dw, z_locals=z_locals,
-                       w_values=w_values, jump_times=jump_times,
-                       jump_marks=jump_marks, jump_small=jump_small,
-                       jump_events=jump_events, jump_cells=jump_cells,
-                       cell_edges=cell_edges, level_dw=tuple(level_dw[::-1]),
-                       level_dz=tuple(level_dz[::-1]))
+    cell_dz = np.add.reduceat((w_values[:-1] - w_cell_left) * gaps + z_locals, starts)
+    return DrivingPath(horizon=horizon, finest_level=finest_level, event_times=event_times,
+                       dw=dw, z_locals=z_locals, w_values=w_values, jump_times=jump_times,
+                       jump_marks=jump_marks, jump_small=jump_small, jump_events=jump_events,
+                       jump_cells=jump_cells, cell_edges=cell_edges,
+                       cell_dw=np.add.reduceat(dw, starts), cell_dz=cell_dz)

@@ -693,6 +693,32 @@ def test_event_budget_holds_the_documented_configs_4x_inside(monkeypatch):
         config_from_dict(cfg)
 
 
+def test_cli_refuses_a_converge_path_beyond_the_partial_slice_bound(tmp_path, capsys,
+                                                                    monkeypatch):
+    # rate 1e4 on ladder [0, 1]: ~7.5e7 expected jump entries in one path's
+    # partial slices (~20 GB evaluated), refused before any path is drawn
+    built = []
+    monkeypatch.setattr(harness, "build_path", lambda *args: built.append(args))
+    model = README_MODEL | {"small": {"kind": "atoms", "atoms": [[0.5, 1e4]]}}
+    p = write_cfg(tmp_path, base_config(model=model, ladder_levels=[0, 1], finest_level=3))
+    out = tmp_path / "out"
+    assert cli.main(["converge", "--config", str(p), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "7.5e+07" in err and str(harness._MAX_PARTIAL_ENTRIES) in err
+    assert all(key in err for key in ("'T'", "'ladder_levels'", "'model'"))
+    assert not built and not out.exists()
+
+
+def test_partial_slice_bound_holds_the_converge_configs_4x_inside(monkeypatch):
+    # the README converge config and every cross-check model (jump-heavy:
+    # ~2.2e4 entries) still run under a quarter of the bound
+    monkeypatch.setattr(harness, "_MAX_PARTIAL_ENTRIES", harness._MAX_PARTIAL_ENTRIES // 4)
+    strong_error_study(config_from_dict(README_CONVERGE | {"paths": 2}))
+    for model, finest, ladder in CROSS_CHECK_MODELS.values():
+        strong_error_study(config_from_dict(base_config(
+            model=model, finest_level=finest, ladder_levels=ladder, paths=2)))
+
+
 @pytest.mark.parametrize("key,value", [
     ("paths", "abc"),
     ("seed", -1),

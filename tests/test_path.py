@@ -166,8 +166,8 @@ def test_build_path_jump_records(finite_model):
 def test_build_path_level_array_shapes(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(3))
     for lvl in range(5):
-        assert path.level_dw[lvl].size == 2**lvl
-        assert path.level_dz[lvl].size == 2**lvl
+        assert path.slices(lvl).dw.size == 2**lvl
+        assert path.slices(lvl).dz.size == 2**lvl
 
 
 def test_build_path_reproducible(finite_model):
@@ -401,7 +401,7 @@ def test_a_joined_chunk_slices_as_its_paths():
     assert min(p.jump_times.size for p in paths) == 0 < max(p.jump_times.size for p in paths)
     chunk = join(paths)
     offsets = np.cumsum([0] + [p.event_times.size for p in paths])
-    for level in (0, 2, 5):
+    for level in range(6):
         assert np.array_equal(chunk.grid_events(level),
                               [p.grid_events(level) + o for p, o in zip(paths, offsets)])
         alone, _ = stack([p.slices(level) for p in paths])
