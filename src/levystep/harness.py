@@ -38,7 +38,8 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 # -- configuration -----------------------------------------------------------
 
 # 2**20 cells, checked before any allocation: a path built at level 20 holds
-# about 57 MiB of arrays and peaks at about 81 MiB while it is built
+# about 33 MiB of arrays and peaks at about 41 MiB while it is built; its
+# first slicing forms its Wiener data, to about 97 MiB held and a 105 MiB peak
 _MAX_FINEST_LEVEL = 20
 # expected events a path (grid points plus jumps), checked before any path is
 # drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused
@@ -51,13 +52,18 @@ _MAX_PATH_RESULTS = 2**22
 # holding n (n + 1) / 2 of them a ladder level, ~280 B each when evaluated
 # (about 1.2 GB at the bound)
 _MAX_PARTIAL_ENTRIES = 2**22
+# jump entries one evaluator call of a chunk's partial slices holds at most
+# (a slice holding more is evaluated alone): about 70 MB a piece while it is
+# evaluated, whatever the jumps of one cell
+_PARTIAL_PIECE_ENTRIES = 2**18
 # a chunk of paths evaluated together closes once its paths' finest-level
-# cells reach _CHUNK_CELLS (8 paths at finest level 10; a path of level 13 or
-# more is a chunk alone) or the squares of their jump counts reach
+# cells reach _CHUNK_CELLS (16 paths at finest level 10; a path of level 14
+# or more is a chunk alone) or the squares of their jump counts reach
 # _CHUNK_JUMP_PAIRS (the partial slices of a convergence path with J jumps
 # hold up to J (J + 1) / 2 of them a ladder level), so that a chunk's arrays
-# stay within a few MB
-_CHUNK_CELLS = 2**13
+# stay within a few MB while the chunk's fixed cost (about 0.85 ms a chunk on
+# the README converge config, 2-core VM) is shared by many paths
+_CHUNK_CELLS = 2**14
 _CHUNK_JUMP_PAIRS = 2**16
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
@@ -254,20 +260,30 @@ def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
     """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, of
     each path of the chunk against the exact solution at its events; the
     slices of every level and the partial slices from each level's grid to
-    every jump go through one evaluator call."""
-    exact = np.concatenate([exact_solution(p, np.arange(p.event_times.size), coef, cfg.y0)
-                            for p in paths])
+    every jump go through one evaluator call (partial slices beyond the
+    first _PARTIAL_PIECE_ENTRIES jump entries follow in further calls of at
+    most that many)."""
     levels, jumps = cfg.ladder_levels, chunk.jump_events
+    grid_slices = [chunk.slices(lv) for lv in levels]  # the first forms the Wiener data
+    exact = exact_solution(chunk, np.arange(chunk.event_times.size), coef, cfg.y0)
     owner = chunk.jump_cells >> cfg.finest_level  # the path of each jump
     edges = [chunk.grid_events(lv) for lv in levels]  # (paths, 2**lv + 1) each
     # the flat position in an edges-shaped array of the last grid point at or
     # before each jump: its cell in the chunk's slices, one more per earlier path
     at_cell = [(chunk.jump_cells >> (cfg.finest_level - lv)) + owner for lv in levels]
-    partial = chunk.slice_between(np.concatenate([e.ravel()[c] for e, c in zip(edges, at_cell)]),
-                                  np.tile(jumps, len(levels)))
-    batch, bounds = stack([chunk.slices(lv) for lv in levels] + [partial])
+    ia = np.concatenate([e.ravel()[c] for e, c in zip(edges, at_cell)])
+    ib = np.tile(jumps, len(levels))
+    # the jumps a partial slice holds: those of its cell up to its own
+    held = np.tile(np.arange(1, jumps.size + 1), len(levels)) - jumps.searchsorted(ia, "right")
+    pieces = iter(_pieces(held, _PARTIAL_PIECE_ENTRIES))
+    a, b = next(pieces)
+    batch, bounds = stack(grid_slices + [chunk.slice_between(ia[a:b], ib[a:b])])
     factors = step_factor(cfg.scheme, batch, coef)
-    at_jumps = factors[bounds[-2]:].reshape(len(levels), jumps.size)
+    # per-slice factors do not depend on the batch, so each further piece
+    # gives what one call would
+    at_jumps = np.concatenate([factors[bounds[-2]:]] + [
+        step_factor(cfg.scheme, chunk.slice_between(ia[a:b], ib[a:b]), coef)
+        for a, b in pieces]).reshape(len(levels), jumps.size)
     out = np.empty((len(paths), 2, len(levels)))
     for k, (e, c) in enumerate(zip(edges, at_cell)):
         values = chain(factors[bounds[k]:bounds[k + 1]].reshape(len(paths), -1), cfg.y0)
@@ -277,6 +293,20 @@ def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
         out[:, 0, k] = sup * sup
         out[:, 1, k] = _squares(np.abs(values).max(axis=1))
     return out
+
+
+def _pieces(held: np.ndarray, budget: int) -> list[tuple[int, int]]:
+    """Consecutive runs [a, b) of the slices holding `held` jumps each, in
+    order, each run holding at most `budget` jumps in all or else one slice;
+    a single empty run when there are no slices."""
+    ends = np.cumsum(held)
+    runs, a = [], 0
+    while not runs or a < held.size:
+        reach = (ends[a - 1] if a else 0) + budget
+        b = min(max(int(ends.searchsorted(reach, "right")), a + 1), held.size)
+        runs.append((a, b))
+        a = b
+    return runs
 
 
 def _squares(x: np.ndarray) -> list[float]:

@@ -11,6 +11,9 @@ and across a jump with mark x the solution is multiplied by
 tail.  The p_integral drift correction is the compensator of the active small
 region, so for a truncated model this is the exact solution of the truncated
 equation.
+
+On a chunk of paths (`path.join`) the solution restarts from y0 at each
+path's first event, so each path's values are the ones it gives alone.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ def exact_solution(path: DrivingPath, events: np.ndarray,
         raise ValueError(f"events must be a 1-D integer event-index array in 0..{n - 1}")
     log_drift = coef.drift - coef.small_jump * coef.p_integral \
         - 0.5 * coef.diffusion**2
-    gaps = np.diff(path.event_times)
     # multiplier attributed to each event: the gap ending there, then any jump there
-    mult = np.exp(log_drift * gaps + coef.diffusion * path.dw)
+    mult = np.exp(log_drift * path.gaps + coef.diffusion * path.dw)
     marks = path.jump_marks
     mult[path.jump_events - 1] *= np.where(path.jump_small,
                                            1.0 + coef.small_jump * coef.p(marks),
                                            1.0 + coef.tail_jump * coef.q(marks))
-    values = np.concatenate(([y0], y0 * np.cumprod(mult)))
-    return values[events]
-
+    return y0 * path.along_paths(np.multiply, mult, 1.0)[events]

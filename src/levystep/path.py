@@ -15,12 +15,16 @@ Slice quantities follow by exact identities:
     dZ over [a, b]  = integral of (W_s - W_a) ds
                     = sum over gaps of (W_gap_left - W_a) * h_gap + z_local
 
-A path stores (dW, dZ) over its finest dyadic cells only; its first slicing
-aggregates them pairwise up the levels, so combining the two children of a
-dyadic interval reproduces the parent bit-for-bit.
+A path stores what it draws and where the draws sit: the event grid, the
+jumps and, per gap, the two standard normals of (dW, z_local).  The Wiener
+data (dW, z_local and W per gap and event, then (dW, dZ) over the dyadic
+intervals of every level, aggregated pairwise up from the finest cells, so
+combining the two children of a dyadic interval reproduces the parent
+bit-for-bit) is formed from the normals on first slicing.
 
 Several paths of one horizon and finest level can be joined end to end into
-one chunk (`join`), whose slices are those of its paths in path order.
+one chunk (`join`), whose slices are those of its paths in path order; a
+chunk forms the Wiener data of all its paths at once.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import logging
 import math
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,24 +47,24 @@ _SQRT3 = math.sqrt(3.0)
 # (harness._MAX_EXPECTED_EVENTS), about 2900 standard deviations of the
 # Poisson count above the largest mean the configs allow
 _MAX_JUMPS = 2**24
-_ZERO = np.zeros(1)
 
 
 def sample_dw_dz(deltas: np.ndarray, rng: np.random.Generator
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Independent joint draws of (dW, dZ), one per interval length in deltas.
-
-    dW = U1 sqrt(delta), dZ = delta^{3/2} (U1 + U2/sqrt(3)) / 2 with U1, U2
-    independent standard normals, which realizes Var dW = delta,
-    Var dZ = delta^3/3, Cov = delta^2/2.
-    """
+    """Independent joint draws of (dW, dZ), one per interval length in deltas
+    (see `_dw_dz`)."""
     deltas = np.asarray(deltas, dtype=np.float64)
     if not (deltas > 0).all():
         raise ValueError(f"interval lengths must be positive, got min {deltas.min()}")
-    u = rng.standard_normal((2, deltas.size))
-    dw = u[0] * np.sqrt(deltas)
-    dz = 0.5 * deltas**1.5 * (u[0] + u[1] / _SQRT3)
-    return dw, dz
+    return _dw_dz(rng.standard_normal((2, deltas.size)), deltas)
+
+
+def _dw_dz(normals: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """dW = U1 sqrt(delta), dZ = delta^{3/2} (U1 + U2/sqrt(3)) / 2 with U1, U2
+    the two rows of `normals`, which realizes Var dW = delta,
+    Var dZ = delta^3/3, Cov = delta^2/2 for independent standard normals."""
+    u1, u2 = normals[0], normals[1]
+    return u1 * np.sqrt(deltas), 0.5 * deltas**1.5 * (u1 + u2 / _SQRT3)
 
 
 @dataclass(frozen=True)
@@ -159,19 +164,35 @@ def dyadic_grid(horizon: float, level: int) -> np.ndarray:
     return (np.arange(2**level + 1, dtype=np.float64) * horizon) / float(2**level)
 
 
+class _Wiener(NamedTuple):
+    """A path's Wiener data, formed from its normals (see `DrivingPath`)."""
+
+    gaps: np.ndarray
+    dw: np.ndarray
+    z_locals: np.ndarray
+    w_values: np.ndarray
+    levels: list[tuple[np.ndarray, np.ndarray]]
+
+
 @dataclass(frozen=True, eq=False)
 class DrivingPath:
     """The noise of one path, or of a chunk of paths joined by `join` (the
-    shapes in brackets are a chunk's)."""
+    shapes in brackets are a chunk's).
+
+    The Wiener data is formed from `normals` on first use and kept: per gap
+    (gap g follows event g) its length `gaps`, `dw` and `z_locals`, each
+    (n_events - 1,) [(n_events,), zero at each path's last event]; W at
+    every event, `w_values` (n_events,), 0 at each path's first event; and
+    per level the (dW, dZ) over its dyadic intervals, `cell_dw`/`cell_dz`
+    at the finest level [path by path].
+    """
 
     horizon: float
     finest_level: int
     event_times: np.ndarray   # (n_events,)
-    # per-gap Wiener increments and local time integrals, gap g following
-    # event g: (n_events - 1,), or (n_events,) with a zero at each path's last event
-    dw: np.ndarray
-    z_locals: np.ndarray
-    w_values: np.ndarray      # (n_events,) cumulative Wiener path, W(0) = 0
+    # (2, n_events - 1) [(2, n_events), zero at each path's last event]
+    # standard normals of the gaps, the (dW, z_local) of gap g from column g
+    normals: np.ndarray
     jump_times: np.ndarray    # (n_jumps,) increasing [within a path]
     jump_marks: np.ndarray    # (n_jumps,)
     jump_small: np.ndarray    # (n_jumps,) bool: small region (else tail)
@@ -180,8 +201,6 @@ class DrivingPath:
     jump_cells: np.ndarray
     # (2**finest_level + 1,) [(paths, 2**finest_level + 1)] event index of each dyadic point
     cell_edges: np.ndarray
-    cell_dw: np.ndarray       # (2**finest_level,) [path by path] dW over each finest cell
-    cell_dz: np.ndarray       # (2**finest_level,) [path by path] dZ over each finest cell
 
     @property
     def jumps(self) -> tuple[JumpEvent, ...]:
@@ -207,7 +226,7 @@ class DrivingPath:
 
     def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
         """Same noise, only the jumps where the boolean mask `keep` is set
-        (the event grid, Wiener data and cell aggregates are unchanged).
+        (the event grid and the normals are unchanged).
         The truncation study masks a batch instead (`Slices.keep_jumps`)."""
         keep = np.asarray(keep)
         if keep.dtype != np.bool_ or keep.shape != self.jump_times.shape:
@@ -216,23 +235,65 @@ class DrivingPath:
                        jump_marks=self.jump_marks[keep], jump_small=self.jump_small[keep],
                        jump_events=self.jump_events[keep], jump_cells=self.jump_cells[keep])
 
-    # -- slicing -----------------------------------------------------------
+    # -- Wiener data ---------------------------------------------------------
 
     @cached_property
-    def _levels(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per level 0..finest, (dW, dZ) over its dyadic intervals [path by path]."""
-        levels = [(self.cell_dw, self.cell_dz)]
+    def _wiener(self) -> _Wiener:
+        """The Wiener data of every path at once, formed as each path alone
+        forms it: each path's pad gap is zeroed before the transform, W
+        restarts at each path's first event, and each path's last finest
+        cell stops at its last gap (a segment one value longer would sum in
+        another order)."""
+        times, normals, edges = self.event_times, self.normals, self.cell_edges
+        gaps, cuts, ends = times[1:] - times[:-1], edges[:-1], edges[1:]
+        if edges.ndim == 2:  # a chunk, with a pad gap at each path's last event
+            gaps = np.append(gaps, 0.0)
+            gaps[edges[:, -1]] = 0.0
+            # each pad a segment of its own, dropped after the sums
+            cuts = edges.ravel()
+            ends = np.append(cuts[1:], gaps.size)
+        dw, z_locals = _dw_dz(normals, gaps)
+        w_values = self.along_paths(np.add, dw, 0.0)
+        w_cell_left = np.repeat(w_values[cuts], ends - cuts)
+        sums = (np.add.reduceat(dw, cuts),
+                np.add.reduceat((w_values[:gaps.size] - w_cell_left) * gaps + z_locals, cuts))
+        if edges.ndim == 2:
+            sums = tuple(s.reshape(edges.shape)[:, :-1].ravel() for s in sums)
+        levels = [sums]
         for child_level in range(self.finest_level, 0, -1):
             cdw, cdz = levels[-1]
-            levels.append((cdw[0::2] + cdw[1::2], cdz[0::2] + cdz[1::2]
-                           + cdw[0::2] * (self.horizon / float(2**child_level))))
-        return levels[::-1]
+            left = cdw[0::2]
+            dz = cdz[0::2] + cdz[1::2]
+            dz += left * (self.horizon / float(2**child_level))
+            levels.append((left + cdw[1::2], dz))
+        return _Wiener(gaps, dw, z_locals, w_values, levels[::-1])
+
+    gaps = property(lambda self: self._wiener.gaps)
+    dw = property(lambda self: self._wiener.dw)
+    z_locals = property(lambda self: self._wiener.z_locals)
+    w_values = property(lambda self: self._wiener.w_values)
+    cell_dw = property(lambda self: self._wiener.levels[-1][0])
+    cell_dz = property(lambda self: self._wiener.levels[-1][1])
+
+    def along_paths(self, op: np.ufunc, per_gap: np.ndarray, first: float) -> np.ndarray:
+        """Per event, `first` at each path's first event and then `op`
+        accumulated over the path's gaps, left to right (W from dW with
+        np.add)."""
+        out, edges = np.empty(self.event_times.size), self.cell_edges
+        rows = edges.reshape(-1, edges.shape[-1])  # a row a path
+        for a, b in zip(rows[:, 0].tolist(), rows[:, -1].tolist()):
+            out[a] = first
+            op.accumulate(per_gap[a:b], out=out[a + 1:b + 1])
+        return out
+
+    # -- slicing -----------------------------------------------------------
 
     def slices(self, level: int) -> Slices:
         """The 2**level slices of the uniform dyadic grid at `level` (of each
         path of a chunk in turn: slice path * 2**level + k is its slice k)."""
         edges = self.grid_events(level)
-        return self._batch(edges[..., :-1].ravel(), edges[..., 1:].ravel(), *self._levels[level],
+        return self._batch(edges[..., :-1].ravel(), edges[..., 1:].ravel(),
+                           *self._wiener.levels[level],
                            slice(None), self.jump_cells >> (self.finest_level - level))
 
     def slice_between(self, ia, ib) -> Slices:
@@ -245,16 +306,15 @@ class DrivingPath:
                 and ia.shape == ib.shape and np.all((0 <= ia) & (ia < ib) & (ib < n))):
             raise ValueError("slice endpoints must be integer event-index arrays of "
                              f"one shape with 0 <= ia < ib < {n}")
-        lengths = ib - ia
+        lengths, wiener = ib - ia, self._wiener
         # np.add.reduceat adds a segment as first + pairwise(rest); a zeroed
         # pad slot ahead of each slice's gaps (index -1 at ia = 0) makes it
         # the pairwise sum np.sum gives, bit for bit
-        gaps = _concat_ranges(ia - 1, lengths + 1)
+        at = _concat_ranges(ia - 1, lengths + 1)
         starts = np.cumsum(lengths + 1) - (lengths + 1)
-        h = self.event_times[gaps + 1] - self.event_times[gaps]
-        dw = self.dw[gaps]
-        dz = (self.w_values[gaps] - np.repeat(self.w_values[ia], lengths + 1)) * h \
-            + self.z_locals[gaps]
+        w = wiener.w_values
+        dw = wiener.dw[at]
+        dz = (w[at] - np.repeat(w[ia], lengths + 1)) * wiener.gaps[at] + wiener.z_locals[at]
         dw[starts] = dz[starts] = 0.0
         dw, dz = np.add.reduceat(dw, starts), np.add.reduceat(dz, starts)
         first = np.searchsorted(self.jump_events, ia, side="right")
@@ -265,41 +325,37 @@ class DrivingPath:
     def _batch(self, ia, ib, dw, dz, held, slice_id) -> Slices:
         """The slices from events ia[k] to ib[k] with their dW and dZ, holding
         the jumps `held` (an index or a slice into the jump arrays)."""
-        left, right = self.event_times[ia], self.event_times[ib]
+        left, right, w = self.event_times[ia], self.event_times[ib], self._wiener.w_values
         return Slices(left=left, right=right, delta=right - left, dw=dw, dz=dz,
-                      w_left=self.w_values[ia], w_right=self.w_values[ib],
-                      time=self.jump_times[held], mark=self.jump_marks[held],
-                      small=self.jump_small[held],
-                      w=self.w_values[self.jump_events[held]], slice_id=slice_id)
+                      w_left=w[ia], w_right=w[ib], time=self.jump_times[held],
+                      mark=self.jump_marks[held], small=self.jump_small[held],
+                      w=w[self.jump_events[held]], slice_id=slice_id)
 
 
 def join(paths) -> DrivingPath:
     """The paths, of one horizon and finest level, end to end as one chunk:
     each array the paths' arrays in turn, event indices and finest cells
-    offset to the chunk, and every path's gap data padded with a zero at its
-    last event, so that gap g still follows event g.  A slice of a chunk
-    never spans two paths: at a path's first event, `slice_between` reads
-    the pad slot behind it as zero."""
+    offset to the chunk, and every path's normals padded with a zero column
+    at its last event, so that gap g still follows event g.  A slice of a
+    chunk never spans two paths: at a path's first event, `slice_between`
+    reads the pad slot behind it as zero."""
     finest = paths[0].finest_level
     sizes = np.array([p.event_times.size for p in paths])
     offsets = np.cumsum(sizes) - sizes
     jumps = [p.jump_events.size for p in paths]
+    pad = np.zeros((2, 1))
 
     def cat(name):
         return np.concatenate([getattr(p, name) for p in paths])
 
-    def padded(name):
-        return np.concatenate([a for p in paths for a in (getattr(p, name), _ZERO)])
-
     return DrivingPath(
-        horizon=paths[0].horizon, finest_level=finest,
-        event_times=cat("event_times"), dw=padded("dw"), z_locals=padded("z_locals"),
-        w_values=cat("w_values"), jump_times=cat("jump_times"),
-        jump_marks=cat("jump_marks"), jump_small=cat("jump_small"),
+        horizon=paths[0].horizon, finest_level=finest, event_times=cat("event_times"),
+        normals=np.concatenate([a for p in paths for a in (p.normals, pad)], axis=1),
+        jump_times=cat("jump_times"), jump_marks=cat("jump_marks"),
+        jump_small=cat("jump_small"),
         jump_events=cat("jump_events") + np.repeat(offsets, jumps),
         jump_cells=cat("jump_cells") + np.repeat(np.arange(len(paths)) << finest, jumps),
-        cell_edges=np.stack([p.cell_edges for p in paths]) + offsets[:, None],
-        cell_dw=cat("cell_dw"), cell_dz=cat("cell_dz"))
+        cell_edges=np.stack([p.cell_edges for p in paths]) + offsets[:, None])
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -340,8 +396,10 @@ def _nudged(times: np.ndarray, dyad: np.ndarray, horizon: float) -> np.ndarray:
 
 def build_path(horizon: float, finest_level: int, model: LevyModel,
                rng: np.random.Generator) -> DrivingPath:
-    """Simulate one driving path: jump stream first, then the Wiener data on
-    the union of the finest dyadic grid and the jump times.
+    """Simulate one driving path: jump stream first, then the standard
+    normals of the Wiener data on the gaps of the union of the finest dyadic
+    grid and the jump times (the Wiener data is formed from them when the
+    path is first sliced).
 
     A jump time that collides exactly with a dyadic point (or an earlier jump)
     is nudged by one ulp and the nudge is logged; collisions have probability
@@ -352,24 +410,17 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     jump_times, jump_marks, jump_small = simulate_events(horizon, model, rng)
     dyad = dyadic_grid(horizon, finest_level)
     event_times, position = _merge(dyad, jump_times)
-    gaps = event_times[1:] - event_times[:-1]
-    if not gaps.all():  # a jump time on a dyadic point or on an earlier jump
+    # a jump time on a dyadic point or on an earlier jump
+    if not (event_times[1:] > event_times[:-1]).all():
         jump_times = _nudged(jump_times, dyad, horizon)
         order = np.argsort(jump_times, kind="stable")
         jump_times, jump_marks, jump_small = \
             jump_times[order], jump_marks[order], jump_small[order]
         event_times, position = _merge(dyad, jump_times)
-        gaps = event_times[1:] - event_times[:-1]
-    dw, z_locals = sample_dw_dz(gaps, rng)
-    w_values = np.concatenate(([0.0], np.cumsum(dw)))
     cell_edges, jump_events = position[:dyad.size], position[dyad.size:]
     # jump j has j earlier jumps and its cell + 1 dyadic points before it
     jump_cells = jump_events - np.arange(jump_events.size) - 1
-    starts = cell_edges[:-1]
-    w_cell_left = np.repeat(w_values[starts], cell_edges[1:] - starts)
-    cell_dz = np.add.reduceat((w_values[:-1] - w_cell_left) * gaps + z_locals, starts)
     return DrivingPath(horizon=horizon, finest_level=finest_level, event_times=event_times,
-                       dw=dw, z_locals=z_locals, w_values=w_values, jump_times=jump_times,
-                       jump_marks=jump_marks, jump_small=jump_small, jump_events=jump_events,
-                       jump_cells=jump_cells, cell_edges=cell_edges,
-                       cell_dw=np.add.reduceat(dw, starts), cell_dz=cell_dz)
+                       normals=rng.standard_normal((2, event_times.size - 1)),
+                       jump_times=jump_times, jump_marks=jump_marks, jump_small=jump_small,
+                       jump_events=jump_events, jump_cells=jump_cells, cell_edges=cell_edges)

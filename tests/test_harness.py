@@ -415,6 +415,71 @@ def test_a_chunk_closes_at_either_budget(monkeypatch):
     assert sum(pairs[-1][:-1]) < harness._CHUNK_JUMP_PAIRS
 
 
+@pytest.mark.parametrize("model_name", ["jumpless", "jump-heavy", "power-law"])
+def test_exact_solution_of_a_chunk_restarts_at_each_path(model_name):
+    # one oracle call on a chunk gives each path's values as the path alone
+    # gives them, bit for bit, at every event and at a subset of them
+    model, finest, _ = CROSS_CHECK_MODELS[model_name]
+    cfg = config_from_dict(base_config(model=model, finest_level=finest))
+    active = activate(cfg.model, cfg.epsilon)
+    coef = cfg.coefficients_for(active)
+    paths = [build_path(1.0, finest, active, path_rng(21, i)) for i in range(5)]
+    alone = [exact_solution(p, np.arange(p.event_times.size), coef, 1.5) for p in paths]
+    chunk = path_mod.join(paths)
+    together = exact_solution(chunk, np.arange(chunk.event_times.size), coef, 1.5)
+    assert together.tobytes() == np.concatenate(alone).tobytes()
+    at = chunk.grid_events(2).ravel()
+    assert exact_solution(chunk, at, coef, 1.5).tobytes() == together[at].tobytes()
+    assert np.all(together[chunk.cell_edges[:, 0]] == 1.5)
+
+
+def test_a_study_forms_the_wiener_data_of_its_chunks_only(monkeypatch):
+    # the paths a converge study builds are only joined: their dW, W and
+    # cell sums are formed once, on the chunk, where it is sliced
+    real_join, chunks = harness.join, []
+
+    def spy(paths):
+        chunks.append((paths, real_join(paths)))
+        return chunks[-1][1]
+
+    monkeypatch.setattr(harness, "join", spy)
+    strong_error_study(config_from_dict(README_CONVERGE))
+    assert sum(len(paths) for paths, _ in chunks) == README_CONVERGE["paths"]
+    assert not any("_wiener" in vars(p) for paths, _ in chunks for p in paths)
+    assert all("_wiener" in vars(chunk) for _, chunk in chunks)
+
+
+def test_pieces_cover_the_slices_within_the_budget():
+    assert harness._pieces(np.array([2, 2, 5, 1, 1, 3]), 4) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert harness._pieces(np.array([1, 1, 1]), 10) == [(0, 3)]
+    assert harness._pieces(np.array([], dtype=int), 4) == [(0, 0)]
+
+
+@pytest.mark.parametrize("model_name", ["jump-heavy", "power-law"])
+@pytest.mark.parametrize("scheme", ["euler", "milstein"])
+def test_partial_slices_in_pieces_give_the_same_errors(monkeypatch, model_name, scheme):
+    # a piece budget of 100 jump entries splits every jumpy chunk's partial
+    # slices into many evaluator calls; each slice's factor, and so every
+    # per-path result, is the one the whole batch gives
+    model, finest, ladder = CROSS_CHECK_MODELS[model_name]
+    cfg = config_from_dict(base_config(model=model, finest_level=finest, ladder_levels=ladder,
+                                       scheme=scheme, paths=4))
+    whole = strong_error_study(cfg)
+    real_between, pieces = path_mod.DrivingPath.slice_between, []
+
+    def spy(chunk, ia, ib):
+        pieces.append(real_between(chunk, ia, ib))
+        return pieces[-1]
+
+    monkeypatch.setattr(path_mod.DrivingPath, "slice_between", spy)
+    monkeypatch.setattr(harness, "_PARTIAL_PIECE_ENTRIES", 100)
+    split = strong_error_study(cfg)
+    assert len(pieces) > 2 * cfg.paths
+    assert all(p.time.size <= 100 or p.left.size == 1 for p in pieces)
+    assert split.per_path.tobytes() == whole.per_path.tobytes()
+    assert split.scheme_sup_sq.tobytes() == whole.scheme_sup_sq.tobytes()
+
+
 def test_truncation_study_needs_epsilons():
     with pytest.raises(ConfigError, match="epsilons"):
         truncation_study(config_from_dict(base_config()))

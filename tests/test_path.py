@@ -419,6 +419,25 @@ def test_a_joined_chunk_slices_as_its_paths():
         assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
 
 
+def test_a_chunk_sums_a_crowded_last_cell_as_the_path_alone(monkeypatch):
+    # 15 and 23 jumps placed in the last finest cell give it 16 and 24 gaps;
+    # run on into the pad gap behind the path, numpy's pairwise sum would
+    # group such a segment in other blocks of 8 and change the last bits
+    def crowded(jumps):
+        times = 0.75 + 0.25 * np.arange(1, jumps + 1) / (jumps + 1)
+        return times, np.full(jumps, 0.5), np.ones(jumps, dtype=bool)
+
+    paths = []
+    for i, jumps in enumerate((15, 0, 23, 15)):
+        monkeypatch.setattr(path_mod, "simulate_events", lambda *_, k=jumps: crowded(k))
+        paths.append(build_path(1.0, 2, dense_model(), np.random.default_rng(90 + i)))
+    chunk = join(paths)
+    assert np.bincount(chunk.jump_cells, minlength=16)[3::4].tolist() == [15, 0, 23, 15]
+    for name in ("cell_dw", "cell_dz"):
+        alone = np.concatenate([getattr(p, name) for p in paths])
+        assert getattr(chunk, name).tobytes() == alone.tobytes(), name
+
+
 def test_simulate_events_stops_at_the_jump_cap(monkeypatch):
     # a stream of 7 arrivals against a cap of 5 stops; one of exactly 5 is kept
     monkeypatch.setattr(path_mod, "_MAX_JUMPS", 5)
