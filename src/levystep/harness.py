@@ -58,11 +58,12 @@ _MAX_PARTIAL_ENTRIES = 2**22
 _PARTIAL_PIECE_ENTRIES = 2**18
 # a chunk of paths evaluated together closes once its paths' finest-level
 # cells reach _CHUNK_CELLS (16 paths at finest level 10; a path of level 14
-# or more is a chunk alone) or the squares of their jump counts reach
-# _CHUNK_JUMP_PAIRS (the partial slices of a convergence path with J jumps
-# hold up to J (J + 1) / 2 of them a ladder level), so that a chunk's arrays
-# stay within a few MB while the chunk's fixed cost (about 0.85 ms a chunk on
-# the README converge config, 2-core VM) is shared by many paths
+# or more is a chunk alone) or, in the convergence study, the squares of
+# their jump counts reach _CHUNK_JUMP_PAIRS (the partial slices of a path
+# with J jumps hold up to J (J + 1) / 2 of them a ladder level; the
+# truncation study makes none), so that a chunk's arrays stay within a few
+# MB while the chunk's fixed cost (about 0.85 ms a chunk on the README
+# converge config, 2-core VM) is shared by many paths
 _CHUNK_CELLS = 2**14
 _CHUNK_JUMP_PAIRS = 2**16
 
@@ -321,14 +322,17 @@ def _squares(x: np.ndarray) -> list[float]:
     return squares
 
 
-def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) -> np.ndarray:
+def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows,
+              partial_slices: bool) -> np.ndarray:
     """The Monte-Carlo loop of both studies: path i is built at the finest
     level from its own stream, and a chunk of paths at a time is evaluated
     by one `rows(paths, join(paths))` call, whose (len(paths), *shape)
     result holds each path's row as the path alone would give it.  So a
-    path's row depends on neither the path count nor the chunking."""
+    path's row depends on neither the path count nor the chunking.  The
+    jump-pair budget closes chunks only when `rows` makes partial slices."""
     require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
     out = np.empty((cfg.paths, *shape))
+    pair_budget = _CHUNK_JUMP_PAIRS if partial_slices else math.inf
     paths, pairs = [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
         for i in range(cfg.paths):
@@ -338,7 +342,7 @@ def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) 
                 raise RuntimeError(f"path {i}: {exc}") from exc
             paths.append(path)
             pairs += path.jump_times.size ** 2
-            if (len(paths) << cfg.finest_level >= _CHUNK_CELLS or pairs >= _CHUNK_JUMP_PAIRS
+            if (len(paths) << cfg.finest_level >= _CHUNK_CELLS or pairs >= pair_budget
                     or i == cfg.paths - 1):
                 out[i + 1 - len(paths):i + 1] = rows(paths, join(paths))
                 paths, pairs = [], 0
@@ -380,7 +384,8 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     coef = cfg.coefficients_for(active)
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
     rows = _per_path(cfg, active, (2, len(levels)),
-                     lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk))
+                     lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk),
+                     partial_slices=True)
     (mean, scheme_sup), (se, _) = _path_stats(rows, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -449,7 +454,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
         return np.transpose([_squares(np.abs(values(b, c) - ref).max(axis=1))
                              for b, c in zip(kept, coefs)])
 
-    per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs)
+    per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs, partial_slices=False)
     mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se

@@ -17,6 +17,7 @@ compound Poisson stream.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Union
@@ -70,23 +71,25 @@ class AtomSpec:
         return sum(m for _, m in self.atoms)
 
     @cached_property
-    def _positions_cdf(self) -> tuple[np.ndarray, np.ndarray]:
-        # the normalized cumulative masses exactly as Generator.choice forms them
-        positions = np.array([x for x, _ in self.atoms])
+    def _positions_cdf(self) -> tuple[list[float], list[float]]:
+        # the normalized cumulative masses exactly as Generator.choice forms
+        # them, as lists: a scalar draw bisects them faster than an array
+        positions = [float(x) for x, _ in self.atoms]
         masses = np.array([m for _, m in self.atoms])
         cdf = np.cumsum(masses / masses.sum())
         cdf /= cdf[-1]
-        return positions, cdf
+        return positions, cdf.tolist()
 
     def sample(self, rng: np.random.Generator) -> float:
         """One position drawn with probability proportional to its mass.
 
         Consumes one `rng.random()` and returns what `rng.choice(positions,
         p=masses / masses.sum())` would, leaving the generator in the same
-        state.
+        state (`bisect_right` makes the comparisons of `searchsorted(...,
+        side="right")`).
         """
         positions, cdf = self._positions_cdf
-        return float(positions[cdf.searchsorted(rng.random(), side="right")])
+        return positions[bisect_right(cdf, rng.random())]
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,9 @@ from .levy import LevyModel
 logger = logging.getLogger(__name__)
 
 _SQRT3 = math.sqrt(3.0)
-# arrivals one path may draw: twice the expected events a config may ask for
-# (harness._MAX_EXPECTED_EVENTS), about 2900 standard deviations of the
-# Poisson count above the largest mean the configs allow
+# the largest Poisson count of arrivals one path may draw: twice the expected
+# events a config may ask for (harness._MAX_EXPECTED_EVENTS), about 2900
+# standard deviations of the count above the largest mean the configs allow
 _MAX_JUMPS = 2**24
 
 
@@ -121,11 +121,15 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
     """Arrival times, marks and small-region flags (False for the tail) of
     the active jump stream on (0, horizon), as arrays in arrival order.
 
-    Arrivals are a Poisson stream at the model's total active rate; each mark
-    is drawn from the normalized restriction of the measure to the region
-    chosen proportionally to its mass.  Raises if the rate is infinite (an
-    untruncated infinite-activity model cannot be simulated), and stops with
-    a RuntimeError at arrival _MAX_JUMPS + 1.
+    The stream is a compound Poisson one at the model's total active rate,
+    drawn in this order: the count n ~ Poisson(rate * horizon), refused with
+    a RuntimeError above _MAX_JUMPS before anything of size n is allocated;
+    one (2, n) array of uniforms, whose first row sorted and scaled by the
+    horizon gives the times and whose second row gives the regions (small
+    where u < small mass / rate), as two `random(n)` calls would; then each
+    jump's mark in time order, one `sample_small_mark` or `sample_tail_mark`
+    call a jump.  Raises if the rate is infinite (an untruncated
+    infinite-activity model cannot be simulated).
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -134,23 +138,15 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
         raise ValueError(
             "active jump rate is infinite; truncate the model before simulating"
         )
-    times: list[float] = []
-    marks: list[float] = []
-    small: list[bool] = []
-    if rate > 0.0:
-        small_frac = model.small_mass / rate
-        t = rng.exponential(1.0 / rate)
-        while t < horizon:
-            if len(times) == _MAX_JUMPS:
-                raise RuntimeError(f"more than {_MAX_JUMPS} jumps drawn on one path")
-            is_small = rng.random() < small_frac
-            marks.append(model.sample_small_mark(rng) if is_small
-                         else model.sample_tail_mark(rng))
-            times.append(t)
-            small.append(is_small)
-            t += rng.exponential(1.0 / rate)
-    return (np.array(times, dtype=np.float64), np.array(marks, dtype=np.float64),
-            np.array(small, dtype=bool))
+    n = int(rng.poisson(rate * horizon))
+    if n > _MAX_JUMPS:
+        raise RuntimeError(f"more than {_MAX_JUMPS} jumps drawn on one path")
+    time_uniforms, region_uniforms = rng.random((2, n))
+    times = np.sort(time_uniforms) * horizon
+    small = region_uniforms < (model.small_mass / rate if rate else 0.0)
+    marks = np.array([model.sample_small_mark(rng) if s else model.sample_tail_mark(rng)
+                      for s in small.tolist()], dtype=np.float64)
+    return times, marks, small
 
 
 def dyadic_grid(horizon: float, level: int) -> np.ndarray:

@@ -415,6 +415,23 @@ def test_a_chunk_closes_at_either_budget(monkeypatch):
     assert sum(pairs[-1][:-1]) < harness._CHUNK_JUMP_PAIRS
 
 
+def test_a_truncation_chunk_closes_on_cells_only(monkeypatch):
+    # criterion 7's paths at a = 1.2 hold ~105 jumps (~11 000 jump pairs),
+    # so the jump-pair budget would close a chunk every ~6 paths; the
+    # truncation study makes no partial slices, and its chunks take the 64
+    # paths the cell budget allows at finest level 8
+    real_join, chunks = harness.join, []
+    monkeypatch.setattr(harness, "join", lambda paths: chunks.append(paths) or real_join(paths))
+    power_law = {"kind": "power_law", "c": 1.0, "a": 1.2}
+    truncation_study(config_from_dict(README_TRUNCATE | {
+        "model": README_MODEL | {"small": power_law}, "paths": 130}))
+    assert [len(paths) for paths in chunks] == [64, 64, 2]
+    assert harness._CHUNK_CELLS >> README_TRUNCATE["finest_level"] == 64
+    jumps = [p.jump_times.size for p in chunks[0]]
+    assert np.mean(jumps) > 90
+    assert sum(j * j for j in jumps[:10]) > harness._CHUNK_JUMP_PAIRS
+
+
 @pytest.mark.parametrize("model_name", ["jumpless", "jump-heavy", "power-law"])
 def test_exact_solution_of_a_chunk_restarts_at_each_path(model_name):
     # one oracle call on a chunk gives each path's values as the path alone
@@ -492,10 +509,9 @@ def test_truncation_study_needs_epsilons():
 # -- single trajectory -----------------------------------------------------------
 
 def test_per_path_errors_match_recorded_values():
-    # values recorded from the per-slice object evaluator that the array
-    # evaluator replaced, on the README configs at 20 paths: the Euler and
-    # truncation errors must be reproduced bit for bit, the Milstein ones
-    # (whose sums are reordered) to 1e-12 relative
+    # values recorded on the README configs at 20 paths when jump streams
+    # became array draws: the Euler and truncation errors must be reproduced
+    # bit for bit, the Milstein ones to 1e-12 relative
     recorded = json.loads((Path(__file__).parent / "data" / "per_path_errors.json").read_text())
     for scheme in ("euler", "milstein"):
         rep = strong_error_study(config_from_dict(README_CONVERGE | {"scheme": scheme}))
@@ -892,8 +908,8 @@ def test_cli_strict_numbers_and_sections(tmp_path, capsys, section, value, key):
 
 
 @pytest.mark.parametrize("command,cfg,cap,path", [
-    ("converge", README_CONVERGE, 2, 9),    # path 9 draws 4 jumps, the first beyond 2
-    ("truncate", README_TRUNCATE, 20, 1),   # path 1 draws 24, path 0 only 10
+    ("converge", README_CONVERGE, 2, 3),    # path 3 draws a count of 3, the first beyond 2
+    ("truncate", README_TRUNCATE, 20, 0),   # path 0 draws a count of 34
 ])
 def test_cli_jump_cap_exits_1_naming_the_path(tmp_path, capsys, monkeypatch,
                                               command, cfg, cap, path):
@@ -917,9 +933,9 @@ OVERFLOW = README_CONVERGE | {"b": 1e300, "ladder_levels": [3, 4, 5], "finest_le
     ("truncate", OVERFLOW | {"model": README_TRUNCATE["model"], "epsilons": [0.5, 0.25],
                              "truncation_level": 4}, "path 0 at epsilon 0.5"),
     # sups whose squares overflow: a tail jump scales the scheme by ~1e199
-    # (path 1 holds the first one), or y0 is 1e300
+    # (path 0 holds the first one), or y0 is 1e300
     ("converge", README_CONVERGE | {"model": README_MODEL | {"q": {"coef": 1e200}}},
-     "path 1 at level 3"),
+     "path 0 at level 3"),
     ("truncate", README_TRUNCATE | {"y0": 1e300}, "path 0 at epsilon 0.5"),
     # every per-path sup error is finite (~1e300), but their spread overflows
     ("converge", README_CONVERGE | {"y0": 1e150}, "level 3"),

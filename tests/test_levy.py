@@ -229,6 +229,17 @@ def test_atom_sampler_matches_generator_choice(atoms):
         assert ours.random() == ref.random()
 
 
+def test_atom_sampler_breaks_a_tie_with_the_cdf_as_generator_choice():
+    # a uniform exactly on a cumulative mass picks the next atom, as the
+    # searchsorted(..., side="right") of Generator.choice does
+    class At:
+        def random(self):
+            return 0.25
+
+    assert np.searchsorted([0.25, 1.0], 0.25, side="right") == 1
+    assert AtomSpec(((0.5, 0.25), (-0.4, 0.75))).sample(At()) == -0.4
+
+
 def test_sample_mark_untruncated_power_law_rejected(rng):
     with pytest.raises(ValueError):
         power_model().sample_small_mark(rng)

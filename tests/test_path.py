@@ -4,6 +4,7 @@ multi-resolution slicing that couples every step size to one noise draw."""
 import math
 import numpy as np
 import pytest
+from scipy import stats
 
 from levystep import (
     AmplitudeSpec,
@@ -11,6 +12,7 @@ from levystep import (
     LevyModel,
     PowerLawSpec,
     build_path,
+    truncate,
 )
 from levystep.common import Region
 from levystep import path as path_mod
@@ -121,6 +123,87 @@ def test_simulate_events_deterministic(finite_model):
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+POWER_LAW_WITH_TAIL = truncate(
+    LevyModel(small=PowerLawSpec(1.0, 1.2), tail=AtomSpec(((1.5, 0.3), (-2.0, 0.2)))), 0.25)
+
+
+def replayed_path_draws(model, horizon, finest_level, rng):
+    """The jumps and normals of `build_path(horizon, finest_level, model,
+    rng)` drawn by hand in the documented order: the Poisson count, the time
+    uniforms and the region uniforms as two `random(n)` calls, each jump's
+    mark uniforms in time order (an atom's through Generator.choice, a power
+    law's magnitude then sign by the inverse cdf), then the normals."""
+    n = rng.poisson(model.active_rate * horizon)
+    times = np.sort(rng.random(n)) * horizon
+    small = rng.random(n) < model.small_mass / model.active_rate
+    marks = []
+    for s in small.tolist():
+        if s and isinstance(model.small, PowerLawSpec):
+            a, lo = model.small.a, model.eps ** -model.small.a
+            mag = (lo - rng.random() * (lo - 1.0)) ** (-1.0 / a)
+            marks.append(mag if rng.random() < 0.5 else -mag)
+        else:
+            atoms = model.small if s else model.tail
+            masses = np.array([m for _, m in atoms.atoms])
+            marks.append(atoms.atoms[rng.choice(masses.size, p=masses / masses.sum())][0])
+    normals = rng.standard_normal((2, 2**finest_level + n))
+    return times, np.array(marks), small, normals
+
+
+@pytest.mark.parametrize("model", [dense_model(), POWER_LAW_WITH_TAIL],
+                         ids=["atoms", "power-law"])
+def test_build_path_draws_count_times_regions_marks_then_normals(model):
+    # a path's stream is the count, the times, the regions, the marks in
+    # time order and then the normals, and nothing more, as bytes
+    regions = []
+    for i in range(30):
+        rng = np.random.default_rng(np.random.SeedSequence((31, i)))
+        ref = np.random.default_rng(np.random.SeedSequence((31, i)))
+        path = build_path(1.0, 4, model, rng)
+        times, marks, small, normals = replayed_path_draws(model, 1.0, 4, ref)
+        assert path.jump_times.tobytes() == times.tobytes()
+        assert path.jump_marks.tobytes() == marks.tobytes()
+        assert path.jump_small.tobytes() == small.tobytes()
+        assert path.normals.tobytes() == normals.tobytes()
+        assert rng.random() == ref.random()
+        regions.extend(small.tolist())
+    assert regions.count(True) > 20 and regions.count(False) > 5
+
+
+def test_arrival_times_are_uniform_on_the_horizon(finite_model):
+    # given the count, arrivals are uniform on (0, T): the pooled times of
+    # 2000 paths pass a KS test, as do those of each region alone
+    horizon, rng = 2.0, np.random.default_rng(4141)
+    times, small = [], []
+    for _ in range(2000):
+        t, _, s = simulate_events(horizon, finite_model, rng)
+        times.append(t)
+        small.append(s)
+    times, small = np.concatenate(times), np.concatenate(small)
+    assert times.size > 5000
+    for pooled in (times, times[small], times[~small]):
+        assert stats.kstest(pooled, "uniform", args=(0.0, horizon)).pvalue > 1e-3
+
+
+def test_simulate_events_refuses_the_count_before_drawing_the_times():
+    # a count above the cap raises before `random` is asked for anything of
+    # its size (2 * 2**40 uniforms would be 16 TiB), and nothing else is drawn
+    calls = []
+
+    class Spy:
+        def poisson(self, lam):
+            calls.append("poisson")
+            return 2**40
+
+        def __getattr__(self, name):
+            calls.append(name)
+            raise AssertionError(f"{name} called after the count")
+
+    with pytest.raises(RuntimeError, match=f"more than {path_mod._MAX_JUMPS} jumps"):
+        simulate_events(1.0, dense_model(), Spy())
+    assert calls == ["poisson"]
+
+
 # -- dyadic grids ------------------------------------------------------------
 
 def test_dyadic_grid_basics():
@@ -153,14 +236,17 @@ def test_build_path_event_grid_is_union(finite_model):
 
 
 def test_build_path_jump_records(finite_model):
-    path = build_path(1.0, 5, finite_model, np.random.default_rng(11))
-    assert len(path.jumps) > 0
-    for j in path.jumps:
-        assert path.event_times[j.event_index] == j.time
-        if j.region is Region.SMALL:
-            assert 0 < abs(j.mark) < 1
-        else:
-            assert abs(j.mark) >= 1
+    # 20 paths at rate 1.5 all draw no jump with probability e**-30
+    paths = [build_path(1.0, 5, finite_model, np.random.default_rng(seed))
+             for seed in range(11, 31)]
+    assert sum(len(path.jumps) for path in paths) > 0
+    for path in paths:
+        for j in path.jumps:
+            assert path.event_times[j.event_index] == j.time
+            if j.region is Region.SMALL:
+                assert 0 < abs(j.mark) < 1
+            else:
+                assert abs(j.mark) >= 1
 
 
 def test_build_path_level_array_shapes(finite_model):
@@ -189,15 +275,19 @@ def test_driving_path_compares_by_identity(finite_model):
 
 
 def test_build_path_takes_jump_arrays_from_the_sampler(finite_model):
-    # the sampler's arrays become the path's jumps unchanged
-    seed = np.random.SeedSequence((3, 1))
-    times, marks, small = simulate_events(1.0, finite_model, np.random.default_rng(seed))
-    path = build_path(1.0, 6, finite_model, np.random.default_rng(seed))
-    assert times.size > 1
-    assert np.array_equal(path.jump_times, times)
-    assert np.array_equal(path.jump_marks, marks)
-    assert np.array_equal(path.jump_small, small)
-    assert [j.region is Region.SMALL for j in path.jumps] == small.tolist()
+    # the sampler's arrays become the path's jumps unchanged; 20 paths at
+    # rate 1.5 all draw at most one jump with probability 2.5**20 e**-30
+    sizes = []
+    for i in range(20):
+        seed = np.random.SeedSequence((3, i))
+        times, marks, small = simulate_events(1.0, finite_model, np.random.default_rng(seed))
+        path = build_path(1.0, 6, finite_model, np.random.default_rng(seed))
+        sizes.append(times.size)
+        assert np.array_equal(path.jump_times, times)
+        assert np.array_equal(path.jump_marks, marks)
+        assert np.array_equal(path.jump_small, small)
+        assert [j.region is Region.SMALL for j in path.jumps] == small.tolist()
+    assert max(sizes) > 1
 
 
 def test_build_path_rejects_negative_level(finite_model, rng):
@@ -206,27 +296,45 @@ def test_build_path_rejects_negative_level(finite_model, rng):
 
 
 class ScriptedRng:
-    """Just enough of the Generator surface to force chosen arrival times
-    (each jump takes two uniforms: its region, then its atom)."""
+    """Just enough of the Generator surface to force chosen arrivals: the
+    Poisson count, then the uniforms in the order they are asked for (the
+    times row, the regions row, then one a jump for an atom mark)."""
 
-    def __init__(self, exponentials, uniforms):
-        self._exp = list(exponentials)
+    def __init__(self, count, uniforms):
+        self._count = count
         self._uni = list(uniforms)
 
-    def exponential(self, scale):
-        return self._exp.pop(0)
+    def poisson(self, lam):
+        return self._count
 
-    def random(self):
-        return self._uni.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self._uni.pop(0)
+        n = math.prod(size)
+        drawn, self._uni = self._uni[:n], self._uni[n:]
+        return np.array(drawn, dtype=np.float64).reshape(size)
 
     def standard_normal(self, shape):
         return np.zeros(shape)
 
 
+# count and uniforms of the shared finite model (small rate 1, tail rate
+# 0.5): a regions uniform of 0.0 picks the small region, and a mark uniform
+# of 0.0 its atom at 0.5
+NUDGE_SCRIPTS = {
+    "dyadic": (1, [0.5, 0.0, 0.0]),                  # a jump on the dyadic point 0.5
+    "duplicate": (2, [0.3, 0.3, 0.0, 0.0, 0.0, 0.0]),  # two jumps at one instant
+    "zero": (1, [0.0, 0.0, 0.0]),                    # a jump at 0.0
+    # a jump at T: a Generator's uniforms stop short of 1, and their product
+    # with T rounds onto T only for a subnormal T, but the nudge covers it
+    "horizon": (1, [1.0, 0.0, 0.0]),
+}
+
+
 def test_build_path_nudges_dyadic_collision(finite_model, caplog):
     # one small jump exactly at 0.5 = 4/8: collides with the level-3 grid and
     # must move by one ulp rather than corrupt the event grid
-    scripted = ScriptedRng(exponentials=[0.5, 10.0], uniforms=[0.0, 0.0])
+    scripted = ScriptedRng(*NUDGE_SCRIPTS["dyadic"])
     with caplog.at_level("WARNING", logger="levystep.path"):
         path = build_path(1.0, 3, finite_model, scripted)
     assert len(path.jumps) == 1
@@ -241,10 +349,9 @@ def test_build_path_nudges_dyadic_collision(finite_model, caplog):
 
 
 def test_build_path_nudges_duplicate_jump_times(finite_model):
-    # two arrivals at the same instant (zero holding time): the second is
-    # shifted one ulp up, both survive
-    scripted = ScriptedRng(exponentials=[0.3, 0.0, 10.0], uniforms=[0.0] * 4)
-    path = build_path(1.0, 3, finite_model, scripted)
+    # two arrivals at the same instant (two equal time uniforms): the second
+    # is shifted one ulp up, both survive
+    path = build_path(1.0, 3, finite_model, ScriptedRng(*NUDGE_SCRIPTS["duplicate"]))
     times = [j.time for j in path.jumps]
     assert len(times) == 2
     assert times[0] == 0.3
@@ -252,13 +359,23 @@ def test_build_path_nudges_duplicate_jump_times(finite_model):
     assert np.all(np.diff(path.event_times) > 0)
 
 
+@pytest.mark.parametrize("end,moved,cell", [
+    ("zero", float(np.nextafter(0.0, np.inf)), 0),
+    ("horizon", float(np.nextafter(1.0, -np.inf)), 2**3 - 1),
+])
+def test_build_path_nudges_a_jump_off_either_end(finite_model, caplog, end, moved, cell):
+    # a jump on the grid's first or last point moves one ulp inward, into
+    # the first or last finest cell
+    with caplog.at_level("WARNING", logger="levystep.path"):
+        path = build_path(1.0, 3, finite_model, ScriptedRng(*NUDGE_SCRIPTS[end]))
+    assert path.jump_times.tolist() == [moved]
+    assert path.jump_cells.tolist() == [cell]
+    assert np.all(np.diff(path.event_times) > 0)
+    assert path.event_times[path.cell_edges].tobytes() == dyadic_grid(1.0, 3).tobytes()
+    assert any("nudged" in rec.message for rec in caplog.records)
+
+
 # -- the event grid's index maps ---------------------------------------------
-
-NUDGE_SCRIPTS = [
-    ([0.5, 10.0], [0.0, 0.0]),        # a jump on the dyadic point 0.5
-    ([0.3, 0.0, 10.0], [0.0] * 4),    # two jumps at one instant
-]
-
 
 def merged_paths(finite_model):
     """50 random paths at each of the finest levels 0, 3 and 8, then one
@@ -267,8 +384,8 @@ def merged_paths(finite_model):
     for level in (0, 3, 8):
         for _ in range(50):
             yield build_path(1.0, level, dense_model(), rng)
-    for exponentials, uniforms in NUDGE_SCRIPTS:
-        yield build_path(1.0, 3, finite_model, ScriptedRng(exponentials, uniforms))
+    for script in NUDGE_SCRIPTS.values():
+        yield build_path(1.0, 3, finite_model, ScriptedRng(*script))
 
 
 def test_merge_index_maps_match_the_searches(finite_model):
@@ -439,7 +556,7 @@ def test_a_chunk_sums_a_crowded_last_cell_as_the_path_alone(monkeypatch):
 
 
 def test_simulate_events_stops_at_the_jump_cap(monkeypatch):
-    # a stream of 7 arrivals against a cap of 5 stops; one of exactly 5 is kept
+    # a count of 6 arrivals against a cap of 5 stops; one of exactly 5 is kept
     monkeypatch.setattr(path_mod, "_MAX_JUMPS", 5)
     with pytest.raises(RuntimeError, match="more than 5 jumps drawn on one path"):
         simulate_events(1.0, dense_model(), np.random.default_rng(2))
