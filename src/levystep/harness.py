@@ -58,13 +58,15 @@ _MAX_PARTIAL_ENTRIES = 2**22
 _PARTIAL_PIECE_ENTRIES = 2**18
 # a chunk of paths evaluated together closes once its paths' finest-level
 # cells reach _CHUNK_CELLS (16 paths at finest level 10; a path of level 14
-# or more is a chunk alone) or, in the convergence study, the squares of
-# their jump counts reach _CHUNK_JUMP_PAIRS (the partial slices of a path
-# with J jumps hold up to J (J + 1) / 2 of them a ladder level; the
-# truncation study makes none), so that a chunk's arrays stay within a few
-# MB while the chunk's fixed cost (about 0.85 ms a chunk on the README
-# converge config, 2-core VM) is shared by many paths
+# or more is a chunk alone), their jumps reach _CHUNK_JUMPS, or, in the
+# convergence study, the squares of their jump counts reach
+# _CHUNK_JUMP_PAIRS (the partial slices of a path with J jumps hold up to
+# J (J + 1) / 2 of them a ladder level; the truncation study makes none), so
+# that a chunk's arrays stay within a few MB beyond one path's own while the
+# chunk's fixed cost (about 0.85 ms a chunk on the README converge config,
+# 2-core VM) is shared by many paths
 _CHUNK_CELLS = 2**14
+_CHUNK_JUMPS = 2**14
 _CHUNK_JUMP_PAIRS = 2**16
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
@@ -333,7 +335,7 @@ def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows,
     require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
     out = np.empty((cfg.paths, *shape))
     pair_budget = _CHUNK_JUMP_PAIRS if partial_slices else math.inf
-    paths, pairs = [], 0
+    paths, jumps, pairs = [], 0, 0
     with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
         for i in range(cfg.paths):
             try:
@@ -341,11 +343,12 @@ def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows,
             except RuntimeError as exc:
                 raise RuntimeError(f"path {i}: {exc}") from exc
             paths.append(path)
+            jumps += path.jump_times.size
             pairs += path.jump_times.size ** 2
-            if (len(paths) << cfg.finest_level >= _CHUNK_CELLS or pairs >= pair_budget
-                    or i == cfg.paths - 1):
+            if (len(paths) << cfg.finest_level >= _CHUNK_CELLS or jumps >= _CHUNK_JUMPS
+                    or pairs >= pair_budget or i == cfg.paths - 1):
                 out[i + 1 - len(paths):i + 1] = rows(paths, join(paths))
-                paths, pairs = [], 0
+                paths, jumps, pairs = [], 0, 0
     return out
 
 

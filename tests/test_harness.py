@@ -415,7 +415,7 @@ def test_a_chunk_closes_at_either_budget(monkeypatch):
     assert sum(pairs[-1][:-1]) < harness._CHUNK_JUMP_PAIRS
 
 
-def test_a_truncation_chunk_closes_on_cells_only(monkeypatch):
+def test_a_truncation_chunk_is_not_closed_by_jump_pairs(monkeypatch):
     # criterion 7's paths at a = 1.2 hold ~105 jumps (~11 000 jump pairs),
     # so the jump-pair budget would close a chunk every ~6 paths; the
     # truncation study makes no partial slices, and its chunks take the 64
@@ -428,8 +428,25 @@ def test_a_truncation_chunk_closes_on_cells_only(monkeypatch):
     assert [len(paths) for paths in chunks] == [64, 64, 2]
     assert harness._CHUNK_CELLS >> README_TRUNCATE["finest_level"] == 64
     jumps = [p.jump_times.size for p in chunks[0]]
-    assert np.mean(jumps) > 90
+    assert np.mean(jumps) > 90 and sum(jumps) < harness._CHUNK_JUMPS
     assert sum(j * j for j in jumps[:10]) > harness._CHUNK_JUMP_PAIRS
+
+
+def test_a_jump_heavy_truncation_chunk_closes_on_its_jumps(monkeypatch):
+    # a = 1.5 truncated at 0.005: ~3800 jumps a path against 4 finest cells,
+    # so the cell budget would take 4096 paths; the jump budget closes each
+    # chunk once its jumps reach _CHUNK_JUMPS, keeping a chunk's arrays
+    # within that many jumps beyond one path's own
+    real_join, chunks = harness.join, []
+    monkeypatch.setattr(harness, "join", lambda paths: chunks.append(paths) or real_join(paths))
+    power_law = {"kind": "power_law", "c": 1.0, "a": 1.5}
+    truncation_study(config_from_dict(README_TRUNCATE | {
+        "model": README_MODEL | {"small": power_law}, "epsilons": [0.08, 0.04, 0.02],
+        "truncation_level": 0, "ladder_levels": [0], "finest_level": 2, "paths": 12}))
+    jumps = [[p.jump_times.size for p in paths] for paths in chunks]
+    assert sum(map(len, chunks)) == 12 and len(chunks) > 2
+    assert all(sum(c[:-1]) < harness._CHUNK_JUMPS <= sum(c) for c in jumps[:-1])
+    assert sum(jumps[-1][:-1]) < harness._CHUNK_JUMPS
 
 
 @pytest.mark.parametrize("model_name", ["jumpless", "jump-heavy", "power-law"])
