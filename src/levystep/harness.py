@@ -480,8 +480,8 @@ def simulate_trajectory(cfg: StudyConfig):
     path = build_path(cfg.horizon, cfg.finest_level, active, path_rng(cfg.seed, 0))
     level = cfg.trajectory_level
     with np.errstate(over="ignore", invalid="ignore"):  # `bad` names the time
-        oracle_vals = exact_solution(path, path.grid_events(level), coef, cfg.y0)
-        traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
+        oracle_vals = exact_solution(path, path.grid_events(level)[0], coef, cfg.y0)
+        traj = run_scheme(cfg.scheme, path.grid(level)[0], path, coef, cfg.y0)
     bad = ~(np.isfinite(traj.values) & np.isfinite(oracle_vals))
     if bad.any():
         raise RuntimeError(f"nonfinite result on path 0 at time {traj.times[bad.argmax()]}")

@@ -12,8 +12,8 @@ tail.  The p_integral drift correction is the compensator of the active small
 region, so for a truncated model this is the exact solution of the truncated
 equation.
 
-On a chunk of paths (`path.join`) the solution restarts from y0 at each
-path's first event, so each path's values are the ones it gives alone.
+The solution restarts from y0 at the first event of each path of a chunk
+(`path.join`), so each path's values are the ones it gives alone.
 """
 
 from __future__ import annotations

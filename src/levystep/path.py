@@ -22,9 +22,9 @@ intervals of every level, aggregated pairwise up from the finest cells, so
 combining the two children of a dyadic interval reproduces the parent
 bit-for-bit) is formed from the normals on first slicing.
 
-Several paths of one horizon and finest level can be joined end to end into
-one chunk (`join`), whose slices are those of its paths in path order; a
-chunk forms the Wiener data of all its paths at once.
+A path is a chunk of one path; paths of one horizon and finest level are
+joined end to end into one chunk by `join`, whose slices are those of its
+paths in path order and which forms the Wiener data of all of them at once.
 """
 
 from __future__ import annotations
@@ -172,30 +172,30 @@ class _Wiener(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class DrivingPath:
-    """The noise of one path, or of a chunk of paths joined by `join` (the
-    shapes in brackets are a chunk's).
+    """The noise of a chunk of paths laid end to end: one path from
+    `build_path`, or several joined by `join`.
 
     The Wiener data is formed from `normals` on first use and kept: per gap
     (gap g follows event g) its length `gaps`, `dw` and `z_locals`, each
-    (n_events - 1,) [(n_events,), zero at each path's last event]; W at
-    every event, `w_values` (n_events,), 0 at each path's first event; and
-    per level the (dW, dZ) over its dyadic intervals, `cell_dw`/`cell_dz`
-    at the finest level [path by path].
+    (n_events,), zero at each path's last event; W at every event,
+    `w_values` (n_events,), 0 at each path's first event; and per level the
+    (dW, dZ) over its dyadic intervals, `cell_dw`/`cell_dz` at the finest
+    level, path by path.
     """
 
     horizon: float
     finest_level: int
     event_times: np.ndarray   # (n_events,)
-    # (2, n_events - 1) [(2, n_events), zero at each path's last event]
-    # standard normals of the gaps, the (dW, z_local) of gap g from column g
+    # (2, n_events), zero at each path's last event: standard normals of the
+    # gaps, the (dW, z_local) of gap g from column g
     normals: np.ndarray
-    jump_times: np.ndarray    # (n_jumps,) increasing [within a path]
+    jump_times: np.ndarray    # (n_jumps,) increasing within a path
     jump_marks: np.ndarray    # (n_jumps,)
     jump_small: np.ndarray    # (n_jumps,) bool: small region (else tail)
     jump_events: np.ndarray   # (n_jumps,) event index of each jump time
-    # (n_jumps,) finest dyadic cell holding each jump [+ path * 2**finest_level]
+    # (n_jumps,) finest dyadic cell holding each jump, + path * 2**finest_level
     jump_cells: np.ndarray
-    # (2**finest_level + 1,) [(paths, 2**finest_level + 1)] event index of each dyadic point
+    # (paths, 2**finest_level + 1) event index of each dyadic point
     cell_edges: np.ndarray
 
     @property
@@ -210,14 +210,14 @@ class DrivingPath:
     # -- lookups -----------------------------------------------------------
 
     def grid_events(self, level: int) -> np.ndarray:
-        """Event indices of the 2**level + 1 dyadic points at `level` (a row
-        a path for a chunk)."""
+        """Event indices of the 2**level + 1 dyadic points at `level`, a row
+        a path."""
         if not 0 <= level <= self.finest_level:
             raise ValueError(f"level {level} outside 0..{self.finest_level}")
-        return self.cell_edges[..., ::1 << (self.finest_level - level)]
+        return self.cell_edges[:, ::1 << (self.finest_level - level)]
 
     def grid(self, level: int) -> np.ndarray:
-        # bit-equal to dyadic_grid(horizon, level) by the merge in build_path
+        # a row a path, each bit-equal to dyadic_grid(horizon, level) by the merge in build_path
         return self.event_times[self.grid_events(level)]
 
     def with_jumps(self, keep: np.ndarray) -> "DrivingPath":
@@ -235,27 +235,25 @@ class DrivingPath:
 
     @cached_property
     def _wiener(self) -> _Wiener:
-        """The Wiener data of every path at once, formed as each path alone
-        forms it: each path's pad gap is zeroed before the transform, W
+        """The Wiener data of every path at once, each path's as it would be
+        alone: each path's pad gap is zeroed before the transform, W
         restarts at each path's first event, and each path's last finest
         cell stops at its last gap (a segment one value longer would sum in
         another order)."""
-        times, normals, edges = self.event_times, self.normals, self.cell_edges
-        gaps, cuts, ends = times[1:] - times[:-1], edges[:-1], edges[1:]
-        if edges.ndim == 2:  # a chunk, with a pad gap at each path's last event
-            gaps = np.append(gaps, 0.0)
-            gaps[edges[:, -1]] = 0.0
-            # each pad a segment of its own, dropped after the sums
-            cuts = edges.ravel()
-            ends = np.append(cuts[1:], gaps.size)
-        dw, z_locals = _dw_dz(normals, gaps)
+        times, edges = self.event_times, self.cell_edges
+        gaps = np.empty(times.size)
+        np.subtract(times[1:], times[:-1], out=gaps[:-1])
+        gaps[edges[:, -1]] = 0.0
+        dw, z_locals = _dw_dz(self.normals, gaps)
         w_values = self.along_paths(np.add, dw, 0.0)
-        w_cell_left = np.repeat(w_values[cuts], ends - cuts)
+        # each pad a segment of its own, of one gap, dropped after the sums
+        cuts, lengths = edges.ravel(), np.empty(edges.size, edges.dtype)
+        np.subtract(cuts[1:], cuts[:-1], out=lengths[:-1])
+        lengths[-1] = 1
+        w_cell_left = np.repeat(w_values[cuts], lengths)
         sums = (np.add.reduceat(dw, cuts),
-                np.add.reduceat((w_values[:gaps.size] - w_cell_left) * gaps + z_locals, cuts))
-        if edges.ndim == 2:
-            sums = tuple(s.reshape(edges.shape)[:, :-1].ravel() for s in sums)
-        levels = [sums]
+                np.add.reduceat((w_values - w_cell_left) * gaps + z_locals, cuts))
+        levels = [tuple(s.reshape(edges.shape)[:, :-1].ravel() for s in sums)]
         for child_level in range(self.finest_level, 0, -1):
             cdw, cdz = levels[-1]
             left = cdw[0::2]
@@ -276,8 +274,7 @@ class DrivingPath:
         accumulated over the path's gaps, left to right (W from dW with
         np.add)."""
         out, edges = np.empty(self.event_times.size), self.cell_edges
-        rows = edges.reshape(-1, edges.shape[-1])  # a row a path
-        for a, b in zip(rows[:, 0].tolist(), rows[:, -1].tolist()):
+        for a, b in zip(edges[:, 0].tolist(), edges[:, -1].tolist()):
             out[a] = first
             op.accumulate(per_gap[a:b], out=out[a + 1:b + 1])
         return out
@@ -285,10 +282,10 @@ class DrivingPath:
     # -- slicing -----------------------------------------------------------
 
     def slices(self, level: int) -> Slices:
-        """The 2**level slices of the uniform dyadic grid at `level` (of each
-        path of a chunk in turn: slice path * 2**level + k is its slice k)."""
+        """The 2**level slices of the uniform dyadic grid at `level` of each
+        path in turn: slice path * 2**level + k is the path's slice k."""
         edges = self.grid_events(level)
-        return self._batch(edges[..., :-1].ravel(), edges[..., 1:].ravel(),
+        return self._batch(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
                            *self._wiener.levels[level],
                            slice(None), self.jump_cells >> (self.finest_level - level))
 
@@ -331,27 +328,26 @@ class DrivingPath:
 def join(paths) -> DrivingPath:
     """The paths, of one horizon and finest level, end to end as one chunk:
     each array the paths' arrays in turn, event indices and finest cells
-    offset to the chunk, and every path's normals padded with a zero column
-    at its last event, so that gap g still follows event g.  A slice of a
-    chunk never spans two paths: at a path's first event, `slice_between`
-    reads the pad slot behind it as zero."""
+    offset to the chunk; one path is its own chunk.  A slice of a chunk
+    never spans two paths: at a path's first event, `slice_between` reads
+    the zero pad slot of the path before it."""
+    if len(paths) == 1:
+        return paths[0]
     finest = paths[0].finest_level
     sizes = np.array([p.event_times.size for p in paths])
     offsets = np.cumsum(sizes) - sizes
     jumps = [p.jump_events.size for p in paths]
-    pad = np.zeros((2, 1))
 
-    def cat(name):
-        return np.concatenate([getattr(p, name) for p in paths])
+    def cat(name, axis=0):
+        return np.concatenate([getattr(p, name) for p in paths], axis=axis)
 
     return DrivingPath(
         horizon=paths[0].horizon, finest_level=finest, event_times=cat("event_times"),
-        normals=np.concatenate([a for p in paths for a in (p.normals, pad)], axis=1),
-        jump_times=cat("jump_times"), jump_marks=cat("jump_marks"),
-        jump_small=cat("jump_small"),
+        normals=cat("normals", axis=1), jump_times=cat("jump_times"),
+        jump_marks=cat("jump_marks"), jump_small=cat("jump_small"),
         jump_events=cat("jump_events") + np.repeat(offsets, jumps),
         jump_cells=cat("jump_cells") + np.repeat(np.arange(len(paths)) << finest, jumps),
-        cell_edges=np.stack([p.cell_edges for p in paths]) + offsets[:, None])
+        cell_edges=cat("cell_edges") + offsets[:, None])
 
 
 def _concat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -392,10 +388,10 @@ def _nudged(times: np.ndarray, dyad: np.ndarray, horizon: float) -> np.ndarray:
 
 def build_path(horizon: float, finest_level: int, model: LevyModel,
                rng: np.random.Generator) -> DrivingPath:
-    """Simulate one driving path: jump stream first, then the standard
-    normals of the Wiener data on the gaps of the union of the finest dyadic
-    grid and the jump times (the Wiener data is formed from them when the
-    path is first sliced).
+    """Simulate one driving path, a chunk of one path: jump stream first,
+    then the standard normals of the Wiener data on the gaps of the union of
+    the finest dyadic grid and the jump times (the Wiener data is formed from
+    them when the path is first sliced).
 
     A jump time that collides exactly with a dyadic point (or an earlier jump)
     is nudged by one ulp and the nudge is logged; collisions have probability
@@ -413,10 +409,10 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
         jump_times, jump_marks, jump_small = \
             jump_times[order], jump_marks[order], jump_small[order]
         event_times, position = _merge(dyad, jump_times)
-    cell_edges, jump_events = position[:dyad.size], position[dyad.size:]
+    cell_edges, jump_events = position[None, :dyad.size], position[dyad.size:]
     # jump j has j earlier jumps and its cell + 1 dyadic points before it
     jump_cells = jump_events - np.arange(jump_events.size) - 1
-    return DrivingPath(horizon=horizon, finest_level=finest_level, event_times=event_times,
-                       normals=rng.standard_normal((2, event_times.size - 1)),
-                       jump_times=jump_times, jump_marks=jump_marks, jump_small=jump_small,
-                       jump_events=jump_events, jump_cells=jump_cells, cell_edges=cell_edges)
+    normals = np.zeros((2, event_times.size))
+    normals[:, :-1] = rng.standard_normal((2, event_times.size - 1))
+    return DrivingPath(horizon, finest_level, event_times, normals, jump_times, jump_marks,
+                       jump_small, jump_events, jump_cells, cell_edges)

@@ -202,12 +202,14 @@ def step_factor(scheme: Scheme, slices: Slices, coef: LinearCoefficients) -> np.
 
 def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,
                coef: LinearCoefficients, y0: float) -> Trajectory:
-    """Advance the scheme across every slice of `grid`, which must be the
-    path's uniform dyadic grid at some level 0..path.finest_level."""
+    """Advance the scheme across every slice of `grid` on one path (not a chunk
+    of several), `grid` the path's uniform dyadic grid at a level 0..finest_level."""
+    if len(path.cell_edges) != 1:
+        raise ValueError(f"run_scheme takes one path, not a chunk of {len(path.cell_edges)} paths")
     grid = np.asarray(grid, dtype=np.float64)
     level = (grid.size - 1).bit_length() - 1  # a level-L grid has 2**L + 1 points
     if not (0 <= level <= path.finest_level
-            and np.array_equal(grid, path.grid(level))):
+            and np.array_equal(grid, path.grid(level)[0])):
         raise ValueError("grid must be the path's uniform dyadic grid at a level "
                          f"in 0..{path.finest_level}")
     return Trajectory(times=grid, values=chain(step_factor(scheme, path.slices(level), coef), y0))

@@ -57,8 +57,8 @@ def sup_error_one_level(cfg, path, coef, level: int, exact_at_events) -> tuple[f
     """(sup |err|^2, sup |Y_scheme|^2) for one ladder level on one path: the
     level's trajectory by run_scheme, then a second batch of partial slices
     from the level's grid to every interior jump."""
-    edges = path.grid_events(level)
-    traj = run_scheme(cfg.scheme, path.grid(level), path, coef, cfg.y0)
+    edges = path.grid_events(level)[0]
+    traj = run_scheme(cfg.scheme, path.grid(level)[0], path, coef, cfg.y0)
     err = np.abs(traj.values - exact_at_events[edges])
     if path.jump_times.size:
         # the base value is the last grid value at or before the jump

@@ -44,8 +44,8 @@ def jumpy_path(seed, level=6, small_rate=3.0, tail_rate=1.5):
 def test_pure_drift(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(0))
     coef = coef_with(drift=-0.7, m1=0.0)
-    got = exact_solution(path, path.grid_events(2), coef, y0=2.0)
-    want = 2.0 * np.exp(-0.7 * path.grid(2))
+    got = exact_solution(path, path.grid_events(2)[0], coef, y0=2.0)
+    want = 2.0 * np.exp(-0.7 * path.grid(2)[0])
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -54,7 +54,7 @@ def test_geometric_brownian_motion(finite_model):
     # path's own Wiener values
     path = build_path(1.0, 5, finite_model, np.random.default_rng(1))
     coef = coef_with(drift=0.3, diffusion=0.8, m1=0.0)
-    times = path.grid(3)
+    times = path.grid(3)[0]
     idx = event_indices(path, times)
     w = path.w_values[idx]
     want = 1.5 * np.exp((0.3 - 0.32) * times + 0.8 * w)
@@ -81,7 +81,7 @@ def test_jump_factors_match_event_walk():
             else:
                 y *= 1.0 + coef.tail_jump * coef.q(j.mark)
         manual[float(path.event_times[i])] = y
-    eval_times = np.concatenate((path.grid(2), [j.time for j in path.jumps]))
+    eval_times = np.concatenate((path.grid(2)[0], [j.time for j in path.jumps]))
     eval_times = np.sort(eval_times)
     got = exact_solution(path, event_indices(path, eval_times), coef, y0=1.0)
     want = np.array([manual[float(t)] for t in eval_times])
@@ -133,7 +133,7 @@ def test_truncated_compensator_shift():
     # same noise, two different p_integral values: the exact solutions differ
     # by exp(-small_jump * (m1 - m1') * t) pathwise
     path = jumpy_path(9)
-    t, at = path.grid(1), path.grid_events(1)
+    t, at = path.grid(1)[0], path.grid_events(1)[0]
     a = exact_solution(path, at, coef_with(drift=0.1, small_jump=0.2, m1=0.14), 1.0)
     b = exact_solution(path, at, coef_with(drift=0.1, small_jump=0.2, m1=0.04), 1.0)
     assert a == pytest.approx(b * np.exp(-0.2 * 0.1 * t), rel=1e-12)
@@ -146,10 +146,10 @@ def test_milstein_approaches_exact():
     # closed form; just require monotone improvement and smallness at the end
     path = jumpy_path(10, level=8)
     coef = coef_with(drift=-0.5, diffusion=0.3, small_jump=0.2, tail_jump=0.1)
-    exact = exact_solution(path, path.grid_events(2), coef, 1.0)
+    exact = exact_solution(path, path.grid_events(2)[0], coef, 1.0)
     errs = []
     for level in (2, 4, 6, 8):
-        traj = run_scheme(Scheme.MILSTEIN, path.grid(level), path, coef, 1.0)
+        traj = run_scheme(Scheme.MILSTEIN, path.grid(level)[0], path, coef, 1.0)
         stride = 2 ** (level - 2)
         errs.append(np.max(np.abs(traj.values[::stride] - exact)))
     assert errs[0] > errs[-1]
@@ -169,7 +169,7 @@ def test_simulate_reads_the_exact_solution_at_its_grid():
     _, oracle_vals = simulate_trajectory(cfg)
     path = build_path(1.0, 6, cfg.model, path_rng(0, 0))
     assert path.jump_times.size > 0
-    at = path.grid_events(2)
-    assert np.array_equal(at, event_indices(path, path.grid(2)))
+    at = path.grid_events(2)[0]
+    assert np.array_equal(at, event_indices(path, path.grid(2)[0]))
     want = exact_solution(path, at, cfg.coefficients_for(cfg.model), 1.0)
     assert np.array_equal(oracle_vals, want)

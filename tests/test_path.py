@@ -164,7 +164,8 @@ def test_build_path_draws_count_times_regions_marks_then_normals(model):
         assert path.jump_times.tobytes() == times.tobytes()
         assert path.jump_marks.tobytes() == marks.tobytes()
         assert path.jump_small.tobytes() == small.tobytes()
-        assert path.normals.tobytes() == normals.tobytes()
+        assert path.normals[:, :-1].tobytes() == normals.tobytes()
+        assert np.all(path.normals[:, -1] == 0.0)
         assert rng.random() == ref.random()
         regions.extend(small.tolist())
     assert regions.count(True) > 20 and regions.count(False) > 5
@@ -231,8 +232,8 @@ def test_build_path_event_grid_is_union(finite_model):
     assert np.array_equal(path.event_times, expected)
     assert np.all(np.diff(path.event_times) > 0)
     assert np.array_equal(path.w_values,
-                          np.concatenate(([0.0], np.cumsum(path.dw))))
-    assert np.array_equal(path.event_times[path.cell_edges], dyadic_grid(1.0, 5))
+                          np.concatenate(([0.0], np.cumsum(path.dw[:-1]))))
+    assert np.array_equal(path.event_times[path.cell_edges[0]], dyadic_grid(1.0, 5))
 
 
 def test_build_path_jump_records(finite_model):
@@ -432,7 +433,7 @@ def test_two_level_coupling_is_exact():
 
 def test_slices_match_direct_gap_aggregation():
     path = build_path(1.0, 6, dense_model(), np.random.default_rng(22))
-    edges = path.grid_events(3)
+    edges = path.grid_events(3)[0]
     tree = path.slices(3)
     direct = path.slice_between(edges[:-1], edges[1:])
     np.testing.assert_allclose(tree.dw, direct.dw, rtol=0, atol=1e-12)
@@ -444,13 +445,13 @@ def test_slices_match_direct_gap_aggregation():
 
 def test_finest_cell_without_jumps_is_a_single_gap(finite_model):
     path = build_path(1.0, 5, finite_model, np.random.default_rng(4))
-    counts = np.diff(path.cell_edges)
+    counts = np.diff(path.cell_edges[0])
     cells = path.slices(5)
     held = np.bincount(cells.slice_id, minlength=32)
     bare = [i for i in range(32) if counts[i] == 1]
     assert bare  # rate 1.5 on 32 cells leaves plenty of jump-free cells
     for i in bare:
-        gap = path.cell_edges[i]
+        gap = path.cell_edges[0, i]
         assert cells.dw[i] == path.dw[gap]
         assert cells.dz[i] == path.z_locals[gap]
         assert held[i] == 0
@@ -471,7 +472,7 @@ def test_whole_horizon_slice(finite_model):
 
 def test_slice_between_partial_to_jump_time():
     path = build_path(1.0, 5, dense_model(), np.random.default_rng(40))
-    grid = path.grid(2)
+    grid = path.grid(2)[0]
     j = next(j for j in path.jumps if grid[0] < j.time < grid[1])
     ia, ib = 0, j.event_index
     slc = path.slice_between(ia, ib)
@@ -483,7 +484,7 @@ def test_slice_between_partial_to_jump_time():
     assert slc.time[-1] == j.time
     assert np.all((0.0 < slc.time) & (slc.time <= j.time))
     assert np.array_equal(slc.w, path.w_values[event_indices(path, slc.time)])
-    rest = path.slice_between(ib, path.grid_events(2)[1])
+    rest = path.slice_between(ib, path.grid_events(2)[0, 1])
     assert np.all((j.time < rest.time) & (rest.time <= grid[1]))
 
 
@@ -491,7 +492,7 @@ def test_slice_between_batch_matches_single_slices():
     # overlapping partial slices, one per jump: each batch entry equals the
     # same slice taken alone, and holds exactly the jumps in (left, right]
     path = build_path(1.0, 5, dense_model(8.0, 4.0), np.random.default_rng(42))
-    lefts = path.grid_events(1)[path.jump_cells >> 4]
+    lefts = path.grid_events(1)[0, path.jump_cells >> 4]
     batch = path.slice_between(lefts, path.jump_events)
     assert batch.left.size == path.jump_times.size
     for k, (ia, ib) in enumerate(zip(lefts, path.jump_events)):
@@ -520,13 +521,13 @@ def test_a_joined_chunk_slices_as_its_paths():
     offsets = np.cumsum([0] + [p.event_times.size for p in paths])
     for level in range(6):
         assert np.array_equal(chunk.grid_events(level),
-                              [p.grid_events(level) + o for p, o in zip(paths, offsets)])
+                              [p.grid_events(level)[0] + o for p, o in zip(paths, offsets)])
         alone, _ = stack([p.slices(level) for p in paths])
         together = chunk.slices(level)
         for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right",
                      "time", "mark", "small", "w", "slice_id"):
             assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
-    parts = [(np.concatenate(([0], p.grid_events(2)[p.jump_cells >> 3])),
+    parts = [(np.concatenate(([0], p.grid_events(2)[0, p.jump_cells >> 3])),
               np.concatenate(([p.event_times.size - 1], p.jump_events))) for p in paths]
     alone, _ = stack([p.slice_between(ia, ib) for p, (ia, ib) in zip(paths, parts)])
     together = chunk.slice_between(*(np.concatenate([e + o for e, o in zip(ends, offsets)])
@@ -534,6 +535,22 @@ def test_a_joined_chunk_slices_as_its_paths():
     for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right",
                  "time", "mark", "small", "w", "slice_id"):
         assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
+    # a path is a one-path chunk: joining two concatenates their fields, each
+    # path's normals with their own zero column and the second path's event
+    # indices and cells offset; joining one returns it
+    a, b = paths[1], paths[2]
+    assert a.jump_times.size and b.jump_times.size
+    pair, n = join([a, b]), a.event_times.size
+    for name in ("event_times", "jump_times", "jump_marks", "jump_small"):
+        want = np.concatenate((getattr(a, name), getattr(b, name)))
+        assert getattr(pair, name).tobytes() == want.tobytes(), name
+    assert pair.normals.tobytes() == np.concatenate((a.normals, b.normals), axis=1).tobytes()
+    assert np.all(pair.normals[:, pair.cell_edges[:, -1]] == 0.0)
+    assert np.array_equal(pair.jump_events, np.concatenate((a.jump_events, b.jump_events + n)))
+    assert np.array_equal(pair.jump_cells, np.concatenate((a.jump_cells, b.jump_cells + 2**5)))
+    assert np.array_equal(pair.cell_edges, np.concatenate((a.cell_edges, b.cell_edges + n)))
+    assert pair.cell_edges.shape == (2, 2**5 + 1)
+    assert join([a]) is a
 
 
 def test_a_chunk_sums_a_crowded_last_cell_as_the_path_alone(monkeypatch):
@@ -566,7 +583,7 @@ def test_simulate_events_stops_at_the_jump_cap(monkeypatch):
 
 def test_slice_between_additivity():
     path = build_path(1.0, 5, dense_model(), np.random.default_rng(41))
-    a, m, b = path.grid_events(1)   # the events at 0.0, 0.5 and 1.0
+    a, m, b = path.grid_events(1)[0]   # the events at 0.0, 0.5 and 1.0
     left = path.slice_between(a, m)
     right = path.slice_between(m, b)
     full = path.slice_between(a, b)
@@ -618,10 +635,10 @@ def test_event_index_and_grid_lookups(finite_model):
     path = build_path(1.0, 4, finite_model, np.random.default_rng(62))
     # the event indices of a level's grid points, against a search of their times
     for level in range(5):
-        assert np.array_equal(path.grid_events(level),
+        assert np.array_equal(path.grid_events(level)[0],
                               event_indices(path, dyadic_grid(1.0, level)))
-    assert path.grid_events(0).tolist() == [0, path.event_times.size - 1]
-    assert np.array_equal(path.grid(2), dyadic_grid(1.0, 2))
+    assert path.grid_events(0)[0].tolist() == [0, path.event_times.size - 1]
+    assert np.array_equal(path.grid(2)[0], dyadic_grid(1.0, 2))
     with pytest.raises(ValueError):
         path.grid(5)
     with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from levystep import (
 )
 from levystep import schemes
 from levystep.common import Region
-from levystep.path import dyadic_grid, stack
+from levystep.path import dyadic_grid, join, stack
 from levystep.schemes import euler_factor, milstein_factor, step_factor
 
 TERM_KEYS = frozenset(
@@ -264,20 +264,20 @@ def dense_path(seed, level=6, small_rate=4.0, tail_rate=2.0):
 @pytest.mark.parametrize("scheme", list(Scheme))
 def test_run_scheme_matches_manual_stepping(scheme, finite_coef):
     path = dense_path(123)
-    traj = run_scheme(scheme, path.grid(3), path, finite_coef, y0=1.0)
+    traj = run_scheme(scheme, path.grid(3)[0], path, finite_coef, y0=1.0)
     y = 1.0
     values = [1.0]
     for factor in step_factor(scheme, path.slices(3), finite_coef):
         y = y * factor
         values.append(y)
     assert np.array_equal(traj.values, np.array(values))
-    assert np.array_equal(traj.times, path.grid(3))
+    assert np.array_equal(traj.times, path.grid(3)[0])
 
 
 def test_run_scheme_non_uniform_grid(finite_coef):
     # only a ladder level's uniform dyadic grid of the path is accepted
     path = dense_path(125)
-    fine = path.grid(6)
+    fine = path.grid(6)[0]
     for grid in (fine[[0, 1, 8, 9, 40, 64]],         # non-uniform, 5 cells
                  fine[[0, 1, 8, 40, 64]],            # non-uniform, 4 cells
                  np.array([0.0, 0.3, 1.0]),          # not dyadic
@@ -286,3 +286,16 @@ def test_run_scheme_non_uniform_grid(finite_coef):
                  np.array([0.0]), np.array([])):
         with pytest.raises(ValueError, match="uniform dyadic grid"):
             run_scheme(Scheme.EULER, grid, path, finite_coef, y0=1.0)
+
+
+def test_run_scheme_refuses_a_chunk_of_several_paths(finite_coef):
+    # a chunk of two paths is refused for its path count, whatever the grid;
+    # each of its paths alone is run
+    paths = [dense_path(126), dense_path(127)]
+    chunk = join(paths)
+    for grid in (paths[0].grid(3)[0], chunk.grid(3), chunk.grid(3)[0]):
+        with pytest.raises(ValueError, match="chunk of 2 paths"):
+            run_scheme(Scheme.EULER, grid, chunk, finite_coef, y0=1.0)
+    for path in paths:
+        traj = run_scheme(Scheme.EULER, path.grid(3)[0], path, finite_coef, y0=1.0)
+        assert traj.values.shape == (9,)
