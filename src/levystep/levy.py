@@ -20,7 +20,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -58,6 +58,7 @@ class AtomSpec:
     """Finite measure: tuple of (position, mass) pairs."""
 
     atoms: tuple[tuple[float, float], ...]
+    mark_uniforms = 1  # the uniforms one mark takes (a class constant, not a field)
 
     def __post_init__(self) -> None:
         for x, m in self.atoms:
@@ -80,16 +81,16 @@ class AtomSpec:
         cdf /= cdf[-1]
         return positions, cdf.tolist()
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, draw: Callable[[], float]) -> float:
         """One position drawn with probability proportional to its mass.
 
-        Consumes one `rng.random()` and returns what `rng.choice(positions,
-        p=masses / masses.sum())` would, leaving the generator in the same
-        state (`bisect_right` makes the comparisons of `searchsorted(...,
-        side="right")`).
+        Takes one uniform from `draw` (a generator's `random`, or the next of
+        uniforms it drew) and returns what `rng.choice(positions, p=masses /
+        masses.sum())` would on that uniform (`bisect_right` makes the
+        comparisons of `searchsorted(..., side="right")`).
         """
         positions, cdf = self._positions_cdf
-        return positions[bisect_right(cdf, rng.random())]
+        return positions[bisect_right(cdf, draw())]
 
 
 @dataclass(frozen=True)
@@ -98,6 +99,7 @@ class PowerLawSpec:
 
     c: float
     a: float
+    mark_uniforms = 2  # magnitude, then sign (a class constant, not a field)
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.c) and self.c > 0):
@@ -172,39 +174,38 @@ class LevyModel:
     # -- sampling helpers used by the event simulator ---------------------
 
     @cached_property
-    def _active_small_atoms(self) -> AtomSpec:
-        """The small atoms outside the removed ball (atom models only)."""
-        if self.eps == 0:
-            return self.small
-        return AtomSpec(tuple((x, m) for x, m in self.small.atoms if abs(x) > self.eps))
-
-    def sample_small_mark(self, rng: np.random.Generator) -> float:
+    def _small_sampler(self) -> Callable[[Callable[[], float]], float]:
+        """The small-region mark sampler, checked and set up once a model: the
+        atoms outside the removed ball, or the power-law disc eps < |x| < 1."""
         if isinstance(self.small, AtomSpec):
-            kept = self._active_small_atoms
+            kept = AtomSpec(tuple((x, m) for x, m in self.small.atoms if abs(x) > self.eps))
             if not kept.atoms:
                 raise ValueError("no small-region mass survives the truncation")
-            return kept.sample(rng)
+            return kept.sample
         if self.eps == 0:
             raise ValueError(
                 "small region has infinite mass; truncate() the model before sampling"
             )
-        return _sample_power_law_disc(self.small, self.eps, rng)
+        # |x| by inverse CDF on (eps, 1): F(x) = (eps^-a - x^-a) / (eps^-a - 1),
+        # then an independent fair sign.  Magnitude is drawn first.
+        lo = self.eps ** (-self.small.a)
+        span, power = lo - 1.0, -1.0 / self.small.a
 
-    def sample_tail_mark(self, rng: np.random.Generator) -> float:
+        def disc(draw: Callable[[], float]) -> float:
+            mag = (lo - draw() * span) ** power
+            return mag if draw() < 0.5 else -mag
+        return disc
+
+    def sample_small_mark(self, draw: Callable[[], float]) -> float:
+        """One small-region mark from `draw`'s uniforms: one for an atom, two
+        (magnitude, then sign) for the power-law disc."""
+        return self._small_sampler(draw)
+
+    def sample_tail_mark(self, draw: Callable[[], float]) -> float:
+        """One tail atom from one of `draw`'s uniforms."""
         if self.tail.mass == 0:
             raise ValueError("tail region carries no mass")
-        return self.tail.sample(rng)
-
-
-def _sample_power_law_disc(spec: PowerLawSpec, eps: float, rng: np.random.Generator) -> float:
-    # |x| by inverse CDF on (eps, 1): F(x) = (eps^-a - x^-a) / (eps^-a - 1),
-    # then an independent fair sign.  Magnitude is drawn first.
-    a = spec.a
-    u = rng.random()
-    lo = eps ** (-a)
-    mag = (lo - u * (lo - 1.0)) ** (-1.0 / a)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return sign * mag
+        return self.tail.sample(draw)
 
 
 # -- moments ---------------------------------------------------------------

@@ -126,10 +126,12 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
     a RuntimeError above _MAX_JUMPS before anything of size n is allocated;
     one (2, n) array of uniforms, whose first row sorted and scaled by the
     horizon gives the times and whose second row gives the regions (small
-    where u < small mass / rate), as two `random(n)` calls would; then each
-    jump's mark in time order, one `sample_small_mark` or `sample_tail_mark`
-    call a jump.  Raises if the rate is infinite (an untruncated
-    infinite-activity model cannot be simulated).
+    where u < small mass / rate), as two `random(n)` calls would; then every
+    mark's uniforms in one `random(k)` draw (k = n_tail + n_small times the
+    uniforms one small mark takes), which one `sample_small_mark` or
+    `sample_tail_mark` call a jump maps to the marks in time order, as k
+    scalar `random()` calls would.  Raises if the rate is infinite (an
+    untruncated infinite-activity model cannot be simulated).
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
@@ -141,11 +143,16 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
     n = int(rng.poisson(rate * horizon))
     if n > _MAX_JUMPS:
         raise RuntimeError(f"more than {_MAX_JUMPS} jumps drawn on one path")
+    if n == 0:  # the draws below would take nothing from the stream
+        return np.empty(0), np.empty(0), np.empty(0, dtype=bool)
     time_uniforms, region_uniforms = rng.random((2, n))
     times = np.sort(time_uniforms) * horizon
-    small = region_uniforms < (model.small_mass / rate if rate else 0.0)
-    marks = np.array([model.sample_small_mark(rng) if s else model.sample_tail_mark(rng)
-                      for s in small.tolist()], dtype=np.float64)
+    small = region_uniforms < model.small_mass / rate
+    flags = small.tolist()
+    n_small = flags.count(True)
+    draw = iter(rng.random(n - n_small + n_small * model.small.mark_uniforms).tolist()).__next__
+    marks = np.array([model.sample_small_mark(draw) if s else model.sample_tail_mark(draw)
+                      for s in flags], dtype=np.float64)
     return times, marks, small
 
 

@@ -26,6 +26,14 @@ CONFIG = {
     "b": -0.5, "sigma": 0.3, "F": 0.2, "G": 0.1, "scheme": "milstein",
     "ladder_levels": [2, 3, 4], "finest_level": 6, "paths": 4, "seed": 5,
 }
+# the truncate-powerlaw workload's study, on 40 paths: its marks come from the
+# power-law disc sampler, two uniforms a small jump
+TRUNCATE_CONFIG = {
+    "model": dict(CONFIG["model"], small={"kind": "power_law", "c": 1.0, "a": 1.2}),
+    "b": -0.5, "sigma": 0.3, "F": 0.2, "G": 0.1, "scheme": "euler",
+    "epsilons": [0.5, 0.25, 0.125], "truncation_level": 5,
+    "ladder_levels": [3, 5], "finest_level": 8, "paths": 40, "seed": 2026,
+}
 
 
 def test_every_layer_hook_resolves():
@@ -52,4 +60,14 @@ def test_traced_study_measures_every_count():
     assert not tracer.missing_hooks and not tracer.unmeasured_counts
     counts = tracer.exact_counts()
     assert counts["harness.paths"] == counts["path.built"] == CONFIG["paths"]
+    assert counts["levy.marks"] == counts["path.jumps_small"] + counts["path.jumps_tail"] > 0
+
+
+def test_traced_truncation_study_measures_every_count():
+    # the same counts on the power-law route
+    with layertrace.Tracer() as tracer:
+        harness.truncation_study(config_from_dict(TRUNCATE_CONFIG))
+    assert not tracer.missing_hooks and not tracer.unmeasured_counts
+    counts = tracer.exact_counts()
+    assert counts["harness.paths"] == counts["path.built"] == TRUNCATE_CONFIG["paths"]
     assert counts["levy.marks"] == counts["path.jumps_small"] + counts["path.jumps_tail"] > 0

@@ -131,8 +131,9 @@ def replayed_path_draws(model, horizon, finest_level, rng):
     """The jumps and normals of `build_path(horizon, finest_level, model,
     rng)` drawn by hand in the documented order: the Poisson count, the time
     uniforms and the region uniforms as two `random(n)` calls, each jump's
-    mark uniforms in time order (an atom's through Generator.choice, a power
-    law's magnitude then sign by the inverse cdf), then the normals."""
+    mark uniforms in time order (an atom's through Generator.choice over the
+    tail atoms or the small atoms outside the removed ball, a power law's
+    magnitude then sign by the inverse cdf), then the normals."""
     n = rng.poisson(model.active_rate * horizon)
     times = np.sort(rng.random(n)) * horizon
     small = rng.random(n) < model.small_mass / model.active_rate
@@ -143,15 +144,17 @@ def replayed_path_draws(model, horizon, finest_level, rng):
             mag = (lo - rng.random() * (lo - 1.0)) ** (-1.0 / a)
             marks.append(mag if rng.random() < 0.5 else -mag)
         else:
-            atoms = model.small if s else model.tail
-            masses = np.array([m for _, m in atoms.atoms])
-            marks.append(atoms.atoms[rng.choice(masses.size, p=masses / masses.sum())][0])
+            atoms = ([(x, m) for x, m in model.small.atoms if abs(x) > model.eps] if s
+                     else model.tail.atoms)
+            masses = np.array([m for _, m in atoms])
+            marks.append(atoms[rng.choice(masses.size, p=masses / masses.sum())][0])
     normals = rng.standard_normal((2, 2**finest_level + n))
     return times, np.array(marks), small, normals
 
 
-@pytest.mark.parametrize("model", [dense_model(), POWER_LAW_WITH_TAIL],
-                         ids=["atoms", "power-law"])
+@pytest.mark.parametrize("model", [dense_model(), truncate(dense_model(), 0.45),
+                                   POWER_LAW_WITH_TAIL],
+                         ids=["atoms", "truncated-atoms", "power-law"])
 def test_build_path_draws_count_times_regions_marks_then_normals(model):
     # a path's stream is the count, the times, the regions, the marks in
     # time order and then the normals, and nothing more, as bytes
@@ -169,6 +172,21 @@ def test_build_path_draws_count_times_regions_marks_then_normals(model):
         assert rng.random() == ref.random()
         regions.extend(small.tolist())
     assert regions.count(True) > 20 and regions.count(False) > 5
+
+
+def test_a_path_without_jumps_draws_no_mark_uniforms(finite_model):
+    # n = 0: the stream is the count and then the normals, nothing between
+    empty = 0
+    for i in range(40):
+        rng = np.random.default_rng(np.random.SeedSequence((37, i)))
+        ref = np.random.default_rng(np.random.SeedSequence((37, i)))
+        path = build_path(1.0, 2, finite_model, rng)
+        if ref.poisson(finite_model.active_rate) == 0:
+            empty += 1
+            assert path.jump_times.size == 0
+            assert path.normals[:, :-1].tobytes() == ref.standard_normal((2, 4)).tobytes()
+            assert rng.random() == ref.random()
+    assert empty > 3
 
 
 def test_arrival_times_are_uniform_on_the_horizon(finite_model):
@@ -299,7 +317,8 @@ def test_build_path_rejects_negative_level(finite_model, rng):
 class ScriptedRng:
     """Just enough of the Generator surface to force chosen arrivals: the
     Poisson count, then the uniforms in the order they are asked for (the
-    times row, the regions row, then one a jump for an atom mark)."""
+    times row, the regions row, then every mark's uniforms in one draw, one
+    a jump for an atom mark)."""
 
     def __init__(self, count, uniforms):
         self._count = count
@@ -308,10 +327,8 @@ class ScriptedRng:
     def poisson(self, lam):
         return self._count
 
-    def random(self, size=None):
-        if size is None:
-            return self._uni.pop(0)
-        n = math.prod(size)
+    def random(self, size):
+        n = int(np.prod(size))
         drawn, self._uni = self._uni[:n], self._uni[n:]
         return np.array(drawn, dtype=np.float64).reshape(size)
 
