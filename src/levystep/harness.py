@@ -56,18 +56,13 @@ _MAX_PARTIAL_ENTRIES = 2**22
 # (a slice holding more is evaluated alone): about 70 MB a piece while it is
 # evaluated, whatever the jumps of one cell
 _PARTIAL_PIECE_ENTRIES = 2**18
-# a chunk of paths evaluated together closes once its paths' finest-level
-# cells reach _CHUNK_CELLS (16 paths at finest level 10; a path of level 14
-# or more is a chunk alone), their jumps reach _CHUNK_JUMPS, or, in the
-# convergence study, the squares of their jump counts reach
-# _CHUNK_JUMP_PAIRS (the partial slices of a path with J jumps hold up to
-# J (J + 1) / 2 of them a ladder level; the truncation study makes none), so
-# that a chunk's arrays stay within a few MB beyond one path's own while the
-# chunk's fixed cost (about 0.85 ms a chunk on the README converge config,
-# 2-core VM) is shared by many paths
-_CHUNK_CELLS = 2**14
-_CHUNK_JUMPS = 2**14
-_CHUNK_JUMP_PAIRS = 2**16
+# a chunk of paths evaluated together closes once its paths' events (grid
+# points and jumps) reach _CHUNK_EVENTS: 16 paths at finest level 10, and a
+# path with more events is a chunk alone.  A chunk's arrays so stay within
+# that many events beyond one path's own, its partial slices are bounded by
+# the pieces above alone, and its fixed cost (about 0.85 ms a chunk on the
+# README converge config, 2-core VM) is shared by many paths
+_CHUNK_EVENTS = 2**14
 
 _TOP_KEYS = {"model", "b", "sigma", "F", "G", "y0", "T", "scheme",
              "ladder_levels", "finest_level", "paths", "seed", "epsilons",
@@ -324,18 +319,15 @@ def _squares(x: np.ndarray) -> list[float]:
     return squares
 
 
-def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows,
-              partial_slices: bool) -> np.ndarray:
+def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) -> np.ndarray:
     """The Monte-Carlo loop of both studies: path i is built at the finest
     level from its own stream, and a chunk of paths at a time is evaluated
     by one `rows(paths, join(paths))` call, whose (len(paths), *shape)
     result holds each path's row as the path alone would give it.  So a
-    path's row depends on neither the path count nor the chunking.  The
-    jump-pair budget closes chunks only when `rows` makes partial slices."""
+    path's row depends on neither the path count nor the chunking."""
     require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
     out = np.empty((cfg.paths, *shape))
-    pair_budget = _CHUNK_JUMP_PAIRS if partial_slices else math.inf
-    paths, jumps, pairs = [], 0, 0
+    paths, events = [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path
         for i in range(cfg.paths):
             try:
@@ -343,12 +335,10 @@ def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows,
             except RuntimeError as exc:
                 raise RuntimeError(f"path {i}: {exc}") from exc
             paths.append(path)
-            jumps += path.jump_times.size
-            pairs += path.jump_times.size ** 2
-            if (len(paths) << cfg.finest_level >= _CHUNK_CELLS or jumps >= _CHUNK_JUMPS
-                    or pairs >= pair_budget or i == cfg.paths - 1):
+            events += path.event_times.size
+            if events >= _CHUNK_EVENTS or i == cfg.paths - 1:
                 out[i + 1 - len(paths):i + 1] = rows(paths, join(paths))
-                paths, jumps, pairs = [], 0, 0
+                paths, events = [], 0
     return out
 
 
@@ -387,8 +377,7 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     coef = cfg.coefficients_for(active)
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
     rows = _per_path(cfg, active, (2, len(levels)),
-                     lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk),
-                     partial_slices=True)
+                     lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk))
     (mean, scheme_sup), (se, _) = _path_stats(rows, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -457,7 +446,7 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
         return np.transpose([_squares(np.abs(values(b, c) - ref).max(axis=1))
                              for b, c in zip(kept, coefs)])
 
-    per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs, partial_slices=False)
+    per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs)
     mean, se = _path_stats(per_path, "epsilon", eps_list)
     slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
     half = 1.96 * slope_se

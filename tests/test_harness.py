@@ -382,71 +382,51 @@ def test_per_path_results_do_not_depend_on_the_path_count(study, cfg):
 ], ids=[f"converge-{name}-{scheme}" for name in ("jumpless", "jump-heavy", "power-law")
         for scheme in ("euler", "milstein")] + ["truncate"])
 def test_per_path_results_do_not_depend_on_the_chunking(monkeypatch, study, cfg):
-    # 70 paths in chunks of 1, 7 or 64 (the last chunk short), then in the
-    # chunks the default budgets close; a 64-path chunk of the jump-heavy
-    # model would hold ~1.4e6 partial-slice jumps (~0.5 GB), the load the
-    # jump-pair budget exists to cap, so its largest forced chunk is 7 paths
+    # 70 paths one a chunk, in short chunks, in one chunk, then in the
+    # chunks the default budget closes; the partial slices of one 70-path
+    # jump-heavy chunk are evaluated in pieces, so every chunking is affordable
     real_join, sizes = harness.join, []
     monkeypatch.setattr(harness, "join", lambda paths: sizes.append(len(paths)) or real_join(paths))
-    monkeypatch.setattr(harness, "_CHUNK_JUMP_PAIRS", math.inf)
-    per_chunking = []
-    for size in (1, 7) if cfg["model"] is CROSS_CHECK_MODELS["jump-heavy"][0] else (1, 7, 64):
-        monkeypatch.setattr(harness, "_CHUNK_CELLS", size << cfg["finest_level"])
+    per_chunking, chunkings = [], []
+    for budget in (1, 7 << cfg["finest_level"], math.inf):
+        monkeypatch.setattr(harness, "_CHUNK_EVENTS", budget)
         sizes.clear()
         per_chunking.append(study(config_from_dict(cfg | {"paths": 70})))
-        assert sizes == [size] * (70 // size) + [70 % size] * (70 % size > 0)
+        chunkings.append(list(sizes))
     monkeypatch.undo()
     per_chunking.append(study(config_from_dict(cfg | {"paths": 70})))
+    one_each, short, whole = chunkings
+    assert one_each == [1] * 70 and whole == [70]
+    assert sum(short) == 70 and 1 < max(short) < 70
+    assert len(set(map(tuple, chunkings))) == 3
     assert len({rep.per_path.tobytes() + getattr(rep, "scheme_sup_sq", np.empty(0)).tobytes()
                 for rep in per_chunking}) == 1
 
 
-def test_a_chunk_closes_at_either_budget(monkeypatch):
-    # jump-heavy paths (~240 jumps) at finest level 6: the cell budget would
-    # take 128 paths, the jump-pair budget closes each chunk first
+@pytest.mark.parametrize("study,cfg", [
+    # ~240 jumps a path at finest level 6: ~54 paths a chunk
+    (strong_error_study, base_config(model=CROSS_CHECK_MODELS["jump-heavy"][0], finest_level=6,
+                                     ladder_levels=[1, 2], paths=120)),
+    # criterion 7's paths at a = 1.2, ~105 jumps and 257 grid points: ~45 paths a chunk
+    (truncation_study, README_TRUNCATE | {
+        "model": README_MODEL | {"small": {"kind": "power_law", "c": 1.0, "a": 1.2}},
+        "paths": 130}),
+    # a = 1.5 truncated at 0.005: ~3800 jumps a path against 4 finest cells: ~5 paths a chunk
+    (truncation_study, README_TRUNCATE | {
+        "model": README_MODEL | {"small": {"kind": "power_law", "c": 1.0, "a": 1.5}},
+        "epsilons": [0.08, 0.04, 0.02], "truncation_level": 0, "ladder_levels": [0],
+        "finest_level": 2, "paths": 12}),
+], ids=["converge-jump-heavy", "truncate-a1.2", "truncate-a1.5-level2"])
+def test_a_chunk_closes_once_its_events_reach_the_budget(monkeypatch, study, cfg):
+    # grid points and jumps count alike: a chunk's arrays stay within
+    # _CHUNK_EVENTS events beyond one path's own
     real_join, chunks = harness.join, []
     monkeypatch.setattr(harness, "join", lambda paths: chunks.append(paths) or real_join(paths))
-    model, finest, ladder = CROSS_CHECK_MODELS["jump-heavy"]
-    strong_error_study(config_from_dict(base_config(
-        model=model, finest_level=finest, ladder_levels=ladder, scheme="milstein", paths=12)))
-    pairs = [[p.jump_times.size ** 2 for p in paths] for paths in chunks]
-    assert sum(map(len, chunks)) == 12 and len(chunks) > 1
-    assert all(sum(c[:-1]) < harness._CHUNK_JUMP_PAIRS <= sum(c) for c in pairs[:-1])
-    assert sum(pairs[-1][:-1]) < harness._CHUNK_JUMP_PAIRS
-
-
-def test_a_truncation_chunk_is_not_closed_by_jump_pairs(monkeypatch):
-    # criterion 7's paths at a = 1.2 hold ~105 jumps (~11 000 jump pairs),
-    # so the jump-pair budget would close a chunk every ~6 paths; the
-    # truncation study makes no partial slices, and its chunks take the 64
-    # paths the cell budget allows at finest level 8
-    real_join, chunks = harness.join, []
-    monkeypatch.setattr(harness, "join", lambda paths: chunks.append(paths) or real_join(paths))
-    power_law = {"kind": "power_law", "c": 1.0, "a": 1.2}
-    truncation_study(config_from_dict(README_TRUNCATE | {
-        "model": README_MODEL | {"small": power_law}, "paths": 130}))
-    assert [len(paths) for paths in chunks] == [64, 64, 2]
-    assert harness._CHUNK_CELLS >> README_TRUNCATE["finest_level"] == 64
-    jumps = [p.jump_times.size for p in chunks[0]]
-    assert np.mean(jumps) > 90 and sum(jumps) < harness._CHUNK_JUMPS
-    assert sum(j * j for j in jumps[:10]) > harness._CHUNK_JUMP_PAIRS
-
-
-def test_a_jump_heavy_truncation_chunk_closes_on_its_jumps(monkeypatch):
-    # a = 1.5 truncated at 0.005: ~3800 jumps a path against 4 finest cells,
-    # so the cell budget would take 4096 paths; the jump budget closes each
-    # chunk once its jumps reach _CHUNK_JUMPS, keeping a chunk's arrays
-    # within that many jumps beyond one path's own
-    real_join, chunks = harness.join, []
-    monkeypatch.setattr(harness, "join", lambda paths: chunks.append(paths) or real_join(paths))
-    power_law = {"kind": "power_law", "c": 1.0, "a": 1.5}
-    truncation_study(config_from_dict(README_TRUNCATE | {
-        "model": README_MODEL | {"small": power_law}, "epsilons": [0.08, 0.04, 0.02],
-        "truncation_level": 0, "ladder_levels": [0], "finest_level": 2, "paths": 12}))
-    jumps = [[p.jump_times.size for p in paths] for paths in chunks]
-    assert sum(map(len, chunks)) == 12 and len(chunks) > 2
-    assert all(sum(c[:-1]) < harness._CHUNK_JUMPS <= sum(c) for c in jumps[:-1])
-    assert sum(jumps[-1][:-1]) < harness._CHUNK_JUMPS
+    study(config_from_dict(cfg))
+    events = [[p.event_times.size for p in paths] for paths in chunks]
+    assert sum(map(len, chunks)) == cfg["paths"] and len(chunks) > 2
+    assert all(sum(c[:-1]) < harness._CHUNK_EVENTS <= sum(c) for c in events[:-1])
+    assert sum(events[-1][:-1]) < harness._CHUNK_EVENTS
 
 
 @pytest.mark.parametrize("model_name", ["jumpless", "jump-heavy", "power-law"])
@@ -512,6 +492,24 @@ def test_partial_slices_in_pieces_give_the_same_errors(monkeypatch, model_name, 
     assert all(p.time.size <= 100 or p.left.size == 1 for p in pieces)
     assert split.per_path.tobytes() == whole.per_path.tobytes()
     assert split.scheme_sup_sq.tobytes() == whole.scheme_sup_sq.tobytes()
+
+
+def test_a_chunks_partial_slices_are_bounded_by_their_pieces(monkeypatch):
+    # at the default budgets a jump-heavy chunk's partial slices hold several
+    # pieces' worth of jump entries; each evaluator call takes one piece
+    real_between, calls = path_mod.DrivingPath.slice_between, []
+
+    def spy(chunk, ia, ib):
+        calls.append((chunk, real_between(chunk, ia, ib)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(path_mod.DrivingPath, "slice_between", spy)
+    model, finest, ladder = CROSS_CHECK_MODELS["jump-heavy"]
+    strong_error_study(config_from_dict(base_config(
+        model=model, finest_level=finest, ladder_levels=ladder, paths=60)))
+    assert len(calls) > len({id(chunk) for chunk, _ in calls})  # a chunk takes several
+    assert all(p.time.size <= harness._PARTIAL_PIECE_ENTRIES or p.left.size == 1
+               for _, p in calls)
 
 
 def test_truncation_study_needs_epsilons():
