@@ -37,9 +37,9 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 
 # -- configuration -----------------------------------------------------------
 
-# 2**20 cells, checked before any allocation: a path built at level 20 holds
-# about 33 MiB of arrays and peaks at about 41 MiB while it is built; its
-# first slicing forms its Wiener data, to about 97 MiB held and a 105 MiB peak
+# 2**20 cells, checked before any allocation: a level-20 path holds about 41 MiB
+# built (with the 8 MiB grid build_path keeps; 57 MiB peak), 73 MiB once Euler
+# steps read its dW data and 105 MiB (113 MiB peak) once Milstein steps read dZ, W
 _MAX_FINEST_LEVEL = 20
 # expected events a path (grid points plus jumps), checked before any path is
 # drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused
@@ -262,7 +262,7 @@ def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
     first _PARTIAL_PIECE_ENTRIES jump entries follow in further calls of at
     most that many)."""
     levels, jumps = cfg.ladder_levels, chunk.jump_events
-    grid_slices = [chunk.slices(lv) for lv in levels]  # the first forms the Wiener data
+    grid_slices = [chunk.slices(lv) for lv in levels]  # the first forms the dW stage
     exact = exact_solution(chunk, np.arange(chunk.event_times.size), coef, cfg.y0)
     owner = chunk.jump_cells >> cfg.finest_level  # the path of each jump
     edges = [chunk.grid_events(lv) for lv in levels]  # (paths, 2**lv + 1) each

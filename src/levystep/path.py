@@ -20,7 +20,8 @@ jumps and, per gap, the two standard normals of (dW, z_local).  The Wiener
 data (dW, z_local and W per gap and event, then (dW, dZ) over the dyadic
 intervals of every level, aggregated pairwise up from the finest cells, so
 combining the two children of a dyadic interval reproduces the parent
-bit-for-bit) is formed from the normals on first slicing.
+bit-for-bit) is formed from the normals when first read: the dW part when
+the path is sliced, the rest only when a Milstein step reads it.
 
 A path is a chunk of one path; paths of one horizon and finest level are
 joined end to end into one chunk by `join`, whose slices are those of its
@@ -32,8 +33,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
-from typing import NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -52,19 +53,24 @@ _MAX_JUMPS = 2**24
 def sample_dw_dz(deltas: np.ndarray, rng: np.random.Generator
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Independent joint draws of (dW, dZ), one per interval length in deltas
-    (see `_dw_dz`)."""
+    (see `_dw` and `_z_local`)."""
     deltas = np.asarray(deltas, dtype=np.float64)
     if not (deltas > 0).all():
         raise ValueError(f"interval lengths must be positive, got min {deltas.min()}")
-    return _dw_dz(rng.standard_normal((2, deltas.size)), deltas)
+    normals = rng.standard_normal((2, deltas.size))
+    return _dw(normals[0], deltas), _z_local(normals, deltas)
 
 
-def _dw_dz(normals: np.ndarray, deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """dW = U1 sqrt(delta), dZ = delta^{3/2} (U1 + U2/sqrt(3)) / 2 with U1, U2
-    the two rows of `normals`, which realizes Var dW = delta,
+def _dw(u1: np.ndarray, deltas: np.ndarray) -> np.ndarray:  # see `_z_local`
+    return u1 * np.sqrt(deltas)
+
+
+def _z_local(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """dZ = delta^{3/2} (U1 + U2/sqrt(3)) / 2 with U1, U2 the two rows of
+    `normals` and dW = `_dw(U1, delta)`, which realizes Var dW = delta,
     Var dZ = delta^3/3, Cov = delta^2/2 for independent standard normals."""
     u1, u2 = normals[0], normals[1]
-    return u1 * np.sqrt(deltas), 0.5 * deltas**1.5 * (u1 + u2 / _SQRT3)
+    return 0.5 * deltas**1.5 * (u1 + u2 / _SQRT3)
 
 
 @dataclass(frozen=True)
@@ -86,34 +92,38 @@ class Slices:
     then by time; slice k holds the jumps with left_k < time <= right_k):
     time, mark, region flag, W at the jump and the owning slice.  Slices may
     overlap, in which case a jump appears once for every slice holding it.
+    dz, w_left, w_right and w, which only the Milstein scheme reads, are
+    `late()`, called once, on the first read of any of them.
     """
 
     left: np.ndarray
     right: np.ndarray
     delta: np.ndarray
     dw: np.ndarray
-    dz: np.ndarray
-    w_left: np.ndarray
-    w_right: np.ndarray
     time: np.ndarray
     mark: np.ndarray
     small: np.ndarray     # True for a small-region jump, False for a tail jump
-    w: np.ndarray
     slice_id: np.ndarray  # nondecreasing
+    late: Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+
+    _late = cached_property(lambda self: self.late())
+    dz, w_left, w_right, w = (property(lambda self, k=k: self._late[k]) for k in range(4))
 
     def keep_jumps(self, keep: np.ndarray) -> "Slices":
         """The same slices holding only the jumps where the mask `keep` is set."""
         return replace(self, time=self.time[keep], mark=self.mark[keep], small=self.small[keep],
-                       w=self.w[keep], slice_id=self.slice_id[keep])
+                       slice_id=self.slice_id[keep], late=lambda: (*self._late[:3], self.w[keep]))
 
 
 def stack(batches) -> tuple[Slices, np.ndarray]:
     """One batch of the slices of `batches` in order (slice ids offset so they
     stay nondecreasing), and bounds: batch b is slices bounds[b]:bounds[b + 1]."""
     bounds = np.cumsum([0] + [b.left.size for b in batches])
-    cat = {f.name: np.concatenate([getattr(b, f.name) for b in batches]) for f in fields(Slices)}
+    cat = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
+           for f in fields(Slices)[:-1]}  # all but late
     cat["slice_id"] += np.repeat(bounds[:-1], [b.slice_id.size for b in batches])
-    return Slices(**cat), bounds
+    return Slices(**cat, late=lambda: tuple(
+        map(np.concatenate, zip(*(b._late for b in batches))))), bounds
 
 
 def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
@@ -167,14 +177,13 @@ def dyadic_grid(horizon: float, level: int) -> np.ndarray:
     return (np.arange(2**level + 1, dtype=np.float64) * horizon) / float(2**level)
 
 
-class _Wiener(NamedTuple):
-    """A path's Wiener data, formed from its normals (see `DrivingPath`)."""
-
-    gaps: np.ndarray
-    dw: np.ndarray
-    z_locals: np.ndarray
-    w_values: np.ndarray
-    levels: list[tuple[np.ndarray, np.ndarray]]
+@lru_cache(maxsize=1)
+def _shared_grid(horizon: float, level: int) -> np.ndarray:
+    """`dyadic_grid(horizon, level)`, read-only, kept for the next path
+    (`build_path` merges a copy of it into each path)."""
+    grid = dyadic_grid(horizon, level)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +191,12 @@ class DrivingPath:
     """The noise of a chunk of paths laid end to end: one path from
     `build_path`, or several joined by `join`.
 
-    The Wiener data is formed from `normals` on first use and kept: per gap
-    (gap g follows event g) its length `gaps`, `dw` and `z_locals`, each
-    (n_events,), zero at each path's last event; W at every event,
-    `w_values` (n_events,), 0 at each path's first event; and per level the
-    (dW, dZ) over its dyadic intervals, `cell_dw`/`cell_dz` at the finest
-    level, path by path.
+    The Wiener data is formed from `normals` in two stages, each kept.  On
+    first slicing or `exact_solution`: per gap (gap g follows event g) its
+    length `gaps` and `dw` (n_events,), zero at each path's last event, and
+    each level's dW over its dyadic intervals (`cell_dw` the finest, path by
+    path).  On the first read of a batch's dz or W: per gap `z_locals`, W at
+    every event `w_values`, 0 at each path's first event, and each level's dZ.
     """
 
     horizon: float
@@ -241,40 +250,47 @@ class DrivingPath:
     # -- Wiener data ---------------------------------------------------------
 
     @cached_property
-    def _wiener(self) -> _Wiener:
-        """The Wiener data of every path at once, each path's as it would be
-        alone: each path's pad gap is zeroed before the transform, W
-        restarts at each path's first event, and each path's last finest
-        cell stops at its last gap (a segment one value longer would sum in
-        another order)."""
+    def _dw_stage(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """gaps, dw and each level's dW, coarsest first, of every path at once,
+        each path's as it would be alone (its pad gap zeroed)."""
         times, edges = self.event_times, self.cell_edges
         gaps = np.empty(times.size)
         np.subtract(times[1:], times[:-1], out=gaps[:-1])
         gaps[edges[:, -1]] = 0.0
-        dw, z_locals = _dw_dz(self.normals, gaps)
-        w_values = self.along_paths(np.add, dw, 0.0)
-        # each pad a segment of its own, of one gap, dropped after the sums
-        cuts, lengths = edges.ravel(), np.empty(edges.size, edges.dtype)
-        np.subtract(cuts[1:], cuts[:-1], out=lengths[:-1])
-        lengths[-1] = 1
-        w_cell_left = np.repeat(w_values[cuts], lengths)
-        sums = (np.add.reduceat(dw, cuts),
-                np.add.reduceat((w_values - w_cell_left) * gaps + z_locals, cuts))
-        levels = [tuple(s.reshape(edges.shape)[:, :-1].ravel() for s in sums)]
-        for child_level in range(self.finest_level, 0, -1):
-            cdw, cdz = levels[-1]
-            left = cdw[0::2]
-            dz = cdz[0::2] + cdz[1::2]
-            dz += left * (self.horizon / float(2**child_level))
-            levels.append((left + cdw[1::2], dz))
-        return _Wiener(gaps, dw, z_locals, w_values, levels[::-1])
+        dw = _dw(self.normals[0], gaps)
+        levels = [self._cell_sums(dw)]
+        for _ in range(self.finest_level):
+            levels.append(levels[-1][0::2] + levels[-1][1::2])
+        return gaps, dw, levels[::-1]
 
-    gaps = property(lambda self: self._wiener.gaps)
-    dw = property(lambda self: self._wiener.dw)
-    z_locals = property(lambda self: self._wiener.z_locals)
-    w_values = property(lambda self: self._wiener.w_values)
-    cell_dw = property(lambda self: self._wiener.levels[-1][0])
-    cell_dz = property(lambda self: self._wiener.levels[-1][1])
+    @cached_property
+    def _dz_stage(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """z_locals, w_values (restarting at each path's first event) and
+        each level's dZ, coarsest first."""
+        gaps, dw, dw_levels = self._dw_stage
+        z_locals = _z_local(self.normals, gaps)
+        w_values = self.along_paths(np.add, dw, 0.0)
+        cuts = self.cell_edges.ravel()
+        w_cell_left = np.repeat(w_values[cuts], np.diff(cuts, append=cuts[-1] + 1))
+        levels = [self._cell_sums((w_values - w_cell_left) * gaps + z_locals)]
+        for child_level in range(self.finest_level, 0, -1):
+            dz = levels[-1][0::2] + levels[-1][1::2]
+            dz += dw_levels[child_level][0::2] * (self.horizon / float(2**child_level))
+            levels.append(dz)
+        return z_locals, w_values, levels[::-1]
+
+    def _cell_sums(self, per_gap: np.ndarray) -> np.ndarray:
+        """Per finest cell, path by path, the sum of `per_gap`; each pad gap
+        is a segment of its own, dropped, as one value more would reorder a sum."""
+        edges = self.cell_edges
+        return np.add.reduceat(per_gap, edges.ravel()).reshape(edges.shape)[:, :-1].ravel()
+
+    gaps = property(lambda self: self._dw_stage[0])
+    dw = property(lambda self: self._dw_stage[1])
+    cell_dw = property(lambda self: self._dw_stage[2][-1])
+    z_locals = property(lambda self: self._dz_stage[0])
+    w_values = property(lambda self: self._dz_stage[1])
+    cell_dz = property(lambda self: self._dz_stage[2][-1])
 
     def along_paths(self, op: np.ufunc, per_gap: np.ndarray, first: float) -> np.ndarray:
         """Per event, `first` at each path's first event and then `op`
@@ -293,7 +309,7 @@ class DrivingPath:
         path in turn: slice path * 2**level + k is the path's slice k."""
         edges = self.grid_events(level)
         return self._batch(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
-                           *self._wiener.levels[level],
+                           self._dw_stage[2][level], lambda: self._dz_stage[2][level],
                            slice(None), self.jump_cells >> (self.finest_level - level))
 
     def slice_between(self, ia, ib) -> Slices:
@@ -306,30 +322,39 @@ class DrivingPath:
                 and ia.shape == ib.shape and np.all((0 <= ia) & (ia < ib) & (ib < n))):
             raise ValueError("slice endpoints must be integer event-index arrays of "
                              f"one shape with 0 <= ia < ib < {n}")
-        lengths, wiener = ib - ia, self._wiener
+        lengths, (gaps, dw, _) = ib - ia, self._dw_stage
         # np.add.reduceat adds a segment as first + pairwise(rest); a zeroed
         # pad slot ahead of each slice's gaps (index -1 at ia = 0) makes it
         # the pairwise sum np.sum gives, bit for bit
         at = _concat_ranges(ia - 1, lengths + 1)
         starts = np.cumsum(lengths + 1) - (lengths + 1)
-        w = wiener.w_values
-        dw = wiener.dw[at]
-        dz = (w[at] - np.repeat(w[ia], lengths + 1)) * wiener.gaps[at] + wiener.z_locals[at]
-        dw[starts] = dz[starts] = 0.0
-        dw, dz = np.add.reduceat(dw, starts), np.add.reduceat(dz, starts)
+
+        def sums(per_gap):
+            per_gap[starts] = 0.0
+            return np.add.reduceat(per_gap, starts)
+
+        def dz():
+            z_locals, w, _ = self._dz_stage
+            return sums((w[at] - np.repeat(w[ia], lengths + 1)) * gaps[at] + z_locals[at])
+
         first = np.searchsorted(self.jump_events, ia, side="right")
         counts = np.searchsorted(self.jump_events, ib, side="right") - first
-        return self._batch(ia, ib, dw, dz, _concat_ranges(first, counts),
+        return self._batch(ia, ib, sums(dw[at]), dz, _concat_ranges(first, counts),
                            np.repeat(np.arange(ia.size), counts))
 
     def _batch(self, ia, ib, dw, dz, held, slice_id) -> Slices:
-        """The slices from events ia[k] to ib[k] with their dW and dZ, holding
-        the jumps `held` (an index or a slice into the jump arrays)."""
-        left, right, w = self.event_times[ia], self.event_times[ib], self._wiener.w_values
-        return Slices(left=left, right=right, delta=right - left, dw=dw, dz=dz,
-                      w_left=w[ia], w_right=w[ib], time=self.jump_times[held],
-                      mark=self.jump_marks[held], small=self.jump_small[held],
-                      w=w[self.jump_events[held]], slice_id=slice_id)
+        """The slices from events ia[k] to ib[k] with their dW, holding the
+        jumps `held` (an index or a slice into the jump arrays); `dz()` gives
+        their dZ, read with W from the dZ/W stage as the batch's `late`."""
+        left, right = self.event_times[ia], self.event_times[ib]
+
+        def late():
+            w = self._dz_stage[1]
+            return dz(), w[ia], w[ib], w[self.jump_events[held]]
+
+        return Slices(left=left, right=right, delta=right - left, dw=dw,
+                      time=self.jump_times[held], mark=self.jump_marks[held],
+                      small=self.jump_small[held], slice_id=slice_id, late=late)
 
 
 def join(paths) -> DrivingPath:
@@ -398,7 +423,7 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     """Simulate one driving path, a chunk of one path: jump stream first,
     then the standard normals of the Wiener data on the gaps of the union of
     the finest dyadic grid and the jump times (the Wiener data is formed from
-    them when the path is first sliced).
+    them when it is first read, see `DrivingPath`).
 
     A jump time that collides exactly with a dyadic point (or an earlier jump)
     is nudged by one ulp and the nudge is logged; collisions have probability
@@ -407,7 +432,7 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     if finest_level < 0:
         raise ValueError("finest_level must be nonnegative")
     jump_times, jump_marks, jump_small = simulate_events(horizon, model, rng)
-    dyad = dyadic_grid(horizon, finest_level)
+    dyad = _shared_grid(horizon, finest_level)
     event_times, position = _merge(dyad, jump_times)
     # a jump time on a dyadic point or on an earlier jump
     if not (event_times[1:] > event_times[:-1]).all():

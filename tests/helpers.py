@@ -131,14 +131,14 @@ class RawSlice:
             return np.array([v], dtype=np.float64)
 
         return Slices(left=one(self.left), right=one(self.ev[-1]), delta=one(self.delta),
-                      dw=one(dw_tot), dz=one(dz), w_left=one(self.w[0]),
-                      w_right=one(self.w[-1]),
+                      dw=one(dw_tot),
                       time=np.array([self.times[i] for i in at_jump], dtype=np.float64),
                       mark=np.array([self.jump_data[i][1] for i in at_jump], dtype=np.float64),
                       small=np.array([self.jump_data[i][2] is Region.SMALL for i in at_jump],
                                      dtype=bool),
-                      w=np.array([self.w[i + 1] for i in at_jump], dtype=np.float64),
-                      slice_id=np.zeros(len(at_jump), dtype=np.intp))
+                      slice_id=np.zeros(len(at_jump), dtype=np.intp),
+                      late=lambda: (one(dz), one(self.w[0]), one(self.w[-1]), np.array(
+                          [self.w[i + 1] for i in at_jump], dtype=np.float64)))
 
 
 def random_raw_slice(rng: np.random.Generator, max_jumps: int = 6) -> RawSlice:

@@ -459,8 +459,43 @@ def test_a_study_forms_the_wiener_data_of_its_chunks_only(monkeypatch):
     monkeypatch.setattr(harness, "join", spy)
     strong_error_study(config_from_dict(README_CONVERGE))
     assert sum(len(paths) for paths, _ in chunks) == README_CONVERGE["paths"]
-    assert not any("_wiener" in vars(p) for paths, _ in chunks for p in paths)
-    assert all("_wiener" in vars(chunk) for _, chunk in chunks)
+    stages = ("_dw_stage", "_dz_stage")
+    assert not any(s in vars(p) for paths, _ in chunks for p in paths for s in stages)
+    assert all(s in vars(chunk) for _, chunk in chunks for s in stages)
+
+
+def test_only_the_milstein_scheme_forms_the_dz_and_w_stage(monkeypatch):
+    # dZ, z_local and W are read by Milstein steps alone: an Euler converge
+    # study (partial slices and the exact solution included), a truncation
+    # study (its batches masked by keep_jumps) and an Euler run_scheme form
+    # the dW stage only, and a Milstein study forms the dZ/W stage once a chunk
+    real_join, real_z_local, chunks, formed = harness.join, path_mod._z_local, [], []
+
+    def spy(paths):
+        chunks.append(real_join(paths))
+        return chunks[-1]
+
+    def z_local_spy(normals, deltas):
+        formed.append(deltas.size)
+        return real_z_local(normals, deltas)
+
+    monkeypatch.setattr(harness, "join", spy)
+    monkeypatch.setattr(path_mod, "_z_local", z_local_spy)
+    for study, cfg in [(strong_error_study, README_CONVERGE | {"scheme": "euler"}),
+                       (truncation_study, README_TRUNCATE)]:
+        chunks.clear()
+        study(config_from_dict(cfg))
+        assert chunks and any(c.jump_times.size for c in chunks)
+        assert all("_dw_stage" in vars(c) and "_dz_stage" not in vars(c) for c in chunks)
+    cfg = config_from_dict(README_CONVERGE)
+    path = build_path(1.0, cfg.finest_level, cfg.model, path_rng(cfg.seed, 0))
+    traj = harness.run_scheme(Scheme.EULER, path.grid(3)[0], path, cfg.coefficients_for(cfg.model),
+                              cfg.y0)
+    assert np.all(np.isfinite(traj.values)) and "_dz_stage" not in vars(path)
+    assert formed == []
+    chunks.clear()
+    strong_error_study(cfg)
+    assert formed == [c.event_times.size for c in chunks]
 
 
 def test_pieces_cover_the_slices_within_the_budget():

@@ -241,6 +241,18 @@ def test_dyadic_grid_cross_level_consistent(horizon):
                               dyadic_grid(horizon, level))
 
 
+def test_build_path_merges_a_copy_of_one_read_only_grid(finite_model):
+    # one cached grid a (horizon, level), bit-equal to dyadic_grid; each
+    # path's event grid is its own copy
+    paths = [build_path(0.7, 4, finite_model, np.random.default_rng(s)) for s in (1, 2)]
+    grid = path_mod._shared_grid(0.7, 4)
+    assert grid.tobytes() == dyadic_grid(0.7, 4).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        grid[1] = 0.5
+    assert not any(np.shares_memory(p.event_times, grid) for p in paths)
+    assert all(p.event_times.flags.writeable for p in paths)
+
+
 # -- path construction -------------------------------------------------------
 
 def test_build_path_event_grid_is_union(finite_model):
@@ -623,6 +635,26 @@ def test_slice_between_validation(finite_model):
         with pytest.raises(ValueError, match="integer event-index arrays"):
             path.slice_between(ia, ib)
     assert path.slice_between(0, n - 1).right[0] == 1.0
+
+
+def test_a_batch_forms_the_dz_and_w_stage_on_first_read():
+    # a batch's dW needs the dW stage alone; keep_jumps and stack pass the
+    # late fields (dZ, W) on unformed, and their first read forms them
+    path = build_path(1.0, 4, dense_model(), np.random.default_rng(63))
+    batch = path.slices(2)
+    keep = np.arange(batch.time.size) % 2 == 0
+    kept = batch.keep_jumps(keep)
+    part = path.slice_between(path.grid_events(2)[0, path.jump_cells >> 2], path.jump_events)
+    both, _ = stack([kept, part])
+    assert both.dw.size == 4 + path.jump_times.size and 0 < keep.sum() < keep.size
+    assert "_dw_stage" in vars(path) and "_dz_stage" not in vars(path)
+    assert not any("_late" in vars(b) for b in (batch, kept, part, both))
+    assert both.w.tobytes() == np.concatenate((batch.w[keep], part.w)).tobytes()
+    for name in ("dz", "w_left", "w_right"):
+        assert getattr(kept, name) is getattr(batch, name)
+        want = np.concatenate((getattr(batch, name), getattr(part, name)))
+        assert getattr(both, name).tobytes() == want.tobytes(), name
+    assert np.array_equal(batch.w, path.w_values[path.jump_events])
 
 
 # -- jump filtering and lookups ----------------------------------------------
