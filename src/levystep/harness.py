@@ -120,12 +120,11 @@ def config_from_dict(obj: dict) -> StudyConfig:
     require(all(lv >= 0 for lv in levels), "ladder levels must be nonnegative")
     require(list(levels) == sorted(set(levels)), "ladder levels must be strictly increasing")
 
-    finest = integer("finest_level", obj.get("finest_level", (max(levels) + 2) if levels else 8))
+    finest = integer("finest_level", obj.get(
+        "finest_level", min(max(levels) + 2, _MAX_FINEST_LEVEL) if levels else 8))
     require(0 <= finest <= _MAX_FINEST_LEVEL,
             f"config key 'finest_level' must lie in 0..{_MAX_FINEST_LEVEL}, got {finest}")
-    if levels:
-        require(finest >= max(levels) + 2,
-                "finest_level must be at least two levels finer than the ladder")
+    require(max(levels, default=0) <= finest, "ladder_levels must not exceed finest_level")
 
     paths = integer("paths", obj.get("paths", 0))
     require(paths >= 1, "config key 'paths' must be at least 1")

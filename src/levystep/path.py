@@ -122,8 +122,9 @@ def stack(batches) -> tuple[Slices, np.ndarray]:
     cat = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
            for f in fields(Slices)[:-1]}  # all but late
     cat["slice_id"] += np.repeat(bounds[:-1], [b.slice_id.size for b in batches])
+    lates = [b.late for b in batches]  # not the batches, whose arrays are copied above
     return Slices(**cat, late=lambda: tuple(
-        map(np.concatenate, zip(*(b._late for b in batches))))), bounds
+        map(np.concatenate, zip(*(late() for late in lates))))), bounds
 
 
 def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -99,6 +100,11 @@ def test_config_defaults():
     assert cfg.truncation_level == 4 and cfg.trajectory_level == 4
     assert cfg.epsilon is None and cfg.epsilons is None
     assert config_from_dict(base_config(finest_level=20)).finest_level == 20
+    # an omitted finest_level is two levels finer than the ladder, at most 20
+    for top, finest in ((4, 6), (18, 20), (19, 20), (20, 20)):
+        cfg = base_config(ladder_levels=[2, top])
+        del cfg["finest_level"]
+        assert config_from_dict(cfg).finest_level == finest
 
 
 @pytest.mark.parametrize("mangle,match", [
@@ -112,7 +118,10 @@ def test_config_defaults():
     (lambda c: c.update(ladder_levels=[3, 2]), "increasing"),
     (lambda c: c.update(ladder_levels=[2, 2, 3]), "increasing"),
     (lambda c: c.update(ladder_levels=[-1, 2]), "nonnegative"),
-    (lambda c: c.update(finest_level=5), "two levels finer"),
+    (lambda c: c.update(finest_level=3), "ladder_levels must not exceed finest_level"),
+    # the default finest level stops at 20, so a ladder beyond it is refused by name
+    (lambda c: [c.pop("finest_level"), c.update(ladder_levels=[2, 21])],
+     "ladder_levels must not exceed"),
     (lambda c: c.update(paths=0), "'paths' must be at least 1"),
     (lambda c: c.update(epsilons=[]), "nonempty"),
     (lambda c: c.update(epsilons=[1.5]), "lie in"),
@@ -142,6 +151,16 @@ def test_config_rejections(mangle, match):
     mangle(cfg)
     with pytest.raises(ConfigError, match=match):
         config_from_dict(cfg)
+
+
+def test_readme_config_table_names_every_key_the_parser_accepts():
+    # the key column of README section "Config schema", cell by cell
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config schema", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = {key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])}
+    model_keys = {f"model.{key}" for key in ("small", "tail", "p", "q", "epsilon")}
+    assert documented == harness._TOP_KEYS - {"model"} | model_keys
 
 
 # JSON-shaped values: scalars (ints beyond the float range, inf and nan
@@ -293,6 +312,9 @@ CROSS_CHECK_MODELS = {
     "power-law": (README_MODEL | {"small": {"kind": "power_law", "c": 1.0, "a": 1.2},
                                   "epsilon": 0.05}, 8, [2, 3, 4]),
 }
+# the finest ladder level at the path's finest level: its slices are the finest cells
+CROSS_CHECK_MODELS |= {"atoms-at-finest": (README_MODEL, 4, [2, 3, 4]),
+                       "jump-heavy-at-finest": (CROSS_CHECK_MODELS["jump-heavy"][0], 2, [1, 2])}
 
 
 @pytest.mark.parametrize("model_name", sorted(CROSS_CHECK_MODELS))
@@ -318,7 +340,7 @@ def test_stacked_sup_errors_match_the_per_level_route(model_name, scheme):
     assert rep.scheme_sup_sq.tobytes() == rows[:, :, 1].mean(axis=0).tobytes()
     if model_name == "jumpless":
         assert most_in_a_cell == 0
-    elif model_name == "jump-heavy":
+    elif model_name.startswith("jump-heavy"):
         assert most_in_a_cell >= 3
     elif model_name == "power-law":
         assert most_in_a_cell >= 1
@@ -734,6 +756,21 @@ def test_cli_truncate(tmp_path):
     assert (out / "truncation.csv").is_file()
     doc = json.loads((out / "report.json").read_text())
     assert doc["kind"] == "truncation"
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("converge", base_config(finest_level=4, paths=10)),
+    ("converge", base_config(finest_level=4, paths=10, scheme="milstein")),
+    ("truncate", trunc_config(finest_level=4, paths=10)),
+], ids=["converge-euler", "converge-milstein", "truncate"])
+def test_cli_runs_with_the_finest_level_at_the_top_ladder_level(tmp_path, command, cfg):
+    # the top ladder level (and truncate's truncation_level, 4) may be the path's finest
+    assert max(cfg["ladder_levels"]) == cfg["finest_level"] == 4
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert all(m > 0 and math.isfinite(m) for m in doc["mean_sup_sq"])
 
 
 def test_cli_config_errors(tmp_path, capsys):

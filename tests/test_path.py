@@ -2,6 +2,7 @@
 multi-resolution slicing that couples every step size to one noise draw."""
 
 import math
+import weakref
 import numpy as np
 import pytest
 from scipy import stats
@@ -655,6 +656,21 @@ def test_a_batch_forms_the_dz_and_w_stage_on_first_read():
         want = np.concatenate((getattr(batch, name), getattr(part, name)))
         assert getattr(both, name).tobytes() == want.tobytes(), name
     assert np.array_equal(batch.w, path.w_values[path.jump_events])
+
+
+def test_a_stack_keeps_its_parts_late_thunks_not_its_parts():
+    # the stack copies its parts' eager arrays, so the parts can go before
+    # its dZ and W are read; those are then the parts' concatenation
+    path = build_path(1.0, 4, dense_model(), np.random.default_rng(64))
+    parts = [path.slices(level) for level in (1, 2, 4)] + [
+        path.slice_between(path.grid_events(2)[0, path.jump_cells >> 2], path.jump_events)]
+    want = {name: np.concatenate([getattr(b, name) for b in parts]) for name in ("dz", "w")}
+    refs = [weakref.ref(b) for b in parts]
+    both, _ = stack(parts)
+    del parts
+    assert path.jump_times.size and not [ref for ref in refs if ref() is not None]
+    for name, value in want.items():
+        assert getattr(both, name).tobytes() == value.tobytes(), name
 
 
 # -- jump filtering and lookups ----------------------------------------------
