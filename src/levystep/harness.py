@@ -26,7 +26,7 @@ import numpy as np
 from .common import ConfigError, choice, finite, integer, require
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import exact_solution
-from .path import DrivingPath, build_path, join, stack
+from .path import DrivingPath, build_path, join
 from .schemes import LinearCoefficients, Scheme, chain, run_scheme, step_factor
 
 SUP_NOTE = ("strong error sup taken over grid points and jump times; "
@@ -38,7 +38,7 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 # -- configuration -----------------------------------------------------------
 
 # 2**20 cells, checked before any allocation: a level-20 path holds about 41 MiB
-# built (with the 8 MiB grid build_path keeps; 57 MiB peak), 73 MiB once Euler
+# built (with the 8 MiB grid build_path keeps; also its peak), 73 MiB once Euler
 # steps read its dW data and 105 MiB (113 MiB peak) once Milstein steps read dZ, W
 _MAX_FINEST_LEVEL = 20
 # expected events a path (grid points plus jumps), checked before any path is
@@ -257,11 +257,10 @@ def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
     """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, of
     each path of the chunk against the exact solution at its events; the
     slices of every level and the partial slices from each level's grid to
-    every jump go through one evaluator call (partial slices beyond the
-    first _PARTIAL_PIECE_ENTRIES jump entries follow in further calls of at
-    most that many)."""
+    every jump are gathered into one batch (`DrivingPath.ladder`) for one
+    evaluator call (partial slices beyond the first _PARTIAL_PIECE_ENTRIES
+    jump entries follow in further calls of at most that many)."""
     levels, jumps = cfg.ladder_levels, chunk.jump_events
-    grid_slices = [chunk.slices(lv) for lv in levels]  # the first forms the dW stage
     exact = exact_solution(chunk, np.arange(chunk.event_times.size), coef, cfg.y0)
     owner = chunk.jump_cells >> cfg.finest_level  # the path of each jump
     edges = [chunk.grid_events(lv) for lv in levels]  # (paths, 2**lv + 1) each
@@ -274,11 +273,11 @@ def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
     held = np.tile(np.arange(1, jumps.size + 1), len(levels)) - jumps.searchsorted(ia, "right")
     pieces = iter(_pieces(held, _PARTIAL_PIECE_ENTRIES))
     a, b = next(pieces)
-    batch, bounds = stack(grid_slices + [chunk.slice_between(ia[a:b], ib[a:b])])
-    factors = step_factor(cfg.scheme, batch, coef)
+    factors = step_factor(cfg.scheme, chunk.ladder(levels, ia[a:b], ib[a:b]), coef)
+    bounds = np.cumsum([0] + [len(paths) << lv for lv in levels])
     # per-slice factors do not depend on the batch, so each further piece
     # gives what one call would
-    at_jumps = np.concatenate([factors[bounds[-2]:]] + [
+    at_jumps = np.concatenate([factors[bounds[-1]:]] + [
         step_factor(cfg.scheme, chunk.slice_between(ia[a:b], ib[a:b]), coef)
         for a, b in pieces]).reshape(len(levels), jumps.size)
     out = np.empty((len(paths), 2, len(levels)))

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -84,7 +84,7 @@ class JumpEvent:
 @dataclass(frozen=True, eq=False)
 class Slices:
     """A batch of slices, as flat arrays; the slices may come from several
-    levels or several paths (see `stack`).
+    levels or several paths (see `DrivingPath.ladder`).
 
     Per slice k (arrays of length n): the endpoints, their distance, the
     Wiener increment dW and time integral dZ over the slice, and W at both
@@ -113,18 +113,6 @@ class Slices:
         """The same slices holding only the jumps where the mask `keep` is set."""
         return replace(self, time=self.time[keep], mark=self.mark[keep], small=self.small[keep],
                        slice_id=self.slice_id[keep], late=lambda: (*self._late[:3], self.w[keep]))
-
-
-def stack(batches) -> tuple[Slices, np.ndarray]:
-    """One batch of the slices of `batches` in order (slice ids offset so they
-    stay nondecreasing), and bounds: batch b is slices bounds[b]:bounds[b + 1]."""
-    bounds = np.cumsum([0] + [b.left.size for b in batches])
-    cat = {f.name: np.concatenate([getattr(b, f.name) for b in batches])
-           for f in fields(Slices)[:-1]}  # all but late
-    cat["slice_id"] += np.repeat(bounds[:-1], [b.slice_id.size for b in batches])
-    lates = [b.late for b in batches]  # not the batches, whose arrays are copied above
-    return Slices(**cat, late=lambda: tuple(
-        map(np.concatenate, zip(*(late() for late in lates))))), bounds
 
 
 def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
@@ -308,16 +296,37 @@ class DrivingPath:
     def slices(self, level: int) -> Slices:
         """The 2**level slices of the uniform dyadic grid at `level` of each
         path in turn: slice path * 2**level + k is the path's slice k."""
-        edges = self.grid_events(level)
-        return self._batch(edges[:, :-1].ravel(), edges[:, 1:].ravel(),
-                           self._dw_stage[2][level], lambda: self._dz_stage[2][level],
-                           slice(None), self.jump_cells >> (self.finest_level - level))
+        return self._batch(*self._level_part(level))
 
     def slice_between(self, ia, ib) -> Slices:
         """One slice from event ia[k] to event ib[k] for every k (signed
         integer event indices with 0 <= ia < ib < n_events, typically a grid
         point and an interior jump, both on one path of a chunk); aggregates
         gap data directly."""
+        return self._batch(*self._partial_part(ia, ib))
+
+    def ladder(self, levels, ia, ib) -> Slices:
+        """The slices of `slices(level)` for each of `levels` in turn, then
+        those of `slice_between(ia, ib)`, gathered as one batch (slice ids
+        offset so they stay nondecreasing)."""
+        ia, ib, dw, dz, held, slice_id = zip(*[self._level_part(lv) for lv in levels],
+                                             self._partial_part(ia, ib))
+        starts = np.cumsum([0] + [a.size for a in ia])
+        every_jump = np.arange(self.jump_times.size)
+        return self._batch(np.concatenate(ia), np.concatenate(ib), np.concatenate(dw),
+                           lambda: np.concatenate([part() for part in dz]),
+                           np.concatenate([every_jump[h] for h in held]),
+                           np.concatenate([s + o for s, o in zip(slice_id, starts)]))
+
+    def _level_part(self, level):
+        """`slices(level)` as the arguments of `_batch`."""
+        edges = self.grid_events(level)
+        return (edges[:, :-1].ravel(), edges[:, 1:].ravel(), self._dw_stage[2][level],
+                lambda: self._dz_stage[2][level], slice(None),
+                self.jump_cells >> (self.finest_level - level))
+
+    def _partial_part(self, ia, ib):
+        """`slice_between(ia, ib)` as the arguments of `_batch`."""
         ia, ib, n = np.atleast_1d(ia), np.atleast_1d(ib), self.event_times.size
         if not (ia.dtype.kind == ib.dtype.kind == "i" and ia.ndim == 1
                 and ia.shape == ib.shape and np.all((0 <= ia) & (ia < ib) & (ib < n))):
@@ -340,8 +349,8 @@ class DrivingPath:
 
         first = np.searchsorted(self.jump_events, ia, side="right")
         counts = np.searchsorted(self.jump_events, ib, side="right") - first
-        return self._batch(ia, ib, sums(dw[at]), dz, _concat_ranges(first, counts),
-                           np.repeat(np.arange(ia.size), counts))
+        return (ia, ib, sums(dw[at]), dz, _concat_ranges(first, counts),
+                np.repeat(np.arange(ia.size), counts))
 
     def _batch(self, ia, ib, dw, dz, held, slice_id) -> Slices:
         """The slices from events ia[k] to ib[k] with their dW, holding the
@@ -446,6 +455,8 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     # jump j has j earlier jumps and its cell + 1 dyadic points before it
     jump_cells = jump_events - np.arange(jump_events.size) - 1
     normals = np.zeros((2, event_times.size))
-    normals[:, :-1] = rng.standard_normal((2, event_times.size - 1))
+    # drawn in place, row by row: the stream of one (2, n_events - 1) draw
+    rng.standard_normal(out=normals[0, :-1])
+    rng.standard_normal(out=normals[1, :-1])
     return DrivingPath(horizon, finest_level, event_times, normals, jump_times, jump_marks,
                        jump_small, jump_events, jump_cells, cell_edges)

@@ -536,17 +536,17 @@ def test_partial_slices_in_pieces_give_the_same_errors(monkeypatch, model_name, 
     cfg = config_from_dict(base_config(model=model, finest_level=finest, ladder_levels=ladder,
                                        scheme=scheme, paths=4))
     whole = strong_error_study(cfg)
-    real_between, pieces = path_mod.DrivingPath.slice_between, []
+    real_part, pieces = path_mod.DrivingPath._partial_part, []
 
-    def spy(chunk, ia, ib):
-        pieces.append(real_between(chunk, ia, ib))
+    def spy(chunk, ia, ib):  # every piece, the one gathered with the ladder levels too
+        pieces.append(real_part(chunk, ia, ib))
         return pieces[-1]
 
-    monkeypatch.setattr(path_mod.DrivingPath, "slice_between", spy)
+    monkeypatch.setattr(path_mod.DrivingPath, "_partial_part", spy)
     monkeypatch.setattr(harness, "_PARTIAL_PIECE_ENTRIES", 100)
     split = strong_error_study(cfg)
     assert len(pieces) > 2 * cfg.paths
-    assert all(p.time.size <= 100 or p.left.size == 1 for p in pieces)
+    assert all(held.size <= 100 or ia.size == 1 for ia, *_, held, _ in pieces)
     assert split.per_path.tobytes() == whole.per_path.tobytes()
     assert split.scheme_sup_sq.tobytes() == whole.scheme_sup_sq.tobytes()
 
@@ -554,19 +554,19 @@ def test_partial_slices_in_pieces_give_the_same_errors(monkeypatch, model_name, 
 def test_a_chunks_partial_slices_are_bounded_by_their_pieces(monkeypatch):
     # at the default budgets a jump-heavy chunk's partial slices hold several
     # pieces' worth of jump entries; each evaluator call takes one piece
-    real_between, calls = path_mod.DrivingPath.slice_between, []
+    real_part, calls = path_mod.DrivingPath._partial_part, []
 
     def spy(chunk, ia, ib):
-        calls.append((chunk, real_between(chunk, ia, ib)))
+        calls.append((chunk, real_part(chunk, ia, ib)))
         return calls[-1][1]
 
-    monkeypatch.setattr(path_mod.DrivingPath, "slice_between", spy)
+    monkeypatch.setattr(path_mod.DrivingPath, "_partial_part", spy)
     model, finest, ladder = CROSS_CHECK_MODELS["jump-heavy"]
     strong_error_study(config_from_dict(base_config(
         model=model, finest_level=finest, ladder_levels=ladder, paths=60)))
     assert len(calls) > len({id(chunk) for chunk, _ in calls})  # a chunk takes several
-    assert all(p.time.size <= harness._PARTIAL_PIECE_ENTRIES or p.left.size == 1
-               for _, p in calls)
+    assert all(held.size <= harness._PARTIAL_PIECE_ENTRIES or ia.size == 1
+               for _, (ia, *_, held, _) in calls)
 
 
 def test_truncation_study_needs_epsilons():

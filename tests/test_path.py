@@ -2,7 +2,6 @@
 multi-resolution slicing that couples every step size to one noise draw."""
 
 import math
-import weakref
 import numpy as np
 import pytest
 from scipy import stats
@@ -17,11 +16,22 @@ from levystep import (
 )
 from levystep.common import Region
 from levystep import path as path_mod
-from levystep.path import dyadic_grid, join, sample_dw_dz, simulate_events, stack
+from levystep.path import dyadic_grid, join, sample_dw_dz, simulate_events
 
 from helpers import event_indices
 
 IDENT = AmplitudeSpec(1.0, 1.0)
+EAGER = ("left", "right", "delta", "dw", "time", "mark", "small", "slice_id")
+LATE = ("dz", "w_left", "w_right", "w")
+
+
+def concatenated(batches, names):
+    """Each named field of the batches end to end, slice ids offset by the
+    slices of the batches before."""
+    starts = np.cumsum([0] + [b.left.size for b in batches])
+    return {name: np.concatenate([getattr(b, name) + start if name == "slice_id"
+                                  else getattr(b, name) for b, start in zip(batches, starts)])
+            for name in names}
 
 
 def dense_model(small_rate=4.0, tail_rate=2.0):
@@ -345,8 +355,9 @@ class ScriptedRng:
         drawn, self._uni = self._uni[:n], self._uni[n:]
         return np.array(drawn, dtype=np.float64).reshape(size)
 
-    def standard_normal(self, shape):
-        return np.zeros(shape)
+    def standard_normal(self, out):  # zero normals, written in place as build_path asks
+        out[...] = 0.0
+        return out
 
 
 # count and uniforms of the shared finite model (small rate 1, tail rate
@@ -552,19 +563,18 @@ def test_a_joined_chunk_slices_as_its_paths():
     for level in range(6):
         assert np.array_equal(chunk.grid_events(level),
                               [p.grid_events(level)[0] + o for p, o in zip(paths, offsets)])
-        alone, _ = stack([p.slices(level) for p in paths])
+        alone = concatenated([p.slices(level) for p in paths], EAGER + LATE)
         together = chunk.slices(level)
-        for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right",
-                     "time", "mark", "small", "w", "slice_id"):
-            assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
+        for name, want in alone.items():
+            assert getattr(together, name).tobytes() == want.tobytes(), name
     parts = [(np.concatenate(([0], p.grid_events(2)[0, p.jump_cells >> 3])),
               np.concatenate(([p.event_times.size - 1], p.jump_events))) for p in paths]
-    alone, _ = stack([p.slice_between(ia, ib) for p, (ia, ib) in zip(paths, parts)])
+    alone = concatenated([p.slice_between(ia, ib) for p, (ia, ib) in zip(paths, parts)],
+                         EAGER + LATE)
     together = chunk.slice_between(*(np.concatenate([e + o for e, o in zip(ends, offsets)])
                                      for ends in zip(*parts)))
-    for name in ("left", "right", "delta", "dw", "dz", "w_left", "w_right",
-                 "time", "mark", "small", "w", "slice_id"):
-        assert getattr(together, name).tobytes() == getattr(alone, name).tobytes(), name
+    for name, want in alone.items():
+        assert getattr(together, name).tobytes() == want.tobytes(), name
     # a path is a one-path chunk: joining two concatenates their fields, each
     # path's normals with their own zero column and the second path's event
     # indices and cells offset; joining one returns it
@@ -639,38 +649,49 @@ def test_slice_between_validation(finite_model):
 
 
 def test_a_batch_forms_the_dz_and_w_stage_on_first_read():
-    # a batch's dW needs the dW stage alone; keep_jumps and stack pass the
-    # late fields (dZ, W) on unformed, and their first read forms them
+    # a batch's dW needs the dW stage alone; keep_jumps passes the late
+    # fields (dZ, W) on unformed, and their first read forms them
     path = build_path(1.0, 4, dense_model(), np.random.default_rng(63))
     batch = path.slices(2)
     keep = np.arange(batch.time.size) % 2 == 0
     kept = batch.keep_jumps(keep)
     part = path.slice_between(path.grid_events(2)[0, path.jump_cells >> 2], path.jump_events)
-    both, _ = stack([kept, part])
-    assert both.dw.size == 4 + path.jump_times.size and 0 < keep.sum() < keep.size
+    assert part.dw.size == path.jump_times.size and 0 < keep.sum() < keep.size
     assert "_dw_stage" in vars(path) and "_dz_stage" not in vars(path)
-    assert not any("_late" in vars(b) for b in (batch, kept, part, both))
-    assert both.w.tobytes() == np.concatenate((batch.w[keep], part.w)).tobytes()
+    assert not any("_late" in vars(b) for b in (batch, kept, part))
+    assert kept.w.tobytes() == batch.w[keep].tobytes()
     for name in ("dz", "w_left", "w_right"):
         assert getattr(kept, name) is getattr(batch, name)
-        want = np.concatenate((getattr(batch, name), getattr(part, name)))
-        assert getattr(both, name).tobytes() == want.tobytes(), name
     assert np.array_equal(batch.w, path.w_values[path.jump_events])
 
 
-def test_a_stack_keeps_its_parts_late_thunks_not_its_parts():
-    # the stack copies its parts' eager arrays, so the parts can go before
-    # its dZ and W are read; those are then the parts' concatenation
-    path = build_path(1.0, 4, dense_model(), np.random.default_rng(64))
-    parts = [path.slices(level) for level in (1, 2, 4)] + [
-        path.slice_between(path.grid_events(2)[0, path.jump_cells >> 2], path.jump_events)]
-    want = {name: np.concatenate([getattr(b, name) for b in parts]) for name in ("dz", "w")}
-    refs = [weakref.ref(b) for b in parts]
-    both, _ = stack(parts)
-    del parts
-    assert path.jump_times.size and not [ref for ref in refs if ref() is not None]
-    for name, value in want.items():
-        assert getattr(both, name).tobytes() == value.tobytes(), name
+def test_a_ladder_is_its_parts_gathered_at_once():
+    # a chunk's slices at three levels and its partial slices from the
+    # level-2 grid to every jump (a jumpless path among its paths): every
+    # field of the one batch is the per-part batches' end to end, bit for
+    # bit, and the dZ/W stage waits for the first read of its dz or w
+    paths = [build_path(1.0, 4, dense_model(0.2 + 30.0 * (i % 3), 0.1 + 10.0 * (i % 3)),
+                        np.random.default_rng(64 + i)) for i in range(4)]
+    chunk, levels = join(paths), (1, 2, 4)
+    owner = chunk.jump_cells >> chunk.finest_level
+    ia = chunk.grid_events(2).ravel()[(chunk.jump_cells >> 2) + owner]
+    assert min(p.jump_times.size for p in paths) == 0 < ia.size
+    for read in LATE:
+        chunk = join(paths)  # a new chunk, its stages unformed
+        gathered = chunk.ladder(levels, ia, chunk.jump_events)
+        parts = [chunk.slices(lv) for lv in levels] + [chunk.slice_between(ia, chunk.jump_events)]
+        for name, want in concatenated(parts, EAGER).items():
+            assert getattr(gathered, name).tobytes() == want.tobytes(), name
+        assert "_dz_stage" not in vars(chunk)
+        getattr(gathered, read)
+        assert "_dz_stage" in vars(chunk)
+        for name, want in concatenated(parts, LATE).items():
+            assert getattr(gathered, name).tobytes() == want.tobytes(), name
+    # with no partial slices the batch is the levels' slices alone
+    empty = np.empty(0, dtype=ia.dtype)
+    gathered, want = paths[0].ladder((0, 3), empty, empty), [paths[0].slices(lv) for lv in (0, 3)]
+    for name, value in concatenated(want, EAGER + LATE).items():
+        assert getattr(gathered, name).tobytes() == value.tobytes(), name
 
 
 # -- jump filtering and lookups ----------------------------------------------

@@ -22,7 +22,7 @@ from levystep import (
 )
 from levystep import schemes
 from levystep.common import Region
-from levystep.path import dyadic_grid, join, stack
+from levystep.path import dyadic_grid, join
 from levystep.schemes import euler_factor, milstein_factor, step_factor
 
 TERM_KEYS = frozenset(
@@ -212,23 +212,23 @@ def test_step_factor_dispatch(finite_coef, rng):
 
 @pytest.mark.parametrize("level", [0, 3])
 def test_stacked_batches_evaluate_as_their_parts(level):
-    # the slices of 64 paths (about a third of them jumpless), stacked in
+    # the slices of 64 paths (about a third of them jumpless), joined in
     # chunks of 1, 7 or 64: every chunking gives the same factors and terms
-    # bit for bit, each part keeps its own jumps, and slice ids stay sorted
+    # bit for bit, each path keeps its own jumps, and slice ids stay sorted
     coef = mixed_coef()
-    batches = [dense_path(300 + i, 4, 0.2 + 4.0 * (i % 3), 0.1 + 2.0 * (i % 3)).slices(level)
-               for i in range(64)]
+    paths = [dense_path(300 + i, 4, 0.2 + 4.0 * (i % 3), 0.1 + 2.0 * (i % 3)) for i in range(64)]
     per_size = []
     for size in (1, 7, 64):
         rows = []
         for start in range(0, 64, size):
-            parts = batches[start:start + size]
-            batch, bounds = stack(parts)
+            parts = paths[start:start + size]
+            batch = join(parts).slices(level)
             assert np.all(np.diff(batch.slice_id) >= 0)
-            assert bounds.tolist() == np.cumsum([0] + [p.left.size for p in parts]).tolist()
+            assert batch.left.size == len(parts) << level
             assert np.array_equal(
-                np.bincount(batch.slice_id, minlength=bounds[-1]),
-                np.concatenate([np.bincount(p.slice_id, minlength=p.left.size) for p in parts]))
+                np.bincount(batch.slice_id, minlength=batch.left.size),
+                np.concatenate([np.bincount(p.slices(level).slice_id, minlength=1 << level)
+                                for p in parts]))
             rows.append(np.vstack((milstein_factor(batch, coef), euler_factor(batch, coef),
                                    *milstein_terms(1.0, batch, coef).values())))
         per_size.append(np.concatenate(rows, axis=1).tobytes())
@@ -236,12 +236,12 @@ def test_stacked_batches_evaluate_as_their_parts(level):
 
 
 def test_milstein_factor_is_one_plus_the_running_sum_of_the_terms():
-    # jump-heavy slices (up to dozens of jumps) stacked with jumpless ones:
+    # jump-heavy slices (up to dozens of jumps) joined with jumpless ones:
     # the factor is 1.0 + ((term 0 + term 1) + ...) in key order, bit for bit
     coef = mixed_coef()
     for level in (0, 2, 4):
-        batch, _ = stack([dense_path(500 + i, 4, 0.2 + 60.0 * (i % 3), 0.1 + 20.0 * (i % 3))
-                          .slices(level) for i in range(9)])
+        batch = join([dense_path(500 + i, 4, 0.2 + 60.0 * (i % 3), 0.1 + 20.0 * (i % 3))
+                      for i in range(9)]).slices(level)
         held = np.bincount(batch.slice_id, minlength=batch.left.size)
         assert held.min() == 0 and held.max() >= 3
         terms = milstein_terms(1.0, batch, coef)
