@@ -252,15 +252,14 @@ class ConvergenceReport:
     kind: ClassVar[str] = "strong_convergence"
 
 
-def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
-                paths: list[DrivingPath], chunk: DrivingPath) -> np.ndarray:
+def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients, chunk: DrivingPath) -> np.ndarray:
     """Rows sup |err|^2 and sup |Y_scheme|^2, a column per ladder level, of
-    each path of the chunk against the exact solution at its events; the
-    slices of every level and the partial slices from each level's grid to
-    every jump are gathered into one batch (`DrivingPath.ladder`) for one
-    evaluator call (partial slices beyond the first _PARTIAL_PIECE_ENTRIES
-    jump entries follow in further calls of at most that many)."""
-    levels, jumps = cfg.ladder_levels, chunk.jump_events
+    each path of the chunk against the exact solution at its events.  The
+    partial slices from each level's grid to every jump are cut into pieces
+    of at most _PARTIAL_PIECE_ENTRIES jump entries (`_pieces`); the first
+    piece is gathered with the slices of every level into one batch
+    (`DrivingPath.ladder`), and each piece takes one evaluator call."""
+    levels, jumps, n_paths = cfg.ladder_levels, chunk.jump_events, len(chunk.cell_edges)
     exact = exact_solution(chunk, np.arange(chunk.event_times.size), coef, cfg.y0)
     owner = chunk.jump_cells >> cfg.finest_level  # the path of each jump
     edges = [chunk.grid_events(lv) for lv in levels]  # (paths, 2**lv + 1) each
@@ -271,23 +270,21 @@ def _sup_errors(cfg: StudyConfig, coef: LinearCoefficients,
     ib = np.tile(jumps, len(levels))
     # the jumps a partial slice holds: those of its cell up to its own
     held = np.tile(np.arange(1, jumps.size + 1), len(levels)) - jumps.searchsorted(ia, "right")
-    pieces = iter(_pieces(held, _PARTIAL_PIECE_ENTRIES))
-    a, b = next(pieces)
-    factors = step_factor(cfg.scheme, chunk.ladder(levels, ia[a:b], ib[a:b]), coef)
-    bounds = np.cumsum([0] + [len(paths) << lv for lv in levels])
-    # per-slice factors do not depend on the batch, so each further piece
-    # gives what one call would
-    at_jumps = np.concatenate([factors[bounds[-1]:]] + [
-        step_factor(cfg.scheme, chunk.slice_between(ia[a:b], ib[a:b]), coef)
-        for a, b in pieces]).reshape(len(levels), jumps.size)
-    out = np.empty((len(paths), 2, len(levels)))
+    # per-slice factors do not depend on the batch, so each piece gives what
+    # one call would
+    factors = np.concatenate([
+        step_factor(cfg.scheme, chunk.ladder(levels if a == 0 else (), ia[a:b], ib[a:b]), coef)
+        for a, b in _pieces(held, _PARTIAL_PIECE_ENTRIES)])
+    bounds = np.cumsum([0] + [n_paths << lv for lv in levels])
+    at_jumps = factors[bounds[-1]:].reshape(len(levels), jumps.size)
+    out = np.empty((n_paths, 2, len(levels)))
     for k, (e, c) in enumerate(zip(edges, at_cell)):
-        values = chain(factors[bounds[k]:bounds[k + 1]].reshape(len(paths), -1), cfg.y0)
+        values = chain(factors[bounds[k]:bounds[k + 1]].reshape(n_paths, -1), cfg.y0)
         sup = np.abs(values - exact[e]).max(axis=1)
         y_at = values.ravel()[c] * at_jumps[k]  # the scheme at the jump times
         np.maximum.at(sup, owner, np.abs(y_at - exact[jumps]))  # unlike fmax, keeps a NaN
-        out[:, 0, k] = sup * sup
-        out[:, 1, k] = _squares(np.abs(values).max(axis=1))
+        out[:, 0, k] = np.square(sup)
+        out[:, 1, k] = np.square(np.abs(values).max(axis=1))
     return out
 
 
@@ -305,24 +302,12 @@ def _pieces(held: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return runs
 
 
-def _squares(x: np.ndarray) -> list[float]:
-    """v ** 2 for each value v, or inf where that leaves the float range (`**`
-    rounds through C pow, which differs from v * v in the last bit for some v)."""
-    squares = []
-    for v in x.tolist():
-        try:
-            squares.append(v ** 2)
-        except OverflowError:
-            squares.append(math.inf)
-    return squares
-
-
 def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) -> np.ndarray:
     """The Monte-Carlo loop of both studies: path i is built at the finest
     level from its own stream, and a chunk of paths at a time is evaluated
-    by one `rows(paths, join(paths))` call, whose (len(paths), *shape)
-    result holds each path's row as the path alone would give it.  So a
-    path's row depends on neither the path count nor the chunking."""
+    by one `rows(join(paths))` call, whose (len(paths), *shape) result
+    holds each path's row as the path alone would give it.  So a path's row
+    depends on neither the path count nor the chunking."""
     require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
     out = np.empty((cfg.paths, *shape))
     paths, events = [], 0
@@ -335,7 +320,7 @@ def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) 
             paths.append(path)
             events += path.event_times.size
             if events >= _CHUNK_EVENTS or i == cfg.paths - 1:
-                out[i + 1 - len(paths):i + 1] = rows(paths, join(paths))
+                out[i + 1 - len(paths):i + 1] = rows(join(paths))
                 paths, events = [], 0
     return out
 
@@ -374,8 +359,7 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
             f"{_MAX_PARTIAL_ENTRIES}; lower 'T', 'ladder_levels' or the jump rate of 'model'")
     coef = cfg.coefficients_for(active)
     deltas = np.array([cfg.horizon / 2**lv for lv in levels])
-    rows = _per_path(cfg, active, (2, len(levels)),
-                     lambda paths, chunk: _sup_errors(cfg, coef, paths, chunk))
+    rows = _per_path(cfg, active, (2, len(levels)), lambda chunk: _sup_errors(cfg, coef, chunk))
     (mean, scheme_sup), (se, _) = _path_stats(rows, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
@@ -433,15 +417,16 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
     coef0 = cfg.coefficients_for(active0)
     coefs = [cfg.coefficients_for(truncate(cfg.model, float(e))) for e in eps_list]
 
-    def sup_diffs(paths, chunk: DrivingPath) -> np.ndarray:
+    def sup_diffs(chunk: DrivingPath) -> np.ndarray:
         batch = chunk.slices(level)
 
         def values(b, c):  # a row per path
-            return chain(step_factor(cfg.scheme, b, c).reshape(len(paths), -1), cfg.y0)
+            return chain(step_factor(cfg.scheme, b, c).reshape(len(chunk.cell_edges), -1),
+                         cfg.y0)
 
         ref = values(batch, coef0)
         kept = (batch.keep_jumps(~batch.small | (np.abs(batch.mark) > e)) for e in eps_list)
-        return np.transpose([_squares(np.abs(values(b, c) - ref).max(axis=1))
+        return np.transpose([np.square(np.abs(values(b, c) - ref).max(axis=1))
                              for b, c in zip(kept, coefs)])
 
     per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs)

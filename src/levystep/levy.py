@@ -337,7 +337,6 @@ def activate(model: LevyModel, eps: float | None) -> LevyModel:
     if model.is_finite_activity:
         return model if eps is None else truncate(model, eps)
     if eps is None:
-        raise ConfigError(
-            "model has an infinite-activity small region; a truncation epsilon is required"
-        )
+        raise ConfigError("model has an infinite-activity small region; "
+                          "config key 'model.epsilon' (a truncation radius) is required")
     return truncate(model, eps)

@@ -66,8 +66,8 @@ def sup_error_one_level(cfg, path, coef, level: int, exact_at_events) -> tuple[f
         parts = path.slice_between(edges[cell], path.jump_events)
         y_at = traj.values[cell] * step_factor(cfg.scheme, parts, coef)
         err = np.concatenate((err, np.abs(y_at - exact_at_events[path.jump_events])))
-    sup = float(np.max(err))
-    return sup * sup, float(np.max(np.abs(traj.values))) ** 2
+    sup, peak = float(np.max(err)), float(np.max(np.abs(traj.values)))
+    return sup * sup, peak * peak
 
 
 # -- quadrature moments -------------------------------------------------------

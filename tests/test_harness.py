@@ -809,6 +809,16 @@ def test_cli_nonfinite_model_value(tmp_path, capsys):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("command", ["converge", "simulate"])
+def test_cli_infinite_activity_without_epsilon_names_the_key(tmp_path, capsys, command):
+    cfg = README_CONVERGE | {"model": README_MODEL | {"small": README_TRUNCATE["model"]["small"]}}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    assert "model.epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # a = 1.2 truncated at min(epsilons)/4 = 2.5e-10: ~5.6e11 jumps a path
 HEAVY_TRUNCATE = README_TRUNCATE | {
     "model": README_TRUNCATE["model"] | {"small": {"kind": "power_law", "c": 1.0, "a": 1.2}},

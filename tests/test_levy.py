@@ -28,6 +28,19 @@ def test_atom_positions_validated():
         AtomSpec(((0.5, -1.0),))
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda: AmplitudeSpec(math.nan), "amplitude coef and exponent must be finite"),
+    (lambda: AmplitudeSpec(1.0, math.inf), "amplitude coef and exponent must be finite"),
+    (lambda: AtomSpec(((math.inf, 1.0),)), "atom position and mass must be finite"),
+    (lambda: AtomSpec(((0.5, math.nan),)), "atom position and mass must be finite"),
+    (lambda: LevyModel(small=AtomSpec(()), tail=AtomSpec(()), eps=1.0), "truncation radius"),
+    (lambda: LevyModel(small=AtomSpec(()), tail=AtomSpec(()), eps=-0.1), "truncation radius"),
+], ids=["amp-coef", "amp-exponent", "atom-position", "atom-mass", "eps-1", "eps-negative"])
+def test_constructors_reject_values_outside_their_domain(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_power_law_parameter_range():
     for bad_a in (0.0, 2.0, -0.5, 2.5):
         with pytest.raises(ValueError):
@@ -329,6 +342,9 @@ BAD_MODELS = [
     ({"small": POWER_LAW, "p": {"exponent": NAN}}, "model.p"),
     ({"small": dict(POWER_LAW, c=NAN)}, "model.small"),
     ({"small": {"kind": "atoms", "atoms": [[0.5, INF]]}}, "model.small"),
+    # a mass that is finite but not positive
+    ({"small": {"kind": "atoms", "atoms": [[0.5, 0.0]]}}, "model.small.atoms"),
+    ({"small": ATOMS, "tail": {"atoms": [[1.5, -0.3]]}}, "model.tail.atoms"),
     # malformed sections and unknown nested keys
     ({"small": ATOMS, "tail": [1]}, "model.tail"),
     ({"small": dict(POWER_LAW, c=[1])}, "model.small.c"),
