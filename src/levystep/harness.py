@@ -13,10 +13,13 @@ as it would be for the path alone.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field, fields
+from functools import cache
 from itertools import repeat
 from pathlib import Path
 from typing import ClassVar
@@ -39,13 +42,14 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 
 # 2**20 cells, checked before any allocation: a level-20 path holds about 41 MiB
 # built (with the 8 MiB grid build_path keeps; also its peak), 73 MiB once Euler
-# steps read its dW data and 105 MiB (113 MiB peak) once Milstein steps read dZ, W
+# steps read its dW data and 105 MiB (106 MiB peak) once Milstein steps read dZ, W
 _MAX_FINEST_LEVEL = 20
 # expected events a path (grid points plus jumps), checked before any path is
 # drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused
 _MAX_EXPECTED_EVENTS = 2**23
 # per-path results a study holds (paths times ladder levels or epsilons), checked
-# before any allocation; 32 MiB an array of them
+# before any allocation; 32 MiB an array of them, and 64 MiB for the convergence
+# study's (paths, 2, levels) rows
 _MAX_PATH_RESULTS = 2**22
 # jump entries a convergence path's partial slices are expected to hold,
 # checked before any path is drawn: a cell of n jumps gives partial slices
@@ -302,6 +306,21 @@ def _pieces(held: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return runs
 
 
+@cache
+def _hold_heap() -> None:
+    """Keep the heap a chunk frees for the next chunk, process-wide, where
+    the C library has `mallopt`.  Left to glibc's dynamic thresholds, which
+    follow the largest block freed (about 1 MB on the README configs), the
+    heap a chunk frees goes back to the system and the next chunk faults it
+    in again.  Fixed at the ceiling of that dynamic rule on 64-bit
+    (DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trimming), at most
+    64 MiB of freed heap is kept; no result changes."""
+    mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
+    if mallopt is not None:
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) -> np.ndarray:
     """The Monte-Carlo loop of both studies: path i is built at the finest
     level from its own stream, and a chunk of paths at a time is evaluated
@@ -309,6 +328,7 @@ def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) 
     holds each path's row as the path alone would give it.  So a path's row
     depends on neither the path count nor the chunking."""
     require(cfg.paths >= 2, "a study needs config key 'paths' at least 2")
+    _hold_heap()
     out = np.empty((cfg.paths, *shape))
     paths, events = [], 0
     with np.errstate(over="ignore", invalid="ignore"):  # _path_stats names the path

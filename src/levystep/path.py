@@ -259,9 +259,20 @@ class DrivingPath:
         gaps, dw, dw_levels = self._dw_stage
         z_locals = _z_local(self.normals, gaps)
         w_values = self.along_paths(np.add, dw, 0.0)
-        cuts = self.cell_edges.ravel()
-        w_cell_left = np.repeat(w_values[cuts], np.diff(cuts, append=cuts[-1] + 1))
-        levels = [self._cell_sums((w_values - w_cell_left) * gaps + z_locals)]
+        # a finest cell of one gap has that gap's z_local as its dZ, W at the
+        # gap's left end being W at the cell's; only the crowded cells, picked
+        # by gap count (`with_jumps` keeps the events of the jumps it drops),
+        # are summed, as np.add.reduceat sums a segment
+        edges = self.cell_edges
+        first, counts = edges[:, :-1].ravel(), np.diff(edges, axis=1).ravel()
+        cell_dz = z_locals[first]
+        crowded = np.flatnonzero(counts > 1)
+        first, counts = first[crowded], counts[crowded]
+        at = _concat_ranges(first, counts)
+        cell_dz[crowded] = np.add.reduceat(
+            (w_values[at] - np.repeat(w_values[first], counts)) * gaps[at] + z_locals[at],
+            np.cumsum(counts) - counts)
+        levels = [cell_dz]
         for child_level in range(self.finest_level, 0, -1):
             dz = levels[-1][0::2] + levels[-1][1::2]
             dz += dw_levels[child_level][0::2] * (self.horizon / float(2**child_level))

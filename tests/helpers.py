@@ -70,6 +70,29 @@ def sup_error_one_level(cfg, path, coef, level: int, exact_at_events) -> tuple[f
     return sup * sup, peak * peak
 
 
+# -- finest-cell sums over every cell ------------------------------------------
+
+def reduceat_levels(path) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each level's dW and dZ over its dyadic intervals, coarsest first, with
+    the finest cells summed by one np.add.reduceat over every cell and W at
+    each cell's left end repeated over every gap (each path's pad gap a
+    segment of its own, dropped), then aggregated pairwise up the levels."""
+    edges, gaps, w = path.cell_edges, path.gaps, path.w_values
+    cuts = edges.ravel()
+
+    def cells(per_gap):
+        return np.add.reduceat(per_gap, cuts).reshape(edges.shape)[:, :-1].ravel()
+
+    w_cell_left = np.repeat(w[cuts], np.diff(cuts, append=cuts[-1] + 1))
+    dws, dzs = [cells(path.dw)], [cells((w - w_cell_left) * gaps + path.z_locals)]
+    for child_level in range(path.finest_level, 0, -1):
+        dz = dzs[-1][0::2] + dzs[-1][1::2]
+        dz += dws[-1][0::2] * (path.horizon / float(2**child_level))
+        dws.append(dws[-1][0::2] + dws[-1][1::2])
+        dzs.append(dz)
+    return dws[::-1], dzs[::-1]
+
+
 # -- quadrature moments -------------------------------------------------------
 
 def quad_power_law_moment(c: float, a: float, amp, power: int,

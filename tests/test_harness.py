@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -518,6 +522,29 @@ def test_only_the_milstein_scheme_forms_the_dz_and_w_stage(monkeypatch):
     chunks.clear()
     strong_error_study(cfg)
     assert formed == [c.event_times.size for c in chunks]
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="holds glibc's heap only")
+def test_a_study_keeps_the_heap_its_chunks_free():
+    # left to glibc's dynamic thresholds, the heap a chunk frees is returned
+    # to the system and faulted in again by the next chunk: about 4000-5000
+    # minor page faults a 150-path README converge study.  Held, the second
+    # study in a fresh interpreter faults almost none.
+    code = """if True:
+        import json, resource, sys
+        from levystep import config_from_dict, strong_error_study
+        cfg = config_from_dict(json.loads(sys.argv[1]))
+        strong_error_study(cfg)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        strong_error_study(cfg)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(README_CONVERGE | {"paths": 150})],
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 500
 
 
 def test_pieces_cover_the_slices_within_the_budget():

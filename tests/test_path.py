@@ -18,7 +18,7 @@ from levystep.common import Region
 from levystep import path as path_mod
 from levystep.path import dyadic_grid, join, sample_dw_dz, simulate_events
 
-from helpers import event_indices
+from helpers import event_indices, reduceat_levels
 
 IDENT = AmplitudeSpec(1.0, 1.0)
 EAGER = ("left", "right", "delta", "dw", "time", "mark", "small", "slice_id")
@@ -610,6 +610,42 @@ def test_a_chunk_sums_a_crowded_last_cell_as_the_path_alone(monkeypatch):
     for name in ("cell_dw", "cell_dz"):
         alone = np.concatenate([getattr(p, name) for p in paths])
         assert getattr(chunk, name).tobytes() == alone.tobytes(), name
+
+
+def test_only_crowded_cells_are_summed(monkeypatch):
+    # a cell of one gap takes that gap's z_local as its dZ; a cell of more
+    # gaps is summed, whether jumps split it or `with_jumps` dropped the
+    # jumps that did.  Four paths at finest level 3: no jumps; one jump (a
+    # cell of 2 gaps); 20 jumps in one cell and 2 in another; and a path
+    # whose jumps (3 in cell 2, 4 in cell 5) are all dropped but one in
+    # cell 2, so cell 2 holds 4 gaps and one jump, and cell 5 holds 5 gaps
+    # and no jump.  Every level's dW and dZ are those of a reduceat over
+    # every cell, bit for bit.
+    def scripted(times):
+        times = np.array(times)
+        return times, np.full(times.size, 0.5), np.ones(times.size, dtype=bool)
+
+    jumps = [[], [0.2], [*(0.5 + 0.1 * np.arange(1, 21) / 21), 0.8, 0.85],
+             [0.26, 0.3, 0.33, 0.63, 0.66, 0.7, 0.74]]
+    paths = []
+    for i, times in enumerate(jumps):
+        monkeypatch.setattr(path_mod, "simulate_events", lambda *_, t=times: scripted(t))
+        paths.append(build_path(1.0, 3, dense_model(), np.random.default_rng(95 + i)))
+    paths[3] = paths[3].with_jumps(np.arange(7) == 1)
+    chunk = join(paths)
+    gap_counts = np.diff(chunk.cell_edges, axis=1)
+    assert gap_counts[0].tolist() == [1] * 8
+    assert gap_counts[1].tolist() == [1, 2] + [1] * 6
+    assert gap_counts[2, 4] == 21 and gap_counts[2, 6] == 3
+    assert gap_counts[3, 2] == 4 and gap_counts[3, 5] == 5
+    assert chunk.jump_cells[-1:].tolist() == [3 * 8 + 2]
+    dws, dzs = reduceat_levels(chunk)
+    assert chunk.cell_dw.tobytes() == dws[-1].tobytes()
+    assert chunk.cell_dz.tobytes() == dzs[-1].tobytes()
+    for level in range(4):
+        batch = chunk.slices(level)
+        assert batch.dw.tobytes() == dws[level].tobytes(), level
+        assert batch.dz.tobytes() == dzs[level].tobytes(), level
 
 
 def test_simulate_events_stops_at_the_jump_cap(monkeypatch):
