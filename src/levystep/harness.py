@@ -4,8 +4,9 @@ Every study couples all resolutions pathwise: per path one DrivingPath is
 built at the finest level and each step-size ladder entry (or each truncation
 level) is evaluated on slices of that same path against the same reference,
 so the reported error is pure discretization (or truncation) error with no
-resampling noise.  Per-path RNG streams derive from (master seed, path index)
-through numpy's SeedSequence.  Paths are evaluated a chunk at a time, joined
+resampling noise.  Path i's RNG stream is the one numpy's
+SeedSequence((master seed, i)) gives, its seed words hashed a block of paths
+at a time (`path_rng`).  Paths are evaluated a chunk at a time, joined
 into one array structure, and every per-slice and per-path value is formed
 as it would be for the path alone.
 """
@@ -19,12 +20,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
-from functools import cache
+from functools import cache, lru_cache
 from itertools import repeat
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .common import ConfigError, choice, finite, integer, require
 from .levy import LevyModel, activate, model_from_config, truncate
@@ -53,13 +55,21 @@ _MAX_EXPECTED_EVENTS = 2**23
 _MAX_PATH_RESULTS = 2**22
 # jump entries a convergence path's partial slices are expected to hold,
 # checked before any path is drawn: a cell of n jumps gives partial slices
-# holding n (n + 1) / 2 of them a ladder level, ~280 B each when evaluated
-# (about 1.2 GB at the bound)
+# holding n (n + 1) / 2 of them a ladder level.  They are evaluated in pieces
+# (below), so the bound caps time, not memory: about 1.6 s a path at the
+# bound (2-core VM)
 _MAX_PARTIAL_ENTRIES = 2**22
+# the freed heap a study keeps for its next chunk (`_hold_heap`): glibc
+# returns free heap beyond this to the system, and maps a block of half of it
+# or more apart from the heap
+_HELD_HEAP = 64 << 20
 # jump entries one evaluator call of a chunk's partial slices holds at most
-# (a slice holding more is evaluated alone): about 70 MB a piece while it is
-# evaluated, whatever the jumps of one cell
-_PARTIAL_PIECE_ENTRIES = 2**18
+# (a slice holding more is evaluated alone): ~250 B each while evaluated, so
+# a piece takes at most a quarter of the held heap (about 16 MB), whatever
+# the jumps of one cell, and the heap it frees is kept for the next piece.
+# A piece beyond the held heap (2**18 entries, 65 MB) has its heap returned
+# and faulted in again, piece after piece, on a jump-heavy study
+_PARTIAL_PIECE_ENTRIES = _HELD_HEAP // 4 // 256
 # a chunk of paths evaluated together closes once its paths' events (grid
 # points and jumps) reach _CHUNK_EVENTS: 16 paths at finest level 10, and a
 # path with more events is a chunk alone.  A chunk's arrays so stay within
@@ -172,10 +182,14 @@ def config_from_dict(obj: dict) -> StudyConfig:
         return level
 
     trunc_level, traj_level = grid_level("truncation_level"), grid_level("trajectory_level")
+    drift, sigma = num("b"), num("sigma")
+    # the exact solution's drift holds sigma**2 / 2 as a Python float
+    require(math.isfinite(sigma * sigma),
+            f"config key 'sigma' is too large: its square overflows, got {sigma}")
 
     return StudyConfig(
         model=model, epsilon=eps,
-        drift=num("b"), diffusion=num("sigma"),
+        drift=drift, diffusion=sigma,
         small_jump=num("F"), tail_jump=num("G"),
         y0=num("y0", 1.0), horizon=horizon, scheme=scheme,
         ladder_levels=levels, finest_level=finest, paths=paths, seed=seed,
@@ -198,8 +212,80 @@ def config_from_json(path) -> StudyConfig:
     return config_from_dict(obj)
 
 
+# SeedSequence's hash constants (numpy's bit_generator.pyx, NEP 19), as
+# Python ints masked to 32 bits: uint32 arrays wrap on them without a warning
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# path indices _seed_block hashes at once (32 KB of seed words)
+_BLOCK = 2**10
+
+
+def _hashmix(value: np.ndarray, const: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
+    """SeedSequence's `hashmix` of each uint32 word, and the next constant;
+    with _MULT_B, the hash of one word its `generate_state` gives."""
+    value = value ^ const
+    const = const * mult & _MASK32
+    value *= const
+    return value ^ value >> 16, const
+
+
+@lru_cache(maxsize=1)
+def _seed_block(master_seed: int, block: int) -> np.ndarray:
+    """Row j of this read-only (_BLOCK, 4) uint64 array holds what
+    SeedSequence((master_seed, i)).generate_state(4, np.uint64) gives for
+    path index i = block * _BLOCK + j.  It follows SeedSequence's documented
+    algorithm for two entropy words (each below 2**32): a pool of 4 words,
+    each `hashmix`ed in, then `mix`ed into every other, then hashed out to 8
+    words, as uint32 array arithmetic over the block's indices."""
+    entropy = [np.full(_BLOCK, master_seed, np.uint32),
+               np.arange(_BLOCK, dtype=np.uint32) + block * _BLOCK]
+    pool, const = [], _INIT_A
+    for word in entropy + [np.zeros(_BLOCK, np.uint32)] * 2:
+        word, const = _hashmix(word, const)
+        pool.append(word)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+                pool[dst] = mixed ^ mixed >> 16
+    words, const = [], _INIT_B
+    for k in range(8):  # generate_state cycles through the pool
+        word, const = _hashmix(pool[k % 4], const, _MULT_B)
+        words.append(word.astype(np.uint64))
+    # each uint64 word is a little-endian pair of uint32 words
+    seeds = np.stack([lo | hi << 32 for lo, hi in zip(words[::2], words[1::2])], axis=1)
+    seeds.setflags(write=False)
+    return seeds
+
+
+class _SeedWords(ISeedSequence):
+    """One path's PCG64 seed words, as its SeedSequence would generate them."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("these seed words serve only PCG64's generate_state(4, uint64)")
+        return self.words
+
+
 def path_rng(master_seed: int, path_index: int) -> np.random.Generator:
-    """Independent per-path stream derived from (master seed, path index)."""
+    """Path `path_index`'s own stream: the one
+    default_rng(SeedSequence((master_seed, path_index))) gives, bit for bit.
+    For a seed and an index that are ints below 2**32 the seed words come
+    from a cached block of _BLOCK indices hashed at once (`_seed_block`), so
+    the stream's `bit_generator.seed_seq` is not a SeedSequence and
+    `Generator.spawn` is unavailable.  Any other input goes to SeedSequence
+    itself, which raises on a negative or non-integer one."""
+    if (isinstance(master_seed, int) and isinstance(path_index, int)
+            and 0 <= master_seed <= _MASK32 and 0 <= path_index <= _MASK32):
+        block, row = divmod(path_index, _BLOCK)
+        words = _seed_block(master_seed, block)[row]
+        return np.random.Generator(np.random.PCG64(_SeedWords(words)))
     return np.random.default_rng(np.random.SeedSequence((master_seed, path_index)))
 
 
@@ -314,11 +400,11 @@ def _hold_heap() -> None:
     heap a chunk frees goes back to the system and the next chunk faults it
     in again.  Fixed at the ceiling of that dynamic rule on 64-bit
     (DEFAULT_MMAP_THRESHOLD_MAX, and twice that for trimming), at most
-    64 MiB of freed heap is kept; no result changes."""
+    _HELD_HEAP of freed heap is kept; no result changes."""
     mallopt = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "mallopt", None)
     if mallopt is not None:
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        mallopt(-3, _HELD_HEAP // 2)  # M_MMAP_THRESHOLD
+        mallopt(-1, _HELD_HEAP)  # M_TRIM_THRESHOLD
 
 
 def _per_path(cfg: StudyConfig, model: LevyModel, shape: tuple[int, ...], rows) -> np.ndarray:

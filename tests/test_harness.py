@@ -149,6 +149,7 @@ def test_config_defaults():
     (lambda c: c.update(epsilons=[float("nan")]), "'epsilons' must be finite"),
     (lambda c: c.update(sigma=True), "'sigma' must be a number"),
     (lambda c: c.update(G=10**400), "'G' must be finite"),
+    (lambda c: c.update(sigma=-2e154), "'sigma' is too large: its square overflows"),
 ])
 def test_config_rejections(mangle, match):
     cfg = base_config()
@@ -242,6 +243,23 @@ def test_path_rng_streams():
     assert path_rng(5, 0).random() == path_rng(5, 0).random()
     assert path_rng(5, 0).random() != path_rng(5, 1).random()
     assert path_rng(6, 0).random() != path_rng(5, 0).random()
+
+
+def test_path_rng_is_the_seed_sequence_stream():
+    # path i's stream is SeedSequence((seed, i))'s, bit for bit: over random
+    # pairs, at the edges of a block of path indices, at the ends of one
+    # entropy word, and beyond it
+    top = 2**32 - 1
+    rand = np.random.default_rng(20261021).integers(0, 2**32, size=(200, 2)).tolist()
+    edges = [(s, i) for s in (0, 5, top) for i in (0, 1023, 1024, 2047, top)]
+    beyond = [(2**32, 0), (0, 2**32), (2**40, 3), (7, 2**40), (2**40, 2**40)]
+    for s, i in rand + edges + beyond:
+        reference = np.random.default_rng(np.random.SeedSequence((s, i)))
+        assert path_rng(s, i).bit_generator.state == reference.bit_generator.state
+    with pytest.raises(ValueError):
+        path_rng(-1, 0)
+    with pytest.raises(ValueError):
+        path_rng(0, -1)
 
 
 # -- slope fitting ---------------------------------------------------------------
@@ -524,12 +542,9 @@ def test_only_the_milstein_scheme_forms_the_dz_and_w_stage(monkeypatch):
     assert formed == [c.event_times.size for c in chunks]
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="holds glibc's heap only")
-def test_a_study_keeps_the_heap_its_chunks_free():
-    # left to glibc's dynamic thresholds, the heap a chunk frees is returned
-    # to the system and faulted in again by the next chunk: about 4000-5000
-    # minor page faults a 150-path README converge study.  Held, the second
-    # study in a fresh interpreter faults almost none.
+def second_study_faults(cfg: dict) -> int:
+    """Minor page faults of the second of two convergence studies of `cfg`
+    in a fresh interpreter."""
     code = """if True:
         import json, resource, sys
         from levystep import config_from_dict, strong_error_study
@@ -540,11 +555,33 @@ def test_a_study_keeps_the_heap_its_chunks_free():
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     """
     src = os.path.dirname(os.path.dirname(harness.__file__))
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(README_CONVERGE | {"paths": 150})],
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(cfg)],
                          capture_output=True, text=True, timeout=300,
                          env=dict(os.environ, PYTHONPATH=src))
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) < 500
+    return int(out.stdout)
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="holds glibc's heap only")
+def test_a_study_keeps_the_heap_its_chunks_free():
+    # left to glibc's dynamic thresholds, the heap a chunk frees is returned
+    # to the system and faulted in again by the next chunk: about 4000-5000
+    # minor page faults a 150-path README converge study.  Held, the second
+    # study in a fresh interpreter faults almost none.
+    assert second_study_faults(README_CONVERGE | {"paths": 150}) < 500
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="holds glibc's heap only")
+def test_a_partial_slice_piece_stays_inside_the_held_heap():
+    # ~240 jumps a path give ~54 paths a chunk and ~1.2e6 jump entries in its
+    # partial slices.  In pieces of 2**18 entries (65 MB evaluated, beyond
+    # the 64 MiB trim threshold) each piece's heap was returned and faulted
+    # in again: ~43 000 faults a 100-path study.  Within the held heap the
+    # second study faults almost none.
+    model, finest, ladder = CROSS_CHECK_MODELS["jump-heavy"]
+    cfg = base_config(model=model, finest_level=finest, ladder_levels=ladder,
+                      scheme="milstein", paths=100, seed=11)
+    assert second_study_faults(cfg) < 1000
 
 
 def test_pieces_cover_the_slices_within_the_budget():
@@ -1009,6 +1046,22 @@ def test_cli_overflowing_amplitude_exits_2(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert "model.p" in err and "overflows" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("converge", README_CONVERGE), ("simulate", README_CONVERGE), ("truncate", README_TRUNCATE),
+])
+def test_cli_sigma_whose_square_overflows_exits_2(tmp_path, capsys, command, cfg):
+    # the exact solution's drift holds sigma**2 / 2 as a Python float:
+    # converge and simulate raised OverflowError on it, and truncate named
+    # path 0; all three now refuse the config, naming sigma
+    p = write_cfg(tmp_path, cfg | {"sigma": 2e154})
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "'sigma'" in err and "overflows" in err
+    assert not out.exists() or not any(out.iterdir())
+    assert config_from_dict(cfg | {"sigma": 1e154}).diffusion == 1e154  # its square is finite
 
 
 STRING_ATOM = {"kind": "atoms", "atoms": [["0.5", 0.6], [-0.4, 0.4]]}
