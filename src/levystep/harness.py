@@ -66,9 +66,7 @@ _HELD_HEAP = 64 << 20
 # jump entries one evaluator call of a chunk's partial slices holds at most
 # (a slice holding more is evaluated alone): ~250 B each while evaluated, so
 # a piece takes at most a quarter of the held heap (about 16 MB), whatever
-# the jumps of one cell, and the heap it frees is kept for the next piece.
-# A piece beyond the held heap (2**18 entries, 65 MB) has its heap returned
-# and faulted in again, piece after piece, on a jump-heavy study
+# the jumps of one cell, and the heap it frees is kept for the next piece
 _PARTIAL_PIECE_ENTRIES = _HELD_HEAP // 4 // 256
 # a chunk of paths evaluated together closes once its paths' events (grid
 # points and jumps) reach _CHUNK_EVENTS: 16 paths at finest level 10, and a

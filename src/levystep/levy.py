@@ -244,8 +244,9 @@ def _band_moment(model: LevyModel, power: int, lo: float, hi: float) -> float:
         return 0.0
     amp = model.p
     if isinstance(model.small, AtomSpec):
-        return float(sum(m * amp(x) ** power
-                         for x, m in model.small.atoms if lo < abs(x) <= hi))
+        with np.errstate(over="ignore"):  # a numpy square beyond the float range is inf
+            return float(sum(m * amp(x) ** power
+                             for x, m in model.small.atoms if lo < abs(x) <= hi))
 
     spec = model.small
     e, coef = amp.exponent, amp.coef

@@ -6,10 +6,11 @@
 
 A stepper consumes a `Slices` batch (it never samples noise itself) and
 returns one result per slice, computed with whole-array operations.  Both
-steppers are linear in Y, so each step is a multiplicative factor;
-`euler_factor` / `milstein_factor` compute the factors of a batch,
-`step_factor` picks one by scheme, `chain` turns the factors of consecutive
-slices into values and `run_scheme` does both for a ladder level.
+steppers are linear in Y, so each step is a multiplicative factor: Euler
+keeps the four order-1/2 terms ('0', '1', '2', '3') of the Ito-Taylor
+expansion and Milstein adds its nine order-1 terms.  `step_factor` forms the
+factors of a batch, `chain` turns the factors of consecutive slices into
+values and `run_scheme` does both for a ladder level.
 
 Conventions for the Milstein double sums (jumps of the slice are indexed in
 time order; `small n` / `tail n` means the outer sum runs over that region's
@@ -37,6 +38,7 @@ term's iterated-integral definition has it.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -85,23 +87,23 @@ class LinearCoefficients:
                    p_integral=moment(model, 1))
 
 
-def euler_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
+def _half_terms(slices: Slices, coef: LinearCoefficients) -> tuple[np.ndarray, ...]:
+    """The four order-1/2 terms at y = 1, keys '0', '1', '2', '3'."""
     n, sid, small = slices.left.size, slices.slice_id, slices.small
     # per-slice sums of p over small jumps and q over tail jumps, in time order
     sum_p = np.bincount(sid, np.where(small, coef.p(slices.mark), 0.0), minlength=n)
     sum_q = np.bincount(sid, np.where(small, 0.0, coef.q(slices.mark)), minlength=n)
-    return (1.0
-            + coef.drift * slices.delta
-            + coef.diffusion * slices.dw
-            + coef.small_jump * (sum_p - slices.delta * coef.p_integral)
-            + coef.tail_jump * sum_q)
+    return (coef.drift * slices.delta,
+            coef.diffusion * slices.dw,
+            coef.small_jump * (sum_p - slices.delta * coef.p_integral),
+            coef.tail_jump * sum_q)
 
 
 def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     """Per slice, the sums over its jumps that the order-1 terms need, one
-    row each: sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead,
-    i22_time, i23_time, i22_hold, i32_hold, i22_lead, i33_lead, i32_lead,
-    i23_lead (see the module docstring).
+    row each: sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time,
+    i23_time, i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead (see
+    the module docstring).
 
     Every sum is formed from 0.0 left to right in time order, as a walk of
     the slice forms it: the slices holding jumps advance their running sums
@@ -110,7 +112,7 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     """
     n, sid, small = slices.left.size, slices.slice_id, slices.small
     if not sid.size:
-        return np.zeros((14, n))
+        return np.zeros((12, n))
     # p at small jumps, q at tail jumps; zero elsewhere
     pq = np.where(np.array((small, ~small)),
                   np.array((coef.p(slices.mark), coef.q(slices.mark))), 0.0)
@@ -119,7 +121,7 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
     since, wincr = at - ends[:2]        # from the slice's left end to the jump
     to_end, w_to_end = ends[2:] - at    # from the jump to the slice's right end
     per_jump = np.concatenate((
-        pq,                                                 # sum_p, sum_q
+        pq,                                                 # P, Q (for the leads)
         # sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time
         (np.array((wincr, w_to_end, since))[:, None] * pq).reshape(6, -1),
         pq * to_end))                                       # i22_hold, i32_hold
@@ -135,25 +137,20 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
         # strictly before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
         leads[:, :m] += x[[0, 1, 0, 1]] * run[[0, 1, 1, 0], :m]
         run[:, :m] += x
-    out = np.zeros((14, n))
-    out[:, held] = np.concatenate((run, leads))
+    out = np.zeros((12, n))
+    out[:, held] = np.concatenate((run[2:], leads))
     return out
 
 
-def _scaled_terms(slices: Slices, coef: LinearCoefficients):
-    """The thirteen terms at y = 1, one array over the slices at a time, in
-    TERM_KEYS order."""
-    b, s = coef.drift, coef.diffusion
-    cf, cg = coef.small_jump, coef.tail_jump
+def _order_one_terms(slices: Slices, coef: LinearCoefficients):
+    """The nine order-1 terms at y = 1, one array over the slices at a time,
+    in TERM_KEYS order."""
+    s, cf, cg = coef.diffusion, coef.small_jump, coef.tail_jump
     m1 = coef.p_integral
     delta, dw, dz = slices.delta, slices.dw, slices.dz
-    (sum_p, sum_q, sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
+    (sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
      i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead) = _jump_sums(slices, coef)
     # six terms are (a jump sum) - m1 * (its compensator); 22 has two more parts
-    yield b * delta                                                     # 0
-    yield s * dw                                                        # 1
-    yield cf * (sum_p - m1 * delta)                                     # 2
-    yield cg * sum_q                                                    # 3
     yield 0.5 * s * s * (dw * dw - delta)                               # 11
     yield cf * s * (sum_p_wincr - m1 * dz)                              # 12
     yield cg * s * sum_q_wincr                                          # 13
@@ -175,15 +172,8 @@ def milstein_terms(y: float, slices: Slices,
     summing the values and adding y gives the Milstein update from state y.
     Empty jump sums contribute zero.
     """
-    return {key: y * term for key, term in zip(TERM_KEYS, _scaled_terms(slices, coef))}
-
-
-def milstein_factor(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
-    terms = _scaled_terms(slices, coef)
-    total = next(terms)
-    for term in terms:  # added in key order, left to right, one term live at a time
-        total += term
-    return 1.0 + total
+    terms = itertools.chain(_half_terms(slices, coef), _order_one_terms(slices, coef))
+    return {key: y * term for key, term in zip(TERM_KEYS, terms)}
 
 
 @dataclass(frozen=True)
@@ -193,11 +183,15 @@ class Trajectory:
 
 
 def step_factor(scheme: Scheme, slices: Slices, coef: LinearCoefficients) -> np.ndarray:
-    """The multiplicative one-slice update of either scheme, per slice (used
-    for grid slices and for partial slices ending at an interior jump time)."""
+    """The multiplicative one-slice update of either scheme, per slice.  Euler
+    adds its four terms to 1.0 one by one; Milstein sums all thirteen in key
+    order, one order-1 term live at a time, and adds 1.0 last."""
+    t0, t1, t2, t3 = _half_terms(slices, coef)
     if scheme is Scheme.EULER:
-        return euler_factor(slices, coef)
-    return milstein_factor(slices, coef)
+        return 1.0 + t0 + t1 + t2 + t3
+    for term in itertools.chain((t1, t2, t3), _order_one_terms(slices, coef)):
+        t0 += term
+    return 1.0 + t0
 
 
 def run_scheme(scheme: Scheme, grid: np.ndarray, path: DrivingPath,

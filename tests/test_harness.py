@@ -262,6 +262,15 @@ def test_path_rng_is_the_seed_sequence_stream():
         path_rng(0, -1)
 
 
+def test_a_streams_seed_words_serve_pcg64_alone():
+    # the block route's seed sequence gives its path's row of the block, and
+    # only in the one shape PCG64 asks for
+    seed_seq = path_rng(1, 2).bit_generator.seed_seq
+    with pytest.raises(ValueError, match="PCG64"):
+        seed_seq.generate_state(8)
+    assert np.array_equal(seed_seq.generate_state(4, np.uint64), harness._seed_block(1, 0)[2])
+
+
 # -- slope fitting ---------------------------------------------------------------
 
 def test_fit_slope_exact_line():
@@ -850,6 +859,32 @@ def test_cli_config_errors(tmp_path, capsys):
                          "--paths", "1"]) == 2
         assert "'paths' at least 2" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    # `python -m levystep.cli` as a user runs it: a small converge run writes
+    # what the in-process entry writes, and an atom's p whose square leaves
+    # the float range exits 2 with one stderr line naming the key
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+
+    def run(config, out):
+        return subprocess.run(
+            [sys.executable, "-m", "levystep.cli", "converge", "--config", str(config),
+             "--out-dir", str(out)], capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+
+    p = write_cfg(tmp_path, base_config(paths=10))
+    done = run(p, tmp_path / "module")
+    assert done.returncode == 0, done.stderr
+    assert cli.main(["converge", "--config", str(p), "--out-dir", str(tmp_path / "main")]) == 0
+    for name in ("report.json", "errors.csv"):
+        assert (tmp_path / "module" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
+    bad = base_config()
+    bad["model"]["p"] = {"coef": 1e200, "exponent": 2}
+    refused = run(write_cfg(tmp_path, bad, "bad.json"), tmp_path / "refused")
+    assert refused.returncode == 2
+    assert len(refused.stderr.splitlines()) == 1 and "model.p" in refused.stderr
+    assert not (tmp_path / "refused").exists()
 
 
 @pytest.mark.parametrize("command", ["converge", "truncate", "simulate"])

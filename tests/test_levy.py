@@ -358,6 +358,8 @@ BAD_MODELS = [
     ({"small": ATOMS, "q": {"kind": "identity"}}, "model.q"),
     ({"small": ATOMS, "p": {"kind": "power", "coef": 2.0}}, "model.p"),
     ({"small": ATOMS, "q": {"exponent": -1.0}}, "model.q"),
+    # an atom's p squared leaves the float range (a numpy square, not a Python one)
+    ({"small": ATOMS, "p": {"coef": 1e200, "exponent": 2}}, "model.p"),
 ]
 
 

@@ -13,17 +13,19 @@ from levystep import (
     AtomSpec,
     LevyModel,
     LinearCoefficients,
+    PowerLawSpec,
     Scheme,
     build_path,
     hierarchical_set,
     milstein_terms,
     moment,
     run_scheme,
+    truncate,
 )
 from levystep import schemes
 from levystep.common import Region
 from levystep.path import dyadic_grid, join
-from levystep.schemes import euler_factor, milstein_factor, step_factor
+from levystep.schemes import step_factor
 
 TERM_KEYS = frozenset(
     ["0", "1", "2", "3", "11", "12", "13", "21", "31", "22", "23", "32", "33"])
@@ -61,6 +63,8 @@ def test_coefficients_reject_infinite_moments():
 def test_term_keys_are_the_order_one_multiindices():
     # the words of the strong order-1 hierarchical set, less the empty word
     assert set(schemes.TERM_KEYS) == set(hierarchical_set(1)) - {""}
+    # Euler's terms come first: the words of the order-1/2 set
+    assert schemes.TERM_KEYS[:4] == tuple(w for w in hierarchical_set(0.5) if w)
 
 
 def test_scheme_enum():
@@ -77,7 +81,7 @@ def test_euler_factor_frozen_example(finite_coef):
     raw = RawSlice(left=0.0, delta=0.5,
                    jump_data=[(0.3, 0.5, Region.SMALL), (0.7, -2.0, Region.TAIL)],
                    dws=[0.1, 0.05, 0.05], zlocs=[0.0, 0.0, 0.0], w_left=0.0)
-    (factor,) = euler_factor(raw.to_slice(), finite_coef)
+    (factor,) = step_factor(Scheme.EULER, raw.to_slice(), finite_coef)
     assert factor == pytest.approx(0.696, rel=1e-12)
 
 
@@ -85,7 +89,7 @@ def test_euler_no_jump_formula(finite_coef):
     slc = bare_slice(delta=0.25, delta_w=-0.3)
     want = (1.0 + finite_coef.drift * 0.25 + finite_coef.diffusion * (-0.3)
             - finite_coef.small_jump * 0.25 * finite_coef.p_integral)
-    assert euler_factor(slc, finite_coef)[0] == pytest.approx(want, rel=1e-15)
+    assert step_factor(Scheme.EULER, slc, finite_coef)[0] == pytest.approx(want, rel=1e-15)
 
 
 # -- Milstein term structure ---------------------------------------------------
@@ -123,7 +127,7 @@ def test_milstein_without_jumps_reduces_to_classical():
     slc = bare_slice(delta=0.5, delta_w=0.2)
     want = (1.0 - 0.5 * 0.5 + 0.3 * 0.2
             + 0.5 * 0.09 * (0.2 * 0.2 - 0.5))
-    assert milstein_factor(slc, coef)[0] == pytest.approx(want, rel=1e-14)
+    assert step_factor(Scheme.MILSTEIN, slc, coef)[0] == pytest.approx(want, rel=1e-14)
 
 
 def test_empty_sum_terms_are_zero(finite_coef):
@@ -148,7 +152,8 @@ def test_first_order_terms_match_euler(finite_coef, rng):
         slc = random_raw_slice(rng).to_slice()
         t = slice_terms(milstein_terms(1.0, slc, finite_coef))
         low = 1.0 + t["0"] + t["1"] + t["2"] + t["3"]
-        assert low == pytest.approx(float(euler_factor(slc, finite_coef)[0]), rel=1e-13)
+        euler = float(step_factor(Scheme.EULER, slc, finite_coef)[0])
+        assert low == pytest.approx(euler, rel=1e-13)
 
 
 def test_milstein_terms_linear_in_y(finite_coef, rng):
@@ -190,7 +195,7 @@ def test_array_core_matches_event_walk_on_paths():
                             list(zip(lefts, path.jump_events))))
             for slices, bounds in batches:
                 terms = milstein_terms(y, slices, coef)
-                euler = euler_factor(slices, coef)
+                euler = step_factor(Scheme.EULER, slices, coef)
                 for k, (ia, ib) in enumerate(bounds):
                     want = walk_terms(y, RawSlice.from_path(path, int(ia), int(ib)), coef)
                     assert_term_match(slice_terms(terms, k), want)
@@ -203,11 +208,45 @@ def test_array_core_matches_event_walk_on_paths():
 
 
 def test_step_factor_dispatch(finite_coef, rng):
+    # Euler adds the four order-1/2 terms to 1.0 one by one; Milstein sums
+    # all thirteen in key order and adds 1.0 last
     slc = random_raw_slice(rng).to_slice()
+    m = milstein_terms(1.0, slc, finite_coef)
     assert np.array_equal(step_factor(Scheme.EULER, slc, finite_coef),
-                          euler_factor(slc, finite_coef))
-    assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, finite_coef),
-                          milstein_factor(slc, finite_coef))
+                          1.0 + m["0"] + m["1"] + m["2"] + m["3"])
+    total = m["0"]
+    for key in schemes.TERM_KEYS[1:]:
+        total = total + m[key]
+    assert np.array_equal(step_factor(Scheme.MILSTEIN, slc, finite_coef), 1.0 + total)
+
+
+@pytest.mark.parametrize("kind", ["atoms", "power-law", "jump-heavy"])
+def test_euler_factor_is_one_plus_the_four_order_half_terms(kind):
+    # the grid slices of levels 0, 2 and 4 and the partial slices from each
+    # level-2 grid point to every jump of a chunk of 12 paths, in one batch
+    # as a study gathers them: Euler's factor is 1.0 plus the Milstein terms
+    # '0' to '3' added in that order, bit for bit
+    if kind == "power-law":
+        model = truncate(LevyModel(small=PowerLawSpec(1.0, 1.2),
+                                   tail=AtomSpec(((1.5, 1.0), (-2.0, 1.0))),
+                                   p=AmplitudeSpec(0.8, 1.5), q=AmplitudeSpec(1.2, 0.5)), 0.05)
+        paths = [build_path(1.0, 4, model, np.random.default_rng(700 + i)) for i in range(12)]
+        coef = LinearCoefficients.for_model(-0.4, 0.6, 0.5, 0.3, model)
+    else:
+        rate = 60.0 if kind == "jump-heavy" else 4.0
+        paths = [dense_path(700 + i, 4, 0.2 + rate * (i % 3), 0.1 + rate / 3 * (i % 3))
+                 for i in range(12)]
+        coef = mixed_coef()
+    chunk = join(paths)
+    owner = chunk.jump_cells >> chunk.finest_level
+    ia = chunk.grid_events(2).ravel()[(chunk.jump_cells >> (chunk.finest_level - 2)) + owner]
+    batch = chunk.ladder((0, 2, 4), ia, chunk.jump_events)
+    held = np.bincount(batch.slice_id, minlength=batch.left.size)
+    assert held.min() == 0 and held[-ia.size:].min() >= 1
+    assert held.max() >= (20 if kind == "jump-heavy" else 2)
+    m = milstein_terms(1.0, batch, coef)
+    assert (step_factor(Scheme.EULER, batch, coef).tobytes()
+            == (1.0 + m["0"] + m["1"] + m["2"] + m["3"]).tobytes())
 
 
 @pytest.mark.parametrize("level", [0, 3])
@@ -229,7 +268,8 @@ def test_stacked_batches_evaluate_as_their_parts(level):
                 np.bincount(batch.slice_id, minlength=batch.left.size),
                 np.concatenate([np.bincount(p.slices(level).slice_id, minlength=1 << level)
                                 for p in parts]))
-            rows.append(np.vstack((milstein_factor(batch, coef), euler_factor(batch, coef),
+            rows.append(np.vstack((step_factor(Scheme.MILSTEIN, batch, coef),
+                                   step_factor(Scheme.EULER, batch, coef),
                                    *milstein_terms(1.0, batch, coef).values())))
         per_size.append(np.concatenate(rows, axis=1).tobytes())
     assert per_size[0] == per_size[1] == per_size[2]
@@ -248,7 +288,7 @@ def test_milstein_factor_is_one_plus_the_running_sum_of_the_terms():
         total = terms[schemes.TERM_KEYS[0]]
         for key in schemes.TERM_KEYS[1:]:
             total = total + terms[key]
-        assert milstein_factor(batch, coef).tobytes() == (1.0 + total).tobytes()
+        assert step_factor(Scheme.MILSTEIN, batch, coef).tobytes() == (1.0 + total).tobytes()
 
 
 # -- trajectories ---------------------------------------------------------------
