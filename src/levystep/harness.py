@@ -31,7 +31,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .common import ConfigError, choice, finite, integer, require
 from .levy import LevyModel, activate, model_from_config, truncate
 from .oracle import exact_solution
-from .path import DrivingPath, build_path, join
+from .path import DrivingPath, build_path, grid_fits, join
 from .schemes import LinearCoefficients, Scheme, chain, run_scheme, step_factor
 
 SUP_NOTE = ("strong error sup taken over grid points and jump times; "
@@ -137,6 +137,9 @@ def config_from_dict(obj: dict) -> StudyConfig:
     require(0 <= finest <= _MAX_FINEST_LEVEL,
             f"config key 'finest_level' must lie in 0..{_MAX_FINEST_LEVEL}, got {finest}")
     require(max(levels, default=0) <= finest, "ladder_levels must not exceed finest_level")
+    require(grid_fits(horizon, finest),
+            f"config key 'T' must keep T * 2**finest_level finite and T / 2**finest_level a "
+            f"normal float, got T = {horizon!r} at finest_level {finest}")
 
     paths = integer("paths", obj.get("paths", 0))
     require(paths >= 1, "config key 'paths' must be at least 1")

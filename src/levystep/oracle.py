@@ -40,4 +40,4 @@ def exact_solution(path: DrivingPath, events: np.ndarray,
     mult[path.jump_events - 1] *= np.where(path.jump_small,
                                            1.0 + coef.small_jump * coef.p(marks),
                                            1.0 + coef.tail_jump * coef.q(marks))
-    return y0 * path.along_paths(np.multiply, mult, 1.0)[events]
+    return y0 * path.along_paths(np.multiply, mult)[events]

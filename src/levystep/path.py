@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -50,17 +51,6 @@ _SQRT3 = math.sqrt(3.0)
 _MAX_JUMPS = 2**24
 
 
-def sample_dw_dz(deltas: np.ndarray, rng: np.random.Generator
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Independent joint draws of (dW, dZ), one per interval length in deltas
-    (see `_dw` and `_z_local`)."""
-    deltas = np.asarray(deltas, dtype=np.float64)
-    if not (deltas > 0).all():
-        raise ValueError(f"interval lengths must be positive, got min {deltas.min()}")
-    normals = rng.standard_normal((2, deltas.size))
-    return _dw(normals[0], deltas), _z_local(normals, deltas)
-
-
 def _dw(u1: np.ndarray, deltas: np.ndarray) -> np.ndarray:  # see `_z_local`
     return u1 * np.sqrt(deltas)
 
@@ -68,7 +58,8 @@ def _dw(u1: np.ndarray, deltas: np.ndarray) -> np.ndarray:  # see `_z_local`
 def _z_local(normals: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """dZ = delta^{3/2} (U1 + U2/sqrt(3)) / 2 with U1, U2 the two rows of
     `normals` and dW = `_dw(U1, delta)`, which realizes Var dW = delta,
-    Var dZ = delta^3/3, Cov = delta^2/2 for independent standard normals."""
+    Var dZ = delta^3/3, Cov = delta^2/2 for independent standard normals
+    (acceptance criterion 2 checks that law on the draws of built paths)."""
     u1, u2 = normals[0], normals[1]
     return 0.5 * deltas**1.5 * (u1 + u2 / _SQRT3)
 
@@ -155,22 +146,25 @@ def simulate_events(horizon: float, model: LevyModel, rng: np.random.Generator
     return times, marks, small
 
 
-def dyadic_grid(horizon: float, level: int) -> np.ndarray:
-    """The 2**level + 1 dyadic points of [0, horizon].
-
-    Computed as (k * horizon) / 2**level, which is bitwise-consistent across
-    levels (power-of-two scaling is exact in binary floating point).
-    """
-    if level < 0:
-        raise ValueError("level must be nonnegative")
-    return (np.arange(2**level + 1, dtype=np.float64) * horizon) / float(2**level)
+def grid_fits(horizon: float, level: int) -> bool:
+    """Whether horizon * 2**level is finite and horizon / 2**level a normal
+    float, which keeps every dyadic grid up to `level` exact (see `dyadic_grid`)."""
+    scale = 2.0**level  # both products are exact unless they overflow
+    return math.isfinite(float(horizon) * scale) and horizon >= sys.float_info.min * scale
 
 
 @lru_cache(maxsize=1)
-def _shared_grid(horizon: float, level: int) -> np.ndarray:
-    """`dyadic_grid(horizon, level)`, read-only, kept for the next path
-    (`build_path` merges a copy of it into each path)."""
-    grid = dyadic_grid(horizon, level)
+def dyadic_grid(horizon: float, level: int) -> np.ndarray:
+    """The 2**level + 1 dyadic points of [0, horizon], read-only and kept for
+    the next call (`build_path` merges a copy of it into each path).
+
+    Computed as (k * horizon) / 2**level, which is finite, strictly increasing
+    and bit-equal across levels (power-of-two scaling is exact in binary
+    floating point) when `grid_fits(horizon, level)`; refused otherwise.
+    """
+    if level < 0 or not grid_fits(horizon, level):
+        raise ValueError(f"no exact dyadic grid of [0, {horizon!r}] at level {level}")
+    grid = (np.arange(2**level + 1, dtype=np.float64) * horizon) / float(2**level)
     grid.flags.writeable = False
     return grid
 
@@ -258,7 +252,7 @@ class DrivingPath:
         each level's dZ, coarsest first."""
         gaps, dw, dw_levels = self._dw_stage
         z_locals = _z_local(self.normals, gaps)
-        w_values = self.along_paths(np.add, dw, 0.0)
+        w_values = self.along_paths(np.add, dw)
         # a finest cell of one gap has that gap's z_local as its dZ, W at the
         # gap's left end being W at the cell's; only the crowded cells, picked
         # by gap count (`with_jumps` keeps the events of the jumps it drops),
@@ -292,13 +286,13 @@ class DrivingPath:
     w_values = property(lambda self: self._dz_stage[1])
     cell_dz = property(lambda self: self._dz_stage[2][-1])
 
-    def along_paths(self, op: np.ufunc, per_gap: np.ndarray, first: float) -> np.ndarray:
-        """Per event, `first` at each path's first event and then `op`
-        accumulated over the path's gaps, left to right (W from dW with
+    def along_paths(self, op: np.ufunc, per_gap: np.ndarray) -> np.ndarray:
+        """Per event, the identity of `op` at each path's first event and then
+        `op` accumulated over the path's gaps, left to right (W from dW with
         np.add)."""
         out, edges = np.empty(self.event_times.size), self.cell_edges
         for a, b in zip(edges[:, 0].tolist(), edges[:, -1].tolist()):
-            out[a] = first
+            out[a] = op.identity
             op.accumulate(per_gap[a:b], out=out[a + 1:b + 1])
         return out
 
@@ -453,7 +447,7 @@ def build_path(horizon: float, finest_level: int, model: LevyModel,
     if finest_level < 0:
         raise ValueError("finest_level must be nonnegative")
     jump_times, jump_marks, jump_small = simulate_events(horizon, model, rng)
-    dyad = _shared_grid(horizon, finest_level)
+    dyad = dyadic_grid(horizon, finest_level)
     event_times, position = _merge(dyad, jump_times)
     # a jump time on a dyadic point or on an earlier jump
     if not (event_times[1:] > event_times[:-1]).all():

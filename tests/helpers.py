@@ -5,7 +5,8 @@ set membership by exhaustive enumeration, event positions by searching their
 times, moments by adaptive quadrature, the order-1 integral terms by an
 event walk over raw gap-level data that never uses the package's lookahead
 bookkeeping or aggregation identities, and a path's sup errors one ladder
-level at a time instead of in one batch.
+level at a time instead of in one batch.  `built_draws` reads the (dW, dZ)
+pairs the studies draw, for the law checks.
 """
 
 from __future__ import annotations
@@ -15,11 +16,24 @@ import itertools
 import numpy as np
 from scipy import integrate
 
-from levystep import LinearCoefficients
+from levystep import AtomSpec, LevyModel, LinearCoefficients, build_path, path_rng
 from levystep.common import Region
 from levystep.multiindex import in_hierarchical_set
-from levystep.path import Slices
+from levystep.path import Slices, join
 from levystep.schemes import run_scheme, step_factor
+
+
+# -- draws of built paths -----------------------------------------------------
+
+def built_draws(paths: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (dW, z_local) pairs `build_path` draws on the 1024 gaps of length
+    0.1 of each of `paths` jumpless level-10 paths, path i on the stream
+    `path_rng(seed, i)`, read from their chunk with each path's pad gap
+    dropped."""
+    jumpless = LevyModel(small=AtomSpec(()), tail=AtomSpec(()))
+    chunk = join([build_path(102.4, 10, jumpless, path_rng(seed, i)) for i in range(paths)])
+    pads = chunk.cell_edges[:, -1]
+    return np.delete(chunk.dw, pads), np.delete(chunk.z_locals, pads)
 
 
 # -- brute-force index sets ---------------------------------------------------

@@ -12,7 +12,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_hierarchical, brute_remainder, random_raw_slice, walk_terms
+from helpers import (
+    brute_hierarchical,
+    brute_remainder,
+    built_draws,
+    random_raw_slice,
+    walk_terms,
+)
 from levystep import (
     AmplitudeSpec,
     AtomSpec,
@@ -28,7 +34,7 @@ from levystep.harness import (
     strong_error_study,
     truncation_study,
 )
-from levystep.path import join, sample_dw_dz
+from levystep.path import join
 from levystep.schemes import milstein_terms
 from test_multiindex import A_HALF, A_ONE, B_HALF, B_ONE, render
 
@@ -103,19 +109,22 @@ def test_criterion_1_index_set_oracle():
 
 
 def test_criterion_2_joint_increment_law():
-    # 1e6 joint draws at delta = 0.1: Var dW = delta, Var dZ = delta^3/3,
-    # Cov = delta^2/2, each within 3 standard errors; runtime under 5 s
+    # the (dW, dZ) pairs build_path draws on 1 000 448 gaps of length
+    # delta = 0.1 (977 jumpless level-10 paths, each on its own path_rng
+    # stream): Var dW = delta, Var dZ = delta^3/3, Cov = delta^2/2, each
+    # within 3 standard errors; runtime under 5 s
     t0 = time.perf_counter()
-    n, d = 1_000_000, 0.1
-    dw, dz = sample_dw_dz(np.full(n, d), np.random.default_rng(123456))
+    d = 0.1
+    dw, dz = built_draws(977, 123456)
+    n = dw.size
     dev_vw = abs(dw.var(ddof=1) - d) / (d * math.sqrt(2.0 / (n - 1)))
     dev_vz = abs(dz.var(ddof=1) - d**3 / 3) / ((d**3 / 3) * math.sqrt(2.0 / (n - 1)))
     cov = float(np.cov(dw, dz)[0, 1])
     se_cov = math.sqrt((d * d**3 / 3 + (d**2 / 2) ** 2) / (n - 1))
     dev_cov = abs(cov - d**2 / 2) / se_cov
     elapsed = time.perf_counter() - t0
-    ok = dev_vw < 3 and dev_vz < 3 and dev_cov < 3 and elapsed < 5.0
-    assert _report(2, ok, "joint (dW, dZ) law deviations "
+    ok = n >= 10**6 and dev_vw < 3 and dev_vz < 3 and dev_cov < 3 and elapsed < 5.0
+    assert _report(2, ok, f"joint (dW, dZ) law of {n} built gaps, deviations "
                    f"{dev_vw:.2f}/{dev_vz:.2f}/{dev_cov:.2f} s.e. (< 3), "
                    f"{elapsed:.2f}s (< 5s)")
 

@@ -33,6 +33,7 @@ from levystep import (
 from levystep import cli, harness
 from levystep import path as path_mod
 from levystep.harness import exclude_coarsest
+from levystep.path import dyadic_grid
 
 from helpers import sup_error_one_level
 
@@ -109,6 +110,34 @@ def test_config_defaults():
         cfg = base_config(ladder_levels=[2, top])
         del cfg["finest_level"]
         assert config_from_dict(cfg).finest_level == finest
+
+
+JUMPLESS_MODEL = README_MODEL | {"small": {"kind": "atoms", "atoms": []},
+                                 "tail": {"kind": "atoms", "atoms": []}}
+
+
+@pytest.mark.parametrize("finest", [0, 12, 20])
+def test_config_T_keeps_every_grid_exact(finest):
+    # the largest and the smallest T whose finest grid stays exact: each
+    # level's grid of a built path is finite, strictly increasing and
+    # dyadic_grid(T, level) bit for bit; one ulp past either edge is refused,
+    # by the config naming T and by dyadic_grid
+    edges = ((sys.float_info.max / 2.0**finest, math.inf),
+             (sys.float_info.min * 2.0**finest, 0.0))
+    for horizon, outward in edges:
+        cfg = config_from_dict(base_config(model=JUMPLESS_MODEL, T=horizon,
+                                           ladder_levels=[finest], finest_level=finest))
+        path = build_path(cfg.horizon, finest, cfg.model, path_rng(cfg.seed, 0))
+        for level in range(finest + 1):
+            grid = path.grid(level)[0]
+            assert np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all()
+            assert grid.tobytes() == dyadic_grid(horizon, level).tobytes()
+        past = math.nextafter(horizon, outward)
+        with pytest.raises(ConfigError, match="'T'"):
+            config_from_dict(base_config(model=JUMPLESS_MODEL, T=past,
+                                         ladder_levels=[finest], finest_level=finest))
+        with pytest.raises(ValueError, match="no exact dyadic grid"):
+            dyadic_grid(past, finest)
 
 
 @pytest.mark.parametrize("mangle,match", [
@@ -810,6 +839,12 @@ def test_cli_simulate(tmp_path):
     lines = (out / "trajectory.csv").read_text().strip().splitlines()
     assert lines[0] == "time,y_scheme,y_oracle"
     assert len(lines) == 2**4 + 2
+    # the time column is the trajectory level's dyadic grid, bit for bit
+    p = write_cfg(tmp_path, base_config(T=0.7, trajectory_level=3))
+    assert cli.main(["simulate", "--config", str(p), "--out-dir", str(out)]) == 0
+    rows = (out / "trajectory.csv").read_text().strip().splitlines()[1:]
+    times = np.array([float(row.split(",")[0]) for row in rows])
+    assert times.tobytes() == dyadic_grid(0.7, 3).tobytes()
 
 
 def test_cli_simulate_has_no_paths_flag(tmp_path):
@@ -885,6 +920,28 @@ def test_cli_runs_as_a_module(tmp_path):
     assert refused.returncode == 2
     assert len(refused.stderr.splitlines()) == 1 and "model.p" in refused.stderr
     assert not (tmp_path / "refused").exists()
+
+
+@pytest.mark.parametrize("over", [
+    {"T": 1e-320, "finest_level": 12, "ladder_levels": [10, 12]},   # the grid underflows
+    {"T": 1e308, "finest_level": 4, "ladder_levels": [2, 3, 4], "model": JUMPLESS_MODEL},
+], ids=["underflow", "overflow"])
+def test_cli_refuses_a_T_without_an_exact_grid(tmp_path, capsys, over):
+    # refused at parse time with one stderr line naming T, also when a
+    # warning would be an error; no file is written
+    p = write_cfg(tmp_path, README_CONVERGE | over)
+    out = tmp_path / "out"
+    for command in ("simulate", "converge"):
+        assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "'T'" in err[0] and "finest_level" in err[0]
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "levystep.cli", "simulate", "--config", str(p),
+         "--out-dir", str(out)], capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(harness.__file__))))
+    assert done.returncode == 2
+    assert len(done.stderr.splitlines()) == 1 and "'T'" in done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["converge", "truncate", "simulate"])

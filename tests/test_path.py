@@ -16,9 +16,9 @@ from levystep import (
 )
 from levystep.common import Region
 from levystep import path as path_mod
-from levystep.path import dyadic_grid, join, sample_dw_dz, simulate_events
+from levystep.path import dyadic_grid, join, simulate_events
 
-from helpers import event_indices, reduceat_levels
+from helpers import built_draws, event_indices, reduceat_levels
 
 IDENT = AmplitudeSpec(1.0, 1.0)
 EAGER = ("left", "right", "delta", "dw", "time", "mark", "small", "slice_id")
@@ -45,19 +45,15 @@ def dense_model(small_rate=4.0, tail_rate=2.0):
     )
 
 
-# -- joint (dW, dZ) sampling -------------------------------------------------
+# -- joint (dW, dZ) draws ------------------------------------------------------
 
-def test_sample_dw_dz_rejects_nonpositive_delta(rng):
-    for bad in (0.0, -0.25, math.nan):
-        with pytest.raises(ValueError):
-            sample_dw_dz(np.array([0.1, bad]), rng)
-
-
-def test_sample_dw_dz_moments():
+def test_built_path_draw_moments():
+    # the pairs build_path draws on 30 720 gaps of length d = 0.1 (30 paths):
     # mean 0, Var dW = d, Var dZ = d^3/3, Cov = d^2/2; all within 4 s.e.
-    d, n = 0.1, 30_000
-    rng = np.random.default_rng(2024)
-    dw, dz = sample_dw_dz(np.full(n, d), rng)
+    d = 0.1
+    dw, dz = built_draws(30, 2024)
+    n = dw.size
+    assert n == 30 * 2**10
     assert abs(dw.mean()) < 4 * math.sqrt(d / n)
     assert abs(dz.mean()) < 4 * math.sqrt(d**3 / 3 / n)
     cov = np.cov(dw, dz)
@@ -67,12 +63,6 @@ def test_sample_dw_dz_moments():
     assert abs(cov[0, 0] - d) < 4 * se_vw
     assert abs(cov[1, 1] - d**3 / 3) < 4 * se_vz
     assert abs(cov[0, 1] - d**2 / 2) < 4 * se_c
-
-
-def test_vectorized_sampler_shapes(rng):
-    deltas = np.array([0.1, 0.2, 0.05])
-    dw, dz = sample_dw_dz(deltas, rng)
-    assert dw.shape == dz.shape == (3,)
 
 
 # -- event simulation --------------------------------------------------------
@@ -253,11 +243,12 @@ def test_dyadic_grid_cross_level_consistent(horizon):
 
 
 def test_build_path_merges_a_copy_of_one_read_only_grid(finite_model):
-    # one cached grid a (horizon, level), bit-equal to dyadic_grid; each
-    # path's event grid is its own copy
+    # dyadic_grid keeps one read-only grid a (horizon, level), the closed
+    # form bit for bit; each path's event grid is its own copy
     paths = [build_path(0.7, 4, finite_model, np.random.default_rng(s)) for s in (1, 2)]
-    grid = path_mod._shared_grid(0.7, 4)
-    assert grid.tobytes() == dyadic_grid(0.7, 4).tobytes()
+    grid = dyadic_grid(0.7, 4)
+    assert dyadic_grid(0.7, 4) is grid
+    assert grid.tobytes() == ((np.arange(17.0) * 0.7) / 16.0).tobytes()
     with pytest.raises(ValueError, match="read-only"):
         grid[1] = 0.5
     assert not any(np.shares_memory(p.event_times, grid) for p in paths)
