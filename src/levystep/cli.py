@@ -54,27 +54,23 @@ def main(argv=None) -> int:
         require(out.is_dir() or not out.exists(), f"--out-dir {out} is not a directory")
         if args.command == "simulate":
             traj, oracle_vals = harness.simulate_trajectory(cfg)
-            harness.ensure_out_dir(out)
+            out.mkdir(parents=True, exist_ok=True)
             harness.write_trajectory_csv(traj.times, traj.values, oracle_vals,
                                          out / "trajectory.csv")
             print(f"wrote {out / 'trajectory.csv'}")
-        elif args.command == "converge":
-            report = harness.strong_error_study(cfg)
-            harness.ensure_out_dir(out)
-            harness.write_errors_csv(report, out / "errors.csv")
-            harness.write_report_json(report, out / "report.json")
-            print(f"slope {report.slope:.4f} "
-                  f"(ci {report.slope_ci[0]:.4f}..{report.slope_ci[1]:.4f}, "
-                  f"target {report.target_order}); wrote {out / 'errors.csv'}, "
-                  f"{out / 'report.json'}")
         else:
-            report = harness.truncation_study(cfg)
-            harness.ensure_out_dir(out)
-            harness.write_truncation_csv(report, out / "truncation.csv")
+            converge = args.command == "converge"
+            study, write_csv, csv_name = (
+                (harness.strong_error_study, harness.write_errors_csv, "errors.csv") if converge
+                else (harness.truncation_study, harness.write_truncation_csv, "truncation.csv"))
+            report = study(cfg)
+            out.mkdir(parents=True, exist_ok=True)
+            write_csv(report, out / csv_name)
             harness.write_report_json(report, out / "report.json")
+            target = f", target {report.target_order}" if converge else ""
             print(f"slope {report.slope:.4f} "
-                  f"(ci {report.slope_ci[0]:.4f}..{report.slope_ci[1]:.4f}); "
-                  f"wrote {out / 'truncation.csv'}, {out / 'report.json'}")
+                  f"(ci {report.slope_ci[0]:.4f}..{report.slope_ci[1]:.4f}{target}); "
+                  f"wrote {out / csv_name}, {out / 'report.json'}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

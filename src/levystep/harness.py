@@ -22,7 +22,6 @@ import os
 from dataclasses import dataclass, field, fields
 from functools import cache, lru_cache
 from itertools import repeat
-from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
@@ -308,6 +307,37 @@ def fit_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, math.sqrt(s2 / sxx)
 
 
+# -- study reports -----------------------------------------------------------
+
+@dataclass(frozen=True, kw_only=True)
+class _StudyReport:
+    """The fields both studies report: per column (ladder level or epsilon)
+    the mean over paths of the squared sup error, its standard error and
+    each path's value, and the log-log slope fit through the means."""
+    scheme: Scheme
+    mean_sup_sq: np.ndarray
+    std_err: np.ndarray
+    per_path: np.ndarray        # (paths, columns) squared sup errors
+    slope: float
+    slope_se: float
+    slope_ci: tuple[float, float]
+    paths: int
+    seed: int
+    config_hash: str
+
+
+def _shared_fields(cfg: StudyConfig, mean: np.ndarray, se: np.ndarray, per_path: np.ndarray,
+                   log_x: np.ndarray, log_y: np.ndarray) -> dict:
+    """The _StudyReport fields of a study: `fit_slope`'s slope of log_y
+    against log_x, its standard error, and the normal-theory 95% interval
+    about the slope (NaN where the standard error is)."""
+    slope, slope_se = fit_slope(log_x, log_y)
+    half = 1.96 * slope_se
+    return dict(scheme=cfg.scheme, mean_sup_sq=mean, std_err=se, per_path=per_path,
+                slope=slope, slope_se=slope_se, slope_ci=(slope - half, slope + half),
+                paths=cfg.paths, seed=cfg.seed, config_hash=cfg.config_hash())
+
+
 # -- strong convergence study ------------------------------------------------
 
 _EXCLUDE_MIN_LEVELS = 4
@@ -322,23 +352,13 @@ def exclude_coarsest(mean: np.ndarray, se: np.ndarray) -> bool:
     return bool(abs(mean[0] - mean[1]) < 2.0 * math.hypot(se[0], se[1]))
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
-    scheme: Scheme
+@dataclass(frozen=True, kw_only=True)
+class ConvergenceReport(_StudyReport):
     levels: tuple[int, ...]
     deltas: np.ndarray
-    mean_sup_sq: np.ndarray
-    std_err: np.ndarray
-    per_path: np.ndarray        # (paths, levels) squared sup errors
     scheme_sup_sq: np.ndarray   # mean over paths of sup |Y_scheme|^2 per level
-    slope: float
-    slope_se: float
-    slope_ci: tuple[float, float]
     excluded_coarsest: bool
     target_order: float
-    paths: int
-    seed: int
-    config_hash: str
     sup_note: str = SUP_NOTE
     kind: ClassVar[str] = "strong_convergence"
 
@@ -470,34 +490,20 @@ def strong_error_study(cfg: StudyConfig) -> ConvergenceReport:
     (mean, scheme_sup), (se, _) = _path_stats(rows, "level", levels)
     excluded = exclude_coarsest(mean, se)
     keep = slice(1, None) if excluded else slice(None)
-    slope, slope_se = fit_slope(np.log(deltas[keep]), 0.5 * np.log(mean[keep]))
-    half = 1.96 * slope_se
     return ConvergenceReport(
-        scheme=cfg.scheme, levels=levels, deltas=deltas, mean_sup_sq=mean,
-        std_err=se, per_path=rows[:, 0], scheme_sup_sq=scheme_sup,
-        slope=slope, slope_se=slope_se, slope_ci=(slope - half, slope + half),
-        excluded_coarsest=excluded, target_order=cfg.scheme.strong_order,
-        paths=cfg.paths, seed=cfg.seed, config_hash=cfg.config_hash(),
-    )
+        levels=levels, deltas=deltas, scheme_sup_sq=scheme_sup, excluded_coarsest=excluded,
+        target_order=cfg.scheme.strong_order,
+        **_shared_fields(cfg, mean, se, rows[:, 0],
+                         np.log(deltas[keep]), 0.5 * np.log(mean[keep])))
 
 
 # -- truncation study ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class TruncationReport:
-    scheme: Scheme
+@dataclass(frozen=True, kw_only=True)
+class TruncationReport(_StudyReport):
     epsilons: np.ndarray
     eps_reference: float
     level: int
-    mean_sup_sq: np.ndarray
-    std_err: np.ndarray
-    per_path: np.ndarray
-    slope: float
-    slope_se: float
-    slope_ci: tuple[float, float]
-    paths: int
-    seed: int
-    config_hash: str
     sup_note: str = TRUNC_SUP_NOTE
     kind: ClassVar[str] = "truncation"
 
@@ -538,14 +544,9 @@ def truncation_study(cfg: StudyConfig) -> TruncationReport:
 
     per_path = _per_path(cfg, active0, eps_list.shape, sup_diffs)
     mean, se = _path_stats(per_path, "epsilon", eps_list)
-    slope, slope_se = fit_slope(np.log(eps_list), np.log(mean))
-    half = 1.96 * slope_se
     return TruncationReport(
-        scheme=cfg.scheme, epsilons=eps_list, eps_reference=eps0, level=level,
-        mean_sup_sq=mean, std_err=se, per_path=per_path,
-        slope=slope, slope_se=slope_se, slope_ci=(slope - half, slope + half),
-        paths=cfg.paths, seed=cfg.seed, config_hash=cfg.config_hash(),
-    )
+        epsilons=eps_list, eps_reference=eps0, level=level,
+        **_shared_fields(cfg, mean, se, per_path, np.log(eps_list), np.log(mean)))
 
 
 # -- single-trajectory run (CLI `simulate`) -----------------------------------
@@ -597,7 +598,7 @@ def _json_value(v):
     return np.asarray(v).tolist() if isinstance(v, (np.ndarray, tuple)) else v
 
 
-def report_dict(report: ConvergenceReport | TruncationReport) -> dict:
+def report_dict(report: _StudyReport) -> dict:
     """Every field of the report but `per_path`, plus its `kind`.  A slope
     fit left undefined (NaN: too few points for a standard error) is written
     as null; a NaN anywhere else stays, and the JSON writer refuses it."""
@@ -614,9 +615,3 @@ def write_report_json(report, out_path) -> None:
     text = json.dumps(report_dict(report), indent=2, sort_keys=True, allow_nan=False)
     with open(out_path, "w") as fh:
         fh.write(text + "\n")
-
-
-def ensure_out_dir(out_dir) -> Path:
-    p = Path(out_dir)
-    p.mkdir(parents=True, exist_ok=True)
-    return p

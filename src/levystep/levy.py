@@ -147,6 +147,11 @@ class LevyModel:
         if not math.isfinite(p_sq):
             raise ValueError("model.p is not square-integrable over the small region, "
                              "or its square overflows")
+        # and q finite at every tail atom, where a tail jump scales the scheme
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf is NaN
+            bad = [x for x, _ in self.tail.atoms if not np.isfinite(self.q(x))]
+        if bad:
+            raise ValueError(f"model.q is not finite at tail atom {bad[0]}")
 
     @property
     def is_finite_activity(self) -> bool:

@@ -338,8 +338,8 @@ def test_strong_study_shape_and_errors(euler_report):
     assert rep.per_path.shape == (40, 3)
     assert np.all(rep.mean_sup_sq > 0) and np.all(rep.std_err > 0)
     assert np.all(np.diff(rep.mean_sup_sq) < 0)  # finer grid, smaller error
-    assert math.isfinite(rep.slope)
-    assert rep.slope_ci[0] < rep.slope < rep.slope_ci[1]
+    assert math.isfinite(rep.slope) and rep.slope_se > 0
+    assert rep.slope_ci == (rep.slope - 1.96 * rep.slope_se, rep.slope + 1.96 * rep.slope_se)
     assert rep.target_order == 0.5
     assert rep.config_hash == config_from_dict(base_config()).config_hash()
     assert "jump times" in rep.sup_note
@@ -433,7 +433,8 @@ def test_truncation_study_basics(trunc_report):
     assert rep.per_path.shape == (30, 3)
     assert np.all(rep.mean_sup_sq > 0)
     assert np.all(np.diff(rep.mean_sup_sq) < 0)  # smaller eps, smaller gap
-    assert rep.slope > 0
+    assert rep.slope > 0 and rep.slope_se > 0
+    assert rep.slope_ci == (rep.slope - 1.96 * rep.slope_se, rep.slope + 1.96 * rep.slope_se)
     assert "coarse grid" in rep.sup_note
 
 
@@ -795,13 +796,6 @@ def test_report_json_truncation(tmp_path, trunc_report):
     assert doc["eps_reference"] == 0.03125
 
 
-def test_ensure_out_dir(tmp_path):
-    target = tmp_path / "a" / "b"
-    assert harness.ensure_out_dir(target) == target
-    assert target.is_dir()
-    assert harness.ensure_out_dir(target) == target  # idempotent
-
-
 # -- CLI ----------------------------------------------------------------------------
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -819,6 +813,32 @@ def test_cli_converge(tmp_path, capsys):
     out2 = tmp_path / "out2"
     assert cli.main(["converge", "--config", str(p), "--out-dir", str(out2)]) == 0
     assert (out2 / "errors.csv").read_bytes() == (out / "errors.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("simulate", base_config()), ("converge", base_config(paths=10)),
+    ("truncate", trunc_config(paths=10)),
+])
+def test_cli_creates_a_nested_out_dir_and_writes_into_an_existing_one(tmp_path, command, cfg):
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "a" / "b"
+    for _ in range(2):  # a new nested directory, then the same one again
+        assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 0
+        assert out.is_dir() and any(out.iterdir())
+
+
+@pytest.mark.parametrize("run,line", [
+    ("converge-euler", "slope 0.5595 (ci 0.4826..0.6363, target 0.5); "
+                       "wrote {out}/errors.csv, {out}/report.json\n"),
+    ("truncate", "slope 1.2073 (ci 1.1571..1.2576); "
+                 "wrote {out}/truncation.csv, {out}/report.json\n"),
+], ids=["converge", "truncate"])
+def test_cli_study_prints_one_line(tmp_path, capsys, run, line):
+    # converge names its target order, truncate has none
+    out = tmp_path / run
+    assert cli.main([run.split("-")[0], "--config", str(CLI_DATA / run / "config.json"),
+                     "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().out == line.format(out=out)
 
 
 def test_cli_overrides(tmp_path):
@@ -1138,6 +1158,21 @@ def test_cli_overflowing_amplitude_exits_2(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert "model.p" in err and "overflows" in err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("converge", README_CONVERGE), ("simulate", README_CONVERGE), ("truncate", README_TRUNCATE),
+])
+def test_cli_q_not_finite_at_a_tail_atom_exits_2(tmp_path, capsys, command, cfg):
+    # q = |x|**2000 overflows at both tail atoms: each command exited 1 at
+    # its first tail jump, and all three now refuse the config, naming model.q
+    cfg = cfg | {"model": cfg["model"] | {"q": {"coef": 1, "exponent": 2000}}}
+    p = write_cfg(tmp_path, cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(p), "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: model.q is not finite at tail atom 1.5\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,cfg", [

@@ -360,6 +360,9 @@ BAD_MODELS = [
     ({"small": ATOMS, "q": {"exponent": -1.0}}, "model.q"),
     # an atom's p squared leaves the float range (a numpy square, not a Python one)
     ({"small": ATOMS, "p": {"coef": 1e200, "exponent": 2}}, "model.p"),
+    # q at a tail atom leaves the float range
+    ({"small": ATOMS, "tail": {"atoms": [[1.5, 0.3]]}, "q": {"coef": 1, "exponent": 2000}},
+     "model.q"),
 ]
 
 
