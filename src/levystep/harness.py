@@ -43,7 +43,8 @@ TRUNC_SUP_NOTE = "truncation difference sup taken over the shared coarse grid"
 
 # 2**20 cells, checked before any allocation: a level-20 path holds about 41 MiB
 # built (with the 8 MiB grid build_path keeps; also its peak), 73 MiB once Euler
-# steps read its dW data and 105 MiB (106 MiB peak) once Milstein steps read dZ, W
+# steps read its dW data and 105 MiB (106 MiB peak) once Milstein steps read dZ, W;
+# a level-20 Milstein study (ladder 12..18, 2 paths) peaks at about 180 MiB traced
 _MAX_FINEST_LEVEL = 20
 # expected events a path (grid points plus jumps), checked before any path is
 # drawn; 8x the finest-level cap, so a jump rate times T beyond ~7e6 is refused

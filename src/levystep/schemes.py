@@ -99,20 +99,20 @@ def _half_terms(slices: Slices, coef: LinearCoefficients) -> tuple[np.ndarray, .
             coef.tail_jump * sum_q)
 
 
-def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
-    """Per slice, the sums over its jumps that the order-1 terms need, one
-    row each: sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time,
-    i23_time, i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead (see
-    the module docstring).
+def _jump_sums(slices: Slices, coef: LinearCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """The ids of the slices that hold a jump and, a column each, the sums
+    over their jumps that the order-1 terms need, one row each: sum_p_wincr,
+    sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time, i22_hold, i32_hold,
+    i22_lead, i33_lead, i32_lead, i23_lead (see the module docstring).
 
     Every sum is formed from 0.0 left to right in time order, as a walk of
     the slice forms it: the slices holding jumps advance their running sums
     together, one jump rank at a time, so the work and memory go with the
     jumps the slices hold, whatever the largest count in the batch.
     """
-    n, sid, small = slices.left.size, slices.slice_id, slices.small
+    sid, small = slices.slice_id, slices.small
     if not sid.size:
-        return np.zeros((12, n))
+        return sid, np.zeros((12, 0))
     # p at small jumps, q at tail jumps; zero elsewhere
     pq = np.where(np.array((small, ~small)),
                   np.array((coef.p(slices.mark), coef.q(slices.mark))), 0.0)
@@ -137,9 +137,7 @@ def _jump_sums(slices: Slices, coef: LinearCoefficients) -> np.ndarray:
         # strictly before it: p.P (i22), q.Q (i33), p.Q (i32), q.P (i23)
         leads[:, :m] += x[[0, 1, 0, 1]] * run[[0, 1, 1, 0], :m]
         run[:, :m] += x
-    out = np.zeros((12, n))
-    out[:, held] = np.concatenate((run[2:], leads))
-    return out
+    return held, np.concatenate((run[2:], leads))
 
 
 def _order_one_terms(slices: Slices, coef: LinearCoefficients):
@@ -148,19 +146,24 @@ def _order_one_terms(slices: Slices, coef: LinearCoefficients):
     s, cf, cg = coef.diffusion, coef.small_jump, coef.tail_jump
     m1 = coef.p_integral
     delta, dw, dz = slices.delta, slices.dw, slices.dz
+    held, sums = _jump_sums(slices, coef)
     (sum_p_wincr, sum_q_wincr, i21_lead, i31_lead, i22_time, i23_time,
-     i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead) = _jump_sums(slices, coef)
+     i22_hold, i32_hold, i22_lead, i33_lead, i32_lead, i23_lead) = sums
+    def every(row: np.ndarray) -> np.ndarray:  # over every slice, 0.0 where no jump is held
+        out = np.zeros(delta.size)
+        out[held] = row
+        return out
     # six terms are (a jump sum) - m1 * (its compensator); 22 has two more parts
     yield 0.5 * s * s * (dw * dw - delta)                               # 11
-    yield cf * s * (sum_p_wincr - m1 * dz)                              # 12
-    yield cg * s * sum_q_wincr                                          # 13
-    yield cf * s * (i21_lead - m1 * (delta * dw - dz))                  # 21
-    yield cg * s * i31_lead                                             # 31
-    yield cf * cf * (i22_lead - m1 * i22_time - m1 * i22_hold
+    yield cf * s * (every(sum_p_wincr) - m1 * dz)                       # 12
+    yield cg * s * every(sum_q_wincr)                                   # 13
+    yield cf * s * (every(i21_lead) - m1 * (delta * dw - dz))           # 21
+    yield cg * s * every(i31_lead)                                      # 31
+    yield cf * cf * (every(i22_lead) - m1 * every(i22_time) - m1 * every(i22_hold)
                      + 0.5 * m1 * m1 * delta * delta)                   # 22
-    yield cf * cg * (i23_lead - m1 * i23_time)                          # 23
-    yield cf * cg * (i32_lead - m1 * i32_hold)                          # 32
-    yield cg * cg * i33_lead                                            # 33
+    yield cf * cg * (every(i23_lead) - m1 * every(i23_time))            # 23
+    yield cf * cg * (every(i32_lead) - m1 * every(i32_hold))            # 32
+    yield cg * cg * every(i33_lead)                                     # 33
 
 
 def milstein_terms(y: float, slices: Slices,

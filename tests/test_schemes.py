@@ -2,6 +2,7 @@
 event-walk oracle, and trajectory assembly over shared driving paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from levystep import (
     hierarchical_set,
     milstein_terms,
     moment,
+    path_rng,
     run_scheme,
     truncate,
 )
@@ -289,6 +291,25 @@ def test_milstein_factor_is_one_plus_the_running_sum_of_the_terms():
         for key in schemes.TERM_KEYS[1:]:
             total = total + terms[key]
         assert step_factor(Scheme.MILSTEIN, batch, coef).tobytes() == (1.0 + total).tobytes()
+
+
+@pytest.mark.parametrize("level", [8, 10])
+def test_step_memory_goes_with_the_jumps_held(level, finite_model, finite_coef):
+    # 16 README-model paths at finest level 10 hold a few dozen jumps among
+    # thousands of slices: one step allocates a few slice-length arrays, as
+    # Milstein's twelve jump sums are kept only for the slices holding a jump
+    chunk = join([build_path(1.0, 10, finite_model, path_rng(1337, i)) for i in range(16)])
+    batch = chunk.slices(level)
+    batch.dz  # formed when first read, and kept with the batch
+    assert 0 < batch.slice_id.size < batch.left.size // 64
+    for scheme, most in ((Scheme.MILSTEIN, 10), (Scheme.EULER, 7)):
+        tracemalloc.start()
+        try:
+            step_factor(scheme, batch, finite_coef)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= most * batch.left.nbytes, (scheme, peak / batch.left.nbytes)
 
 
 # -- trajectories ---------------------------------------------------------------
